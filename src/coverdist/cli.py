@@ -28,8 +28,16 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise CoverdistError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CoverdistError(f"bad JSON in {path}: {e}") from None
+
+
+def _inline_ideal(field, text, flag):
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise CoverdistError(f"bad JSON in {flag}: {e}") from None
+    return serialize.parse_ideal(field, obj)
 
 
 def _write(args, doc, lines):
@@ -240,12 +248,12 @@ def cmd_primes(args):
 
 def cmd_ideal_tool(args):
     field = serialize.parse_field(args.field)
-    ideal = serialize.parse_ideal(field, json.loads(args.ideal))
+    ideal = _inline_ideal(field, args.ideal, "--ideal")
     doc = {"command": "ideal-tool", "op": args.op, "ideal": serialize.ideal_json(ideal)}
     if args.op in ("mul", "intersect", "divides"):
         if args.ideal2 is None:
             raise CoverdistError(f"op {args.op} needs --ideal2")
-        other = serialize.parse_ideal(field, json.loads(args.ideal2))
+        other = _inline_ideal(field, args.ideal2, "--ideal2")
         doc["ideal2"] = serialize.ideal_json(other)
         if args.op == "mul":
             doc["result"] = serialize.ideal_json(ring.ideal_mul(ideal, other))

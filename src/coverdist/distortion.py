@@ -223,14 +223,14 @@ def _alpha_labels(state, j):
     ], inter
 
 
-def alpha(state, problem, j):
+def alpha(state, j):
     """Per-point alpha_j values (constant on level-(j-1) fibers)."""
     alphas, _ = _alpha_labels(state, j)
     lab = state.norm.levels[j - 1]
     return [alphas[l] for l in lab.tolist()]
 
 
-def moments(state, problem, j):
+def moments(state, j):
     """(M1, M2): first and second moments of alpha_j under the current measure."""
     alphas, inter = _alpha_labels(state, j)
     m1 = Fraction(0)
@@ -254,7 +254,7 @@ def _factor(a, b, delta):
     return 1 / (1 - delta)
 
 
-def step(state, problem, j, delta, checks=True):
+def step(state, j, delta, checks=True):
     """Apply distortion step j with the given delta; returns the new state."""
     delta = _check_delta(delta)
     norm = state.norm
@@ -315,13 +315,13 @@ def run(problem, deltas, checks=True):
     eta = Fraction(0)
     for j in range(1, levels + 1):
         st = states[-1]
-        m1, m2 = moments(st, norm, j)
+        m1, m2 = moments(st, j)
         delta = deltas[j - 1]
         if delta:
             contribution = min(m1, m2 / (4 * delta * (1 - delta)))
         else:
             contribution = m1
-        new = step(st, norm, j, delta, checks=checks)
+        new = step(st, j, delta, checks=checks)
         pjbj = target_mass(new, j)
         if checks and pjbj > contribution:
             raise SoundnessError(f"step {j}: target mass exceeds its moment bound")
@@ -335,11 +335,6 @@ def run(problem, deltas, checks=True):
             if fm != rep.target_mass:
                 raise SoundnessError(f"target {rep.j} mass not stable after its step")
     return RunResult(problem, norm, states, reports, eta, final_masses)
-
-
-def per_target_mass(result):
-    """P_J(B_j) for each j under the final measure."""
-    return list(result.final_target_masses)
 
 
 def certify(problem, deltas, checks=True):

@@ -1,43 +1,24 @@
 """Integer kernels: prime sieve, Kronecker symbol table, coset marking,
-and level-label computation.
+and level-label computation, all in numpy.
 
-Two interchangeable backends produce bit-identical results:
-  - "numba": @njit-compiled sequential loops (default when numba imports)
-  - "numpy": vectorized numpy / plain Python
-
-Selection: environment variable COVERDIST_BACKEND ("numba" or "numpy").
-No kernel uses parallel loops, so output is independent of thread count.
+Each kernel is sequential and deterministic, so repeated runs give
+bit-identical output.
 """
 
-import os
 from math import isqrt
 
 import numpy as np
 
-_requested = os.environ.get("COVERDIST_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"unknown COVERDIST_BACKEND {_requested!r}")
-
-_nb = None
-if _requested in ("", "numba"):
-    try:
-        import numba as _nb
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _nb = None
-
-BACKEND = "numba" if _nb is not None else "numpy"
-
 
 def backend_name():
-    return BACKEND
+    """Name of the kernel implementation (numpy is the only one)."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------- numpy/python
-
-
-def _sieve_np(limit):
+def sieve(limit):
+    """Boolean prime flags for 0..limit."""
+    if limit < 0:
+        raise ValueError("negative sieve limit")
     flags = np.ones(limit + 1, dtype=np.bool_)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -46,27 +27,56 @@ def _sieve_np(limit):
     return flags
 
 
-def _kron_np(disc, ps):
-    # Kronecker symbol (disc/p) for each prime p in ps (int8: -1, 0, 1)
-    out = np.empty(len(ps), dtype=np.int8)
-    for i, p in enumerate(ps.tolist()):
-        if p == 2:
-            if disc % 2 == 0:
-                out[i] = 0
-            else:
-                out[i] = 1 if disc % 8 in (1, 7) else -1
-        else:
-            a = disc % p
-            if a == 0:
-                out[i] = 0
-            else:
-                out[i] = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def kronecker_disc(disc, p):
+    """Kronecker symbol (disc/p) at a prime p, on Python ints of any size."""
+    if p == 2:
+        if disc % 2 == 0:
+            return 0
+        return 1 if disc % 8 in (1, 7) else -1
+    a = disc % p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def kron_values(disc, ps):
+    """Kronecker symbols (disc/p) for an int64 array of primes ps (int8: -1, 0, 1)."""
+    ps = np.ascontiguousarray(ps, dtype=np.int64)
+    if len(ps) and int(ps.max()) >= 2**31:
+        raise ValueError("prime too large for kernel")
+    # Every residue is below p < 2^31, so every product here fits in int64.
+    # disc may not, so disc mod p is built from the base-2^31 digits of |disc|.
+    m = abs(int(disc))
+    a = np.zeros_like(ps)
+    for shift in range(31 * (m.bit_length() // 31), -1, -31):
+        a <<= 31
+        a += (m >> shift) & (2**31 - 1)
+        a %= ps
+    if disc < 0:
+        np.negative(a, out=a)
+        a %= ps
+    # Euler's criterion a^((p-1)/2) mod p by square-and-multiply; squaring
+    # keeps a == 0 exactly where p divides disc
+    r = np.ones_like(ps)
+    e = (ps - 1) >> 1
+    while e.any():
+        odd = (e & 1).astype(np.bool_)
+        r[odd] = r[odd] * a[odd] % ps[odd]
+        a *= a
+        a %= ps
+        e >>= 1
+    out = np.where(r == 1, 1, -1).astype(np.int8)
+    out[a == 0] = 0
+    out[ps == 2] = kronecker_disc(disc, 2)
     return out
 
 
-def _mark_class_np(mask, aa, ab, ui, vi, wi, uq, vq, wq):
-    # mark every residue of a + I inside O/Q; class rep (aa, ab) is reduced
-    # mod I = (ui, vi, wi), Q = (uq, vq, wq); points a + k*(vi + wi*w) + m*ui
+def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
+    """Set mask[y*uq + x] for every residue x + y*w of (aa, ab) + I in O/Q.
+
+    The class rep (aa, ab) is reduced mod I = (ui, vi, wi) and Q = (uq, vq, wq);
+    the points are a + k*(vi + wi*w) + m*ui.
+    """
     nk = wq // wi
     nm = uq // ui
     ms = np.arange(nm, dtype=np.int64) * ui
@@ -82,121 +92,11 @@ def _mark_class_np(mask, aa, ab, ui, vi, wi, uq, vq, wq):
         mask.flat[idx.ravel()] = True
 
 
-def _level_labels_np(uq, wq, uj, vj, wj):
-    # label of each residue x + y*w of O/Q after reduction mod Q_j
+def level_labels(uq, wq, uj, vj, wj):
+    """int64 array: index of (residue mod Q_j) for each residue x + y*w of O/Q."""
     y = np.arange(wq, dtype=np.int64)
     yy = y % wj
     t = (y - yy) // wj
     x = np.arange(uq, dtype=np.int64)
     xx = (x[None, :] - (t * vj)[:, None]) % uj
     return (yy[:, None] * uj + xx).ravel()
-
-
-# --------------------------------------------------------------------- numba
-
-if _nb is not None:
-    _njit = _nb.njit(cache=True)
-
-    @_njit
-    def _sieve_nb(limit):
-        flags = np.ones(limit + 1, dtype=np.bool_)
-        flags[0] = False
-        if limit >= 1:
-            flags[1] = False
-        p = 2
-        while p * p <= limit:
-            if flags[p]:
-                for q in range(p * p, limit + 1, p):
-                    flags[q] = False
-            p += 1
-        return flags
-
-    @_njit
-    def _kron_nb(disc, ps):
-        out = np.empty(len(ps), dtype=np.int8)
-        for i in range(len(ps)):
-            p = ps[i]
-            if p == 2:
-                if disc % 2 == 0:
-                    out[i] = 0
-                else:
-                    m8 = disc % 8
-                    out[i] = 1 if (m8 == 1 or m8 == 7) else -1
-            else:
-                a = disc % p
-                if a == 0:
-                    out[i] = 0
-                else:
-                    # Euler criterion, square-and-multiply; safe for p < 2^31
-                    r = 1
-                    b = a
-                    e = (p - 1) // 2
-                    while e > 0:
-                        if e & 1:
-                            r = (r * b) % p
-                        b = (b * b) % p
-                        e >>= 1
-                    out[i] = 1 if r == 1 else -1
-        return out
-
-    @_njit
-    def _mark_class_nb(mask, aa, ab, ui, vi, wi, uq, vq, wq):
-        for k in range(wq // wi):
-            eb = ab + k * wi
-            yy = eb % wq
-            t = (eb - yy) // wq
-            base = aa + k * vi - t * vq
-            row = yy * uq
-            for m in range(uq // ui):
-                xx = (base + m * ui) % uq
-                mask[row + xx] = True
-
-    @_njit
-    def _level_labels_nb(uq, wq, uj, vj, wj):
-        out = np.empty(uq * wq, dtype=np.int64)
-        for y in range(wq):
-            yy = y % wj
-            t = (y - yy) // wj
-            base = -t * vj
-            row = y * uq
-            for x in range(uq):
-                xx = (base + x) % uj
-                out[row + x] = yy * uj + xx
-        return out
-
-
-# ------------------------------------------------------------------ dispatch
-
-
-def sieve(limit):
-    """Boolean prime flags for 0..limit."""
-    if limit < 0:
-        raise ValueError("negative sieve limit")
-    if _nb is not None:
-        return _sieve_nb(limit)
-    return _sieve_np(limit)
-
-
-def kron_values(disc, ps):
-    """Kronecker symbols (disc/p) for an int64 array of primes ps."""
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    if len(ps) and int(ps.max()) >= 2**31:
-        raise ValueError("prime too large for kernel")
-    if _nb is not None:
-        return _kron_nb(disc, ps)
-    return _kron_np(disc, ps)
-
-
-def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
-    """Set mask[y*uq + x] for every residue x + y*w of (aa, ab) + I in O/Q."""
-    if _nb is not None:
-        _mark_class_nb(mask, aa, ab, ui, vi, wi, uq, vq, wq)
-    else:
-        _mark_class_np(mask, aa, ab, ui, vi, wi, uq, vq, wq)
-
-
-def level_labels(uq, wq, uj, vj, wj):
-    """int64 array: index of (residue mod Q_j) for each residue of O/Q."""
-    if _nb is not None:
-        return _level_labels_nb(uq, wq, uj, vj, wj)
-    return _level_labels_np(uq, wq, uj, vj, wj)

@@ -64,7 +64,7 @@ def make_field(kind, d=None):
     d = int(d)
     if d in (0, 1):
         raise DisallowedD(f"d = {d} does not give a quadratic field")
-    if any(e > 1 for e in factorint(abs(d)).values()):
+    if any(e > 1 for e in _factor_int_budget(abs(d)).values()):
         raise NonSquarefree(f"d = {d} is not squarefree")
     if d % 4 == 1:
         return FieldSpec("quadratic", d, d, 1, (1 - d) // 4)
@@ -316,19 +316,6 @@ def prime_sort_key(prime):
     return (prime.norm, prime.ideal.u, prime.ideal.v, prime.ideal.w)
 
 
-def kronecker_disc(field, p):
-    """Kronecker symbol (disc/p) at a prime p."""
-    disc = field.discriminant
-    if p == 2:
-        if disc % 2 == 0:
-            return 0
-        return 1 if disc % 8 in (1, 7) else -1
-    a = disc % p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def primes_above(field, p):
     """Prime ideals above the rational prime p, in canonical order."""
     p = int(p)
@@ -336,7 +323,7 @@ def primes_above(field, p):
         raise InputError(f"{p} is not prime")
     if field.kind == "rational":
         return [PrimeIdeal(Ideal(field, p, 0, 1), p, p, "rational")]
-    sym = kronecker_disc(field, p)
+    sym = kernels.kronecker_disc(field.discriminant, p)
     if sym == -1:
         return [PrimeIdeal(Ideal(field, p, 0, p), p, p * p, "inert")]
     if sym == 0:

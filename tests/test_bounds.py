@@ -67,10 +67,10 @@ def test_alpha_bound_dominates(corpus):
         prob = build_problem(inst)
         st = initial_state(prob)
         for j in range(1, inst.depth + 1):
-            true = alpha(st, prob, j)
+            true = alpha(st, j)
             for x, a in zip(prob.points, true):
                 assert a <= alpha_upper_bound(inst, x, j)
-            st = step(st, prob, j, F(0))
+            st = step(st, j, F(0))
 
 
 def test_alpha_bound_level_range(near_cover):

@@ -20,7 +20,6 @@ from coverdist import (
     make_field,
     mask_mass,
     moments,
-    per_target_mass,
     resolve_delta_policy,
     run,
     step,
@@ -124,6 +123,7 @@ def test_six_system_half_half(six_system):
     assert (r2.m1, r2.m2, r2.contribution) == (F(1, 3), F(1, 9), F(1, 9))
     # step 2: alpha = 1/3 < delta: targets vanish, others scale by 3/2
     assert masses(res.states[2]) == [F(0), F(0), F(0), HALF, F(0), HALF]
+    assert res.final_target_masses == [F(0), F(0)]
     assert res.eta == F(13, 36)
     cert = certify(prob, [HALF, HALF])
     assert cert.verdict == "certified-noncover"
@@ -255,19 +255,13 @@ def test_eta_zero_policy_equals_density_sum(corpus):
         assert res.eta == want
 
 
-def test_per_target_mass(six_system):
-    prob = build_problem(six_system)
-    res = run(prob, [HALF, HALF])
-    assert per_target_mass(res) == res.final_target_masses == [F(0), F(0)]
-
-
 def test_moments_and_alpha_api(near_cover):
     prob = build_problem(near_cover)
     st = initial_state(prob)
-    assert moments(st, prob, 1) == (F(3, 4), F(9, 16))
-    a = alpha(st, prob, 1)
+    assert moments(st, 1) == (F(3, 4), F(9, 16))
+    a = alpha(st, 1)
     assert list(a) == [F(3, 4)] * 4  # per point, constant on the one fiber
-    st1 = step(st, prob, 1, HALF)
+    st1 = step(st, 1, HALF)
     assert target_mass(st1, 1) == HALF
 
 

@@ -1,12 +1,15 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 import oracles
 from conftest import FIELD_KEYS, get_field
 from coverdist import (
     InputError,
+    NonSquarefree,
+    NormTooLargeToFactor,
     PMinOnIndistinguishable,
     SoundnessError,
     UnitIdeal,
@@ -36,6 +39,7 @@ from coverdist import (
     residues,
     unit_ideal,
 )
+from coverdist.kernels import kron_values, sieve
 
 QF = [k for k in FIELD_KEYS if k != "rational"]
 
@@ -75,6 +79,11 @@ def test_field_rejects():
         make_field("quadratic", 0)
     with pytest.raises(InputError):
         make_field("cubic")
+    with pytest.raises(NonSquarefree):
+        make_field("quadratic", 3 * (2**61 - 1) ** 2)
+    # d = p*q with two 25-digit primes: refused instead of factored at length
+    with pytest.raises(NormTooLargeToFactor):
+        make_field("quadratic", 3000000000000000000000028000000000000000000000049)
 
 
 def test_elem_mul_against_oracle():
@@ -512,6 +521,27 @@ def test_factor_rejects_huge_composite_norm():
     ideal = ideal_from_gens(field, [(n, 0)])
     with pytest.raises(NormTooLargeToFactor):
         factor_ideal(ideal)
+
+
+def test_kron_values_against_oracle():
+    ps = np.flatnonzero(sieve(2 * 10**5)).astype(np.int64)
+    fields = [get_field(key) for key in QF]
+    # discriminants wider than int64 go through the digit-wise reduction
+    fields += [make_field("quadratic", -(2**61 - 1)), make_field("quadratic", 2**89 - 1)]
+    for field in fields:
+        disc = field.discriminant
+        want = [oracles.kronecker(disc, p) for p in ps.tolist()]
+        assert kron_values(disc, ps).tolist() == want
+
+
+def test_factor_inert_prime_beyond_kernel():
+    # 2^61 - 1 = 3 mod 4 is inert in Z[i] and too large for kron_values
+    field = get_field(-1)
+    p = 2**61 - 1
+    factors = factor_ideal(ideal_from_gens(field, [(p, 0)]))
+    assert len(factors) == 1 and factors[0][1] == 1
+    prime = factors[0][0]
+    assert prime.splitting == "inert" and prime.norm == p * p
 
 
 def test_factor_large_prime_ok():

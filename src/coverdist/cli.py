@@ -127,10 +127,11 @@ def cmd_certify(args):
         f"verdict: {cert.verdict}",
     ]
     if cert.verdict == "certified-noncover":
+        witness = ring.residue_at(cert.witness_index, instance.q)
         doc["uncovered_mass"] = serialize.frac_str(cert.uncovered_mass)
-        doc["witness"] = serialize.element_json(instance.field, cert.witness)
+        doc["witness"] = serialize.element_json(instance.field, witness)
         lines.append(f"uncovered mass: {serialize.frac_str(cert.uncovered_mass)}")
-        lines.append(f"witness: {cert.witness}")
+        lines.append(f"witness: {witness}")
     _write(args, doc, lines)
     return 0
 

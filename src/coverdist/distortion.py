@@ -20,6 +20,25 @@ This multiplies pointwise, preserves the mass of every level-(j-1) fiber
 
 where M1, M2 are the first and second moments of alpha under P_{j-1}.
 All masses are Fractions; nothing is approximated.
+
+The measure is a codebook. A level-j state holds `codes`, an int64 array
+with one entry per level-j label, and `table`, a tuple of the distinct
+Fraction values: every point of label l has mass table[codes[l]]. A
+step's factor depends only on the parent fiber's alpha, the target bit
+and delta, so the table stays small while the labels grow to |S|.
+Per-label work is integer numpy (np.unique on int64 keys, np.add.at on
+int64 counts); Fraction arithmetic runs once per distinct key.
+
+Checks, on by default, each paying Fraction work once per distinct key:
+  - after every step the total mass is exactly 1;
+  - after every step each level-(j-1) fiber keeps its mass. The new
+    codes are grouped into (parent fiber, child code) cells with their
+    point counts; parents with the same own (code, size) and the same
+    cells share a signature, and the sum of table[code] * count over the
+    cells is compared with the parent's mass once per distinct signature;
+  - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
+  - after the run every P_J(B_j) equals P_j(B_j) right after step j;
+  - in certify the uncovered mass is at least 1 - eta.
 """
 
 from dataclasses import dataclass
@@ -35,7 +54,6 @@ HALF = Fraction(1, 2)
 
 @dataclass
 class DistortionProblem:
-    points: list | None = None  # optional payloads, index-aligned
     levels: list = None  # J+1 integer label arrays over S
     targets: list = None  # J boolean arrays over S
     initial_mass: list | None = None  # per-point Fractions; uniform if None
@@ -49,22 +67,29 @@ class _Norm(NamedTuple):
     parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
     targets: list
     target_bits: list  # target_bits[j-1][l] for level-j label l
-    points: list | None
-    initial_values: list  # Fractions per level-0 label
+    initial_codes: np.ndarray  # code of each level-0 label
+    initial_table: tuple  # distinct initial point masses
 
 
 class DistortionState(NamedTuple):
     norm: _Norm
     level: int
-    values: list  # Fraction per level-`level` label: mass of EACH point in the fiber
+    codes: np.ndarray  # int64 per level-`level` label, an index into table
+    table: tuple  # distinct Fractions: mass of EACH point in a fiber
     deltas: tuple
 
+    @property
+    def values(self):
+        """Read-only per-label masses: table[codes[l]] for each label l."""
+        out = _lookup(self.table, self.codes)
+        out.flags.writeable = False
+        return out
+
     def point_masses(self):
-        lab = self.norm.levels[self.level]
-        return [self.values[l] for l in lab.tolist()]
+        return _lookup(self.table, self.codes[self.norm.levels[self.level]]).tolist()
 
     def total_mass(self):
-        return _dot(self.values, self.norm.sizes[self.level])
+        return _grouped_sum(self.codes, self.norm.sizes[self.level], self.table)
 
 
 class MomentReport(NamedTuple):
@@ -90,8 +115,7 @@ class CertifyResult(NamedTuple):
     eta: Fraction
     reports: list
     uncovered_mass: Fraction | None
-    witness_index: int | None
-    witness: object | None
+    witness_index: int | None  # uncovered point: residue_at(index, q) for build_problem
     result: RunResult
 
 
@@ -101,10 +125,22 @@ def _first_occurrence(labels, count):
     return reps
 
 
-def _dot(values, counts):
+def _lookup(table, idx):
+    """Object array of table[i] for each i in idx: shared objects, no arithmetic."""
+    return np.array(table, dtype=object)[idx]
+
+
+def _grouped_sum(ids, counts, values):
+    """Sum over l of values[ids[l]] * counts[l], for int64 ids and counts.
+
+    The counts are summed per id in int64; the Fraction product runs once
+    per id with a nonzero sum.
+    """
+    sums = np.zeros(len(values), dtype=np.int64)
+    np.add.at(sums, ids, counts)
     total = Fraction(0)
-    for l in np.flatnonzero(counts).tolist():
-        total += values[l] * int(counts[l])
+    for i in np.flatnonzero(sums).tolist():
+        total += values[i] * int(sums[i])
     return total
 
 
@@ -167,21 +203,22 @@ def _normalize(problem):
             raise InputError(f"target {j} is not a union of level-{j} fibers")
         target_bits.append(bits)
 
-    k0 = len(sizes[0])
     if problem.initial_mass is None:
-        initial_values = [Fraction(1, n)] * k0
+        initial_codes = np.zeros(len(sizes[0]), dtype=np.int64)
+        initial_table = (Fraction(1, n),)
     else:
         if len(problem.initial_mass) != n:
             raise InputError("initial mass list has wrong length")
-        masses = [Fraction(x) for x in problem.initial_mass]
-        lab0 = levels[0]
-        initial_values = [masses[int(reps[0][l])] for l in range(k0)]
-        for i, m in enumerate(masses):
-            if m < 0:
-                raise InputError("negative initial mass")
-            if m != initial_values[lab0[i]]:
-                raise InputError("initial mass not constant on level-0 fibers")
-        if _dot(initial_values, sizes[0]) != 1:
+        to_fraction = np.frompyfunc(Fraction, 1, 1)
+        masses = to_fraction(np.array(problem.initial_mass, dtype=object))
+        table, point_codes = np.unique(masses, return_inverse=True)  # ascending
+        if table[0] < 0:
+            raise InputError("negative initial mass")
+        initial_codes = point_codes[reps[0]].astype(np.int64)
+        if not np.array_equal(initial_codes[levels[0]], point_codes):
+            raise InputError("initial mass not constant on level-0 fibers")
+        initial_table = tuple(table.tolist())
+        if _grouped_sum(initial_codes, sizes[0], initial_table) != 1:
             raise InputError("initial mass does not sum to 1")
 
     return _Norm(
@@ -192,14 +229,14 @@ def _normalize(problem):
         parents=parents,
         targets=targets,
         target_bits=target_bits,
-        points=problem.points,
-        initial_values=initial_values,
+        initial_codes=initial_codes,
+        initial_table=initial_table,
     )
 
 
 def initial_state(problem):
     norm = problem if isinstance(problem, _Norm) else _normalize(problem)
-    return DistortionState(norm, 0, list(norm.initial_values), ())
+    return DistortionState(norm, 0, norm.initial_codes, norm.initial_table, ())
 
 
 def _check_delta(delta):
@@ -209,38 +246,40 @@ def _check_delta(delta):
     return delta
 
 
-def _alpha_labels(state, j):
-    """Conditional density of B_j on each level-(j-1) fiber (count ratio)."""
+def _alpha_ids(state, j):
+    """Conditional density of B_j on the level-(j-1) fibers, as a codebook.
+
+    Returns (alphas, ids, inter): level-(j-1) label l has alpha
+    alphas[ids[l]] = inter[l] / size[l], with one id per distinct
+    (inter, size) pair.
+    """
     norm = state.norm
     if j != state.level + 1 or j > len(norm.targets):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    lab = norm.levels[j - 1]
-    inter = np.bincount(lab[norm.targets[j - 1]], minlength=len(norm.sizes[j - 1]))
     sz = norm.sizes[j - 1]
-    return [
-        Fraction(int(inter[l]), int(sz[l])) if sz[l] else Fraction(0)
-        for l in range(len(sz))
-    ], inter
+    inter = np.bincount(norm.levels[j - 1][norm.targets[j - 1]], minlength=len(sz))
+    radix = int(sz.max()) + 1
+    pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
+    alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
+    return alphas, ids, inter
 
 
 def alpha(state, j):
     """Per-point alpha_j values (constant on level-(j-1) fibers)."""
-    alphas, _ = _alpha_labels(state, j)
-    lab = state.norm.levels[j - 1]
-    return [alphas[l] for l in lab.tolist()]
+    alphas, ids, _ = _alpha_ids(state, j)
+    return _lookup(alphas, ids[state.norm.levels[j - 1]]).tolist()
 
 
 def moments(state, j):
     """(M1, M2): first and second moments of alpha_j under the current measure."""
-    alphas, inter = _alpha_labels(state, j)
-    m1 = Fraction(0)
-    m2 = Fraction(0)
-    sz = state.norm.sizes[j - 1]
-    for l in np.flatnonzero(inter).tolist():
-        v = state.values[l]
-        if v:
-            m1 += v * int(inter[l])
-            m2 += v * alphas[l] * int(inter[l])  # v*sz*alpha^2 = v*inter*alpha
+    alphas, ids, inter = _alpha_ids(state, j)
+    table, na = state.table, len(alphas)
+    m1 = _grouped_sum(state.codes, inter, table)
+    # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
+    pairs, pair_ids = np.unique(state.codes * na + ids, return_inverse=True)
+    m2 = _grouped_sum(
+        pair_ids, inter, [table[k // na] * alphas[k % na] for k in pairs.tolist()]
+    )
     return m1, m2
 
 
@@ -258,15 +297,26 @@ def step(state, j, delta, checks=True):
     """Apply distortion step j with the given delta; returns the new state."""
     delta = _check_delta(delta)
     norm = state.norm
-    alphas, _ = _alpha_labels(state, j)
+    alphas, ids, _ = _alpha_ids(state, j)
     parent = norm.parents[j]
-    bits = norm.target_bits[j - 1]
-    new_values = []
-    for l in range(len(norm.sizes[j])):
-        pl = int(parent[l])
-        v = state.values[pl]
-        new_values.append(v * _factor(alphas[pl], bool(bits[l]), delta) if v else v)
-    new_state = DistortionState(norm, j, new_values, state.deltas + (delta,))
+    na = len(alphas)
+    assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
+    # the new mass of a level-j label depends only on (parent code, parent
+    # alpha id, target bit): one mixed-radix key each
+    keys = (state.codes[parent] * na + ids[parent]) * 2 + norm.target_bits[j - 1]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    interned = {}
+    remap = []
+    for key in uniq.tolist():
+        rest, bit = divmod(key, 2)
+        code, a = divmod(rest, na)
+        v = state.table[code]
+        if v:
+            v = v * _factor(alphas[a], bit, delta)
+        remap.append(interned.setdefault(v, len(interned)))
+    codes = np.asarray(remap, dtype=np.int64)[inv]
+    deltas = state.deltas + (delta,)
+    new_state = DistortionState(norm, j, codes, tuple(interned), deltas)
     if checks:
         _verify_step(state, new_state, j)
     return new_state
@@ -274,33 +324,51 @@ def step(state, j, delta, checks=True):
 
 def _verify_step(old, new, j):
     norm = old.norm
+    nc = len(new.table)
+    if new.codes.min() < 0 or new.codes.max() >= nc:
+        raise SoundnessError(f"step {j}: code outside the value table")
     if new.total_mass() != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
-    # every level-(j-1) fiber keeps its mass
-    parent = norm.parents[j]
-    agg = [Fraction(0)] * len(norm.sizes[j - 1])
-    sz = norm.sizes[j]
-    for l in range(len(sz)):
-        agg[int(parent[l])] += new.values[l] * int(sz[l])
+    # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
+    # a cell is (parent fiber, child code) with its point count
     szp = norm.sizes[j - 1]
-    for l in range(len(szp)):
-        if agg[l] != old.values[l] * int(szp[l]):
+    cells, inv = np.unique(norm.parents[j] * nc + new.codes, return_inverse=True)
+    cell_size = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(cell_size, inv, norm.sizes[j])
+    cell_parent, cell_code = np.divmod(cells, nc)
+    # cells are sorted by parent and every parent has at least one
+    bounds = np.searchsorted(cell_parent, np.arange(len(szp) + 1))
+    rank = np.arange(len(cells)) - bounds[cell_parent]
+    # signature of a parent: its own (code, size), then its cells' (code,
+    # count) pairs in code order, refined one rank at a time
+    _, sig = np.unique(old.codes * (int(szp.max()) + 1) + szp, return_inverse=True)
+    _, pair = np.unique(
+        cell_code * (int(cell_size.max()) + 1) + cell_size, return_inverse=True
+    )
+    for r in range(int(rank.max()) + 1):
+        at = rank == r
+        ext = np.zeros(len(szp), dtype=np.int64)  # 0: no cell of this rank
+        ext[cell_parent[at]] = pair[at] + 1
+        _, sig = np.unique(sig * (len(cells) + 1) + ext, return_inverse=True)
+    _, firsts = np.unique(sig, return_index=True)
+    for p in firsts.tolist():
+        lo, hi = int(bounds[p]), int(bounds[p + 1])
+        got = Fraction(0)
+        for c, s in zip(cell_code[lo:hi].tolist(), cell_size[lo:hi].tolist()):
+            got += new.table[c] * s
+        if got != old.table[old.codes[p]] * int(szp[p]):
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
 def target_mass(state, j):
     """Mass of B_j under the state's measure (any level >= j)."""
-    norm = state.norm
-    lab = norm.levels[state.level]
-    counts = np.bincount(lab[norm.targets[j - 1]], minlength=len(norm.sizes[state.level]))
-    return _dot(state.values, counts)
+    return mask_mass(state, state.norm.targets[j - 1])
 
 
 def mask_mass(state, mask):
-    norm = state.norm
-    lab = norm.levels[state.level]
-    counts = np.bincount(lab[mask], minlength=len(norm.sizes[state.level]))
-    return _dot(state.values, counts)
+    """Mass of the points where mask is set."""
+    lab = state.norm.levels[state.level]
+    return _grouped_sum(state.codes[lab[mask]], 1, state.table)
 
 
 def run(problem, deltas, checks=True):
@@ -343,7 +411,7 @@ def certify(problem, deltas, checks=True):
     norm = result.norm
     eta = result.eta
     if eta >= 1:
-        return CertifyResult("inconclusive", eta, result.reports, None, None, None, result)
+        return CertifyResult("inconclusive", eta, result.reports, None, None, result)
     union = np.zeros(norm.n, dtype=np.bool_)
     for t in norm.targets:
         union |= t
@@ -352,9 +420,7 @@ def certify(problem, deltas, checks=True):
         raise SoundnessError("uncovered mass below its certified floor")
     if uncovered <= 0:
         raise SoundnessError("eta < 1 but no uncovered mass")
-    missing = np.flatnonzero(~union)
-    idx = int(missing[0])
-    witness = norm.points[idx] if norm.points is not None else idx
+    idx = int(np.flatnonzero(~union)[0])
     return CertifyResult(
-        "certified-noncover", eta, result.reports, uncovered, idx, witness, result
+        "certified-noncover", eta, result.reports, uncovered, idx, result
     )

@@ -93,3 +93,7 @@ class NormTooLargeToFactor(ResourceError):
 
 class SearchBudgetExceeded(ResourceError):
     pass
+
+
+class SieveTooLarge(ResourceError):
+    pass

@@ -9,6 +9,13 @@ from math import isqrt
 
 import numpy as np
 
+from .errors import SieveTooLarge
+
+# Largest sieve limit accepted: its flags take 128 MB. It is checked before
+# any allocation, and it keeps every sieved prime below the 2^31 that
+# kron_values requires.
+SIEVE_MAX = 2**27
+
 
 def backend_name():
     """Name of the kernel implementation (numpy is the only one)."""
@@ -16,9 +23,11 @@ def backend_name():
 
 
 def sieve(limit):
-    """Boolean prime flags for 0..limit."""
+    """Boolean prime flags for 0..limit; refuses limits above SIEVE_MAX."""
     if limit < 0:
         raise ValueError("negative sieve limit")
+    if limit > SIEVE_MAX:
+        raise SieveTooLarge(f"sieve limit {limit} exceeds {SIEVE_MAX}")
     flags = np.ones(limit + 1, dtype=np.bool_)
     flags[:2] = False
     for p in range(2, isqrt(limit) + 1):

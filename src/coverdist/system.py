@@ -172,8 +172,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     for lv in instance.levels:
         levels.append(kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w))
     targets = [target_mask(instance, j, max_enum) for j in range(1, instance.depth + 1)]
-    points = ring.residues(q, max_enum)
-    return DistortionProblem(points=points, levels=levels, targets=targets)
+    return DistortionProblem(levels=levels, targets=targets)
 
 
 def resolve_policy_for_primes(primes, s, policy):

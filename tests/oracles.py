@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths:
 membership via Cramer solves, lattice normal forms via sympy, splitting by
-brute-force root counting, measures via a per-point dict walk, and analytic
-sums/products via scaled-integer directed arithmetic.
+brute-force root counting, measures via a per-point dict walk or a
+per-label list walk, and analytic sums/products via scaled-integer directed
+arithmetic.
 """
 
 from fractions import Fraction
@@ -114,6 +115,79 @@ def run_oracle(n, levels, targets, deltas, initial=None):
         out.append(list(mass))
         reports.append((m1, m2, contribution))
     return out, reports
+
+
+def run_per_label(problem, deltas):
+    """Per-label reference of distortion.run: one Fraction per fiber label.
+
+    Labels of each level are numbered densely by ascending original label.
+    Returns (values, reports, eta, final_masses): values[j][l] is the mass
+    of each point of level-j label l after j steps, reports[j-1] is
+    (m1, m2, contribution, target_mass) of step j, and final_masses[j-1]
+    is the mass of B_j after the last step. Mass conservation of every
+    fiber is asserted after each step.
+    """
+    import numpy as np
+
+    labs = [
+        np.unique(np.asarray(lv, dtype=np.int64), return_inverse=True)[1].tolist()
+        for lv in problem.levels
+    ]
+    tgts = [np.asarray(t, dtype=bool).tolist() for t in problem.targets]
+    n = len(labs[0])
+    sizes = []
+    for lab in labs:
+        sz = [0] * (max(lab) + 1)
+        for l in lab:
+            sz[l] += 1
+        sizes.append(sz)
+    if problem.initial_mass is None:
+        values = [Fraction(1, n)] * len(sizes[0])
+    else:
+        values = [None] * len(sizes[0])
+        for l, m in zip(labs[0], problem.initial_mass):
+            values[l] = Fraction(m)
+    out = [values]
+    reports = []
+    for j, delta in enumerate(deltas, start=1):
+        delta = Fraction(delta)
+        lab_p, lab = labs[j - 1], labs[j]
+        parent = [0] * len(sizes[j])
+        bit = [False] * len(sizes[j])
+        inter = [0] * len(sizes[j - 1])
+        for i, l in enumerate(lab):
+            parent[l] = lab_p[i]
+            bit[l] = tgts[j - 1][i]
+            inter[lab_p[i]] += tgts[j - 1][i]
+        alphas = [Fraction(c, s) for c, s in zip(inter, sizes[j - 1])]
+        m1 = sum((v * c for v, c in zip(values, inter)), Fraction(0))
+        m2 = sum((v * a * c for v, a, c in zip(values, alphas, inter)), Fraction(0))
+        if delta:
+            contribution = min(m1, m2 / (4 * delta * (1 - delta)))
+        else:
+            contribution = m1
+        new = []
+        for l in range(len(sizes[j])):
+            a, v = alphas[parent[l]], values[parent[l]]
+            if bit[l]:
+                f = Fraction(0) if a < delta else (a - delta) / (a * (1 - delta))
+            else:
+                f = 1 / (1 - a) if a < delta else 1 / (1 - delta)
+            new.append(v * f)
+        agg = [Fraction(0)] * len(sizes[j - 1])
+        for l, v in enumerate(new):
+            agg[parent[l]] += v * sizes[j][l]
+        assert agg == [v * s for v, s in zip(values, sizes[j - 1])]
+        values = new
+        out.append(values)
+        pjbj = sum((values[l] for l, t in zip(lab, tgts[j - 1]) if t), Fraction(0))
+        reports.append((m1, m2, contribution, pjbj))
+    final = [
+        sum((values[l] for l, t in zip(labs[-1], tgt) if t), Fraction(0))
+        for tgt in tgts
+    ]
+    eta = sum((r[2] for r in reports), Fraction(0))
+    return out, reports, eta, final
 
 
 # ------------------------------------------------------- scaled-int analysis

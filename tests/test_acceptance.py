@@ -46,6 +46,8 @@ from coverdist import (
     primes_above,
     primes_up_to_norm,
     rankin_W,
+    residue_at,
+    residues,
     resolve_delta_policy,
     run,
     verify_certificate,
@@ -136,6 +138,24 @@ def test_per_step_bound_and_stability(corpus, problems):
             assert res.eta == sum(r.contribution for r in res.reports)
 
 
+def test_codebook_matches_per_label_oracle(corpus, problems):
+    """The codebook engine equals the per-label reference on every corpus
+    instance under the zero, half, default and seeded random policies: eta,
+    every report, the final target masses and the values at every level."""
+    half = Fraction(1, 2)
+    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+        zero, default, mixed = _policies(inst, idx)
+        for deltas in (zero, (half,) * inst.depth, default, mixed):
+            res = run(prob, deltas)
+            values, reports, eta, final = oracles.run_per_label(prob, deltas)
+            assert res.eta == eta
+            assert [
+                (r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports
+            ] == reports
+            assert res.final_target_masses == final
+            assert [list(st.values) for st in res.states] == values
+
+
 # ---------------------------------------------------------------- soundness
 
 
@@ -161,8 +181,9 @@ def test_certificates_sound_against_brute_force(corpus, problems):
                 )
                 assert cres.uncovered_mass == outside
                 assert outside >= 1 - cres.eta
+                witness = residue_at(cres.witness_index, inst.q)
                 for residue, ideal in inst.classes:
-                    assert not in_class(cres.witness, residue, ideal)
+                    assert not in_class(witness, residue, ideal)
     assert certified > 100  # the corpus genuinely exercises the certificate path
 
 
@@ -170,7 +191,7 @@ def test_pinned_certificates(near_cover, classic_cover):
     cres = certify(build_problem(near_cover), (ZERO,))
     assert cres.verdict == "certified-noncover"
     assert cres.eta == Fraction(3, 4)
-    assert cres.witness == (3, 0)
+    assert residue_at(cres.witness_index, near_cover.q) == (3, 0)
     assert cres.uncovered_mass == Fraction(1, 4)
 
     verdict, witness = covers(classic_cover)
@@ -201,9 +222,10 @@ def test_pinned_certificates(near_cover, classic_cover):
 def test_alpha_pointwise_domination(corpus, problems):
     for inst, prob in zip(corpus, problems):
         res = run(prob, (ZERO,) * inst.depth)  # alpha is measure-independent
+        points = residues(inst.q)
         for j in range(1, inst.depth + 1):
             vals = alpha(res.states[j - 1], j)
-            for x, a in zip(prob.points, vals):
+            for x, a in zip(points, vals):
                 assert a <= alpha_upper_bound(inst, x, j)
 
 
@@ -230,7 +252,8 @@ def test_class_measure_domination(corpus, problems):
     bound*(1 - 1e-9) and be re-checked exactly.
     """
     for idx, (inst, prob) in enumerate(zip(corpus, problems)):
-        pts = np.asarray(prob.points, dtype=np.int64)
+        points = residues(inst.q)
+        pts = np.asarray(points, dtype=np.int64)
         divisors = [
             (I, ideal_norm(I), oracles.hnf_labels(pts, I.u, I.v, I.w))
             for I in _divisor_ideals(inst)
@@ -262,7 +285,7 @@ def test_class_measure_domination(corpus, problems):
                 j = rng.randrange(inst.depth + 1)
                 i = rng.randrange(len(pts))
                 exact, bound = class_measure_bound(
-                    inst, res, prob.points[i], I, j
+                    inst, res, points[i], I, j
                 )
                 values = res.states[j].values
                 mine = ZERO

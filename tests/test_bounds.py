@@ -66,9 +66,10 @@ def test_alpha_bound_dominates(corpus):
     for inst in rng.sample(small, min(30, len(small))):
         prob = build_problem(inst)
         st = initial_state(prob)
+        points = residues(inst.q)
         for j in range(1, inst.depth + 1):
             true = alpha(st, j)
-            for x, a in zip(prob.points, true):
+            for x, a in zip(points, true):
                 assert a <= alpha_upper_bound(inst, x, j)
             st = step(st, j, F(0))
 

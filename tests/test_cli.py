@@ -409,6 +409,36 @@ def test_exit_code_enum_budget(capsys):
     assert json.loads(err)["error"] == "EnumerationTooLarge"
 
 
+def test_exit_code_sieve_budget(tmp_path, capsys):
+    # refused before the sieve allocates its flags
+    from coverdist.kernels import SIEVE_MAX
+
+    for field, limit in [("rational", SIEVE_MAX + 1), ("quadratic:-1", SIEVE_MAX + 1)]:
+        rc, out, err = call_main(
+            capsys, ["primes", "--field", field, "--max-norm", str(limit)]
+        )
+        assert rc == 3 and out == ""
+        assert json.loads(err)["error"] == "SieveTooLarge"
+    # a delta-0 level at prime q sieves up to q - 1; 134217757 is the first
+    # prime with q - 1 above the cap
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "rational", "moduli": [134217757]}))
+    rc, out, err = call_main(
+        capsys,
+        ["certify-moduli", "--input", str(path), "--delta", "threshold:134217757"],
+    )
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "SieveTooLarge"
+
+
+def test_primes_huge_limit_no_traceback():
+    rc, out, err = run_cli(
+        ["primes", "--field", "rational", "--max-norm", "1000000000000000"]
+    )
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "SieveTooLarge"
+
+
 def test_exit_code_hierarchy():
     from coverdist import (
         CoverdistError,

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import half_policy, zero_policy
@@ -10,6 +15,7 @@ from coverdist import (
     DeltaOutOfRange,
     DistortionProblem,
     InputError,
+    SoundnessError,
     alpha,
     build_problem,
     certify,
@@ -20,6 +26,7 @@ from coverdist import (
     make_field,
     mask_mass,
     moments,
+    residue_at,
     resolve_delta_policy,
     run,
     step,
@@ -27,8 +34,12 @@ from coverdist import (
     validate,
 )
 
+from coverdist import distortion
+from coverdist.cli import main
+
 F = Fraction
 HALF = F(1, 2)
+DATA = Path(__file__).parent / "data"
 
 
 def masses(state):
@@ -70,7 +81,7 @@ def test_near_cover_zero_certify(near_cover):
     assert cert.eta == F(3, 4)
     assert cert.uncovered_mass == F(1, 4)
     assert cert.witness_index == 3
-    assert cert.witness == (3, 0)
+    assert residue_at(cert.witness_index, near_cover.q) == (3, 0)
 
 
 def test_near_cover_half_policy(near_cover):
@@ -86,7 +97,7 @@ def test_near_cover_half_policy(near_cover):
     assert cert.verdict == "certified-noncover"
     assert cert.eta == F(9, 16)
     assert cert.uncovered_mass == HALF
-    assert cert.witness == (3, 0)
+    assert residue_at(cert.witness_index, near_cover.q) == (3, 0)
 
 
 def test_near_cover_quarter_delta(near_cover):
@@ -111,7 +122,7 @@ def test_six_system_zero_policy(six_system):
     cert = certify(prob, [F(0), F(0)])
     assert cert.verdict == "certified-noncover"
     assert cert.uncovered_mass == F(1, 3)
-    assert cert.witness == (3, 0)
+    assert residue_at(cert.witness_index, six_system.q) == (3, 0)
 
 
 def test_six_system_half_half(six_system):
@@ -128,7 +139,7 @@ def test_six_system_half_half(six_system):
     cert = certify(prob, [HALF, HALF])
     assert cert.verdict == "certified-noncover"
     assert cert.uncovered_mass == F(1)
-    assert cert.witness == (3, 0)
+    assert residue_at(cert.witness_index, six_system.q) == (3, 0)
 
 
 def test_six_system_mixed_policy(six_system):
@@ -155,7 +166,7 @@ def test_classic_zero_policy(classic_cover):
     assert res.eta == F(4, 3)
     cert = certify(prob, [F(0), F(0)])
     assert cert.verdict == "inconclusive"
-    assert cert.uncovered_mass is None and cert.witness is None
+    assert cert.uncovered_mass is None and cert.witness_index is None
 
 
 def test_classic_half_policy(classic_cover):
@@ -183,7 +194,7 @@ def test_gauss_zero_policy(gauss_cover):
     cert = certify(prob, [F(0)])
     assert cert.verdict == "certified-noncover"
     assert cert.uncovered_mass == F(1, 4)
-    assert cert.witness == (0, 1)
+    assert residue_at(cert.witness_index, gauss_cover.q) == (0, 1)
 
 
 # ------------------------------------------------------ oracle agreement
@@ -226,6 +237,207 @@ def test_corpus_random_deltas(corpus):
         om, _ = oracles.run_oracle(n, levels, targets, deltas)
         assert masses(res.states[-1]) == om[-1]
         assert res.states[-1].total_mass() == 1
+
+
+@st.composite
+def label_chains(draw):
+    """A random refining label chain with targets, a non-uniform initial
+    mass constant on level-0 fibers, and deltas in [0, 1/2]."""
+    n = draw(st.integers(1, 24))
+    depth = draw(st.integers(1, 3))
+    levels = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    for _ in range(depth):
+        split = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        levels.append([3 * l + e for l, e in zip(levels[-1], split)])
+    targets = []
+    for lv in levels[1:]:
+        hit = draw(st.sets(st.sampled_from(sorted(set(lv)))))
+        targets.append([l in hit for l in lv])
+    weight = {l: draw(st.integers(0, 5)) for l in sorted(set(levels[0]))}
+    total = sum(weight[l] for l in levels[0])
+    if total == 0:
+        weight = dict.fromkeys(weight, 1)
+        total = n
+    prob = DistortionProblem(
+        levels=[np.array(lv) for lv in levels],
+        targets=[np.array(t) for t in targets],
+        initial_mass=[F(weight[l], total) for l in levels[0]],
+    )
+    deltas = draw(
+        st.lists(
+            st.fractions(0, HALF, max_denominator=12), min_size=depth, max_size=depth
+        )
+    )
+    return prob, deltas
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_chains())
+def test_random_chains_match_per_label_oracle(case):
+    prob, deltas = case
+    res = run(prob, deltas)
+    values, reports, eta, final = oracles.run_per_label(prob, deltas)
+    assert [list(s.values) for s in res.states] == values
+    assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports] == reports
+    assert res.eta == eta
+    assert res.final_target_masses == final
+
+
+# ------------------------------------------------------------ tampering
+
+
+def _last_step(prob, deltas):
+    states = run(prob, deltas).states
+    distortion._verify_step(states[-2], states[-1], len(states) - 1)
+    return states[-2], states[-1]
+
+
+def test_verify_step_catches_tampered_codes(six_system):
+    old, new = _last_step(build_problem(six_system), [HALF, HALF])
+    assert list(new.values) == [F(0), F(0), F(0), HALF, F(0), HALF]
+    codes = new.codes.copy()
+    codes[0] = codes[3]  # one label takes another label's code
+    with pytest.raises(SoundnessError, match="total mass"):
+        distortion._verify_step(old, new._replace(codes=codes), 2)
+    codes = new.codes.copy()
+    codes[[0, 3]] = codes[[3, 0]]  # total mass kept, fibers 0 mod 2 and 1 mod 2 not
+    with pytest.raises(SoundnessError, match="fiber mass"):
+        distortion._verify_step(old, new._replace(codes=codes), 2)
+    codes = new.codes.copy()
+    codes[0] = len(new.table)
+    with pytest.raises(SoundnessError, match="outside the value table"):
+        distortion._verify_step(old, new._replace(codes=codes), 2)
+
+
+def _swap_labels(rng, new):
+    """Codes of new with two labels of equal size, different parents and
+    different values swapped, or None if there are none."""
+    norm, j = new.norm, new.level
+    parent, sizes, codes = norm.parents[j], norm.sizes[j], new.codes
+    l1 = rng.randrange(len(codes))
+    other = (parent != parent[l1]) & (sizes == sizes[l1]) & (codes != codes[l1])
+    if not other.any():
+        return None
+    l2 = rng.choice(np.flatnonzero(other).tolist())
+    out = codes.copy()
+    out[[l1, l2]] = codes[[l2, l1]]
+    return out
+
+
+def _fibers_by_shape(new):
+    """Children of each parent, sorted by size, and the parents grouped by
+    the sizes of their children."""
+    norm, j = new.norm, new.level
+    sizes = norm.sizes[j].tolist()
+    children = {}
+    for l, p in enumerate(norm.parents[j].tolist()):
+        children.setdefault(p, []).append(l)
+    shapes = {}
+    for p, labs in children.items():
+        labs.sort(key=sizes.__getitem__)
+        shapes.setdefault(tuple(sizes[l] for l in labs), []).append(p)
+    return children, [g for g in shapes.values() if len(g) > 1]
+
+
+def _swap_fibers(rng, old, new, children, groups):
+    """Codes of new with the children of two parents of equal child sizes
+    and different mass swapped, or None if the draw finds none."""
+    if not groups:
+        return None
+    p1, p2 = rng.sample(rng.choice(groups), 2)
+    if old.codes[p1] == old.codes[p2]:
+        return None
+    out = new.codes.copy()
+    out[children[p1]] = new.codes[children[p2]]
+    out[children[p2]] = new.codes[children[p1]]
+    return out
+
+
+def test_verify_step_catches_swaps_on_corpus(corpus):
+    """Random swaps that keep the total mass but move mass between fibers.
+    Parents that share a signature are checked once, so a swap into a
+    parent that is not the first of its signature must still be caught."""
+    rng = random.Random(26)
+    caught = 0
+    deep = [i for i in corpus if i.depth >= 2 and ideal_norm(i.q) >= 100]
+    for inst in deep[:40]:
+        prob = build_problem(inst)
+        old, new = _last_step(prob, resolve_delta_policy(inst, ("threshold", 1)))
+        children, groups = _fibers_by_shape(new)
+        for _ in range(10):
+            for codes in (
+                _swap_labels(rng, new),
+                _swap_fibers(rng, old, new, children, groups),
+            ):
+                if codes is None:
+                    continue
+                with pytest.raises(SoundnessError, match="fiber mass"):
+                    distortion._verify_step(old, new._replace(codes=codes), new.level)
+                caught += 1
+    assert caught > 400
+
+
+def test_verify_step_catches_tampered_table(six_system):
+    old, new = _last_step(build_problem(six_system), [HALF, HALF])
+    table = list(new.table)
+    c = int(new.codes[3])
+    table[c] = table[c] * 2
+    with pytest.raises(SoundnessError):
+        distortion._verify_step(old, new._replace(table=tuple(table)), 2)
+
+
+def test_broken_factor_fails_run_and_cli(monkeypatch, capsys, near_cover):
+    orig = distortion._factor
+    monkeypatch.setattr(
+        distortion, "_factor", lambda a, b, delta: orig(a, b, delta) * (2 if b else 1)
+    )
+    prob = build_problem(near_cover)
+    run(prob, [HALF], checks=False)
+    with pytest.raises(SoundnessError, match="total mass"):
+        run(prob, [HALF])
+    rc = main(["certify", "--input", str(DATA / "near.json"), "--delta", "threshold:1"])
+    out, err = capsys.readouterr()
+    assert rc == 4 and out == ""
+    assert json.loads(err)["error"] == "SoundnessError"
+
+
+def test_moment_bound_check(monkeypatch, near_cover):
+    monkeypatch.setattr(distortion, "moments", lambda state, j: (F(0), F(0)))
+    with pytest.raises(SoundnessError, match="moment bound"):
+        run(build_problem(near_cover), [F(0)])
+
+
+def test_stability_check(monkeypatch, six_system):
+    # step 2 moves mass from 3 (outside B_1) to 0 (in B_1); neither is in
+    # B_2 = {1, 4}, so only the stability of P(B_1) shows it
+    orig = distortion.step
+
+    def bad_step(state, j, delta, checks=True):
+        new = orig(state, j, delta, checks=False)
+        if j == 2:
+            assert list(new.values) == [F(0), F(1, 3)] * 3
+            codes = new.codes.copy()
+            codes[[0, 3]] = codes[[3, 0]]
+            new = new._replace(codes=codes)
+        return new
+
+    monkeypatch.setattr(distortion, "step", bad_step)
+    with pytest.raises(SoundnessError, match="not stable"):
+        run(build_problem(six_system), [HALF, F(0)])
+
+
+def test_uncovered_floor_check(monkeypatch, near_cover):
+    # the union of the targets gets all the mass; each target keeps its own
+    orig = distortion.mask_mass
+
+    def bad_mask_mass(state, mask):
+        if any(mask is t for t in state.norm.targets):
+            return orig(state, mask)
+        return F(1)
+
+    monkeypatch.setattr(distortion, "mask_mass", bad_mask_mass)
+    with pytest.raises(SoundnessError, match="floor"):
+        certify(build_problem(near_cover), [F(0)])
 
 
 # ------------------------------------------------------------ invariants
@@ -283,7 +495,6 @@ def test_custom_problem_nonuniform_initial():
     ]
     targets = [np.array([True, False, False, False])]
     prob = DistortionProblem(
-        points=None,
         levels=levels,
         targets=targets,
         initial_mass=[F(1, 8), F(1, 8), F(3, 8), F(3, 8)],

@@ -242,8 +242,12 @@ def test_build_problem_labels(classic_cover):
 
 
 def test_build_problem_points(gauss_cover):
+    # point i of the problem is residue_at(i, q), the i-th of residues(q)
     prob = build_problem(gauss_cover)
-    assert prob.points == residues(gauss_cover.q)
+    q = gauss_cover.q
+    pts = residues(q)
+    assert len(prob.levels[0]) == len(pts)
+    assert [residue_at(i, q) for i in range(len(pts))] == pts
     assert [t.sum() for t in prob.targets] == [3]
 
 

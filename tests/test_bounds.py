@@ -356,6 +356,13 @@ def test_verify_rejects_tampering():
     bad = cert._replace(y=256)
     ok, reason = verify_certificate(bad)
     assert not ok and "floor" in reason
+    for bad in (
+        cert._replace(x=cert.x + F(1, 2)),
+        cert._replace(y=cert.y + F(1, 2)),
+        cert._replace(s=F(cert.s)),
+    ):
+        ok, reason = verify_certificate(bad)
+        assert not ok and "ints" in reason
     # an inequality failure, not just a recomputation mismatch
     bad = cert._replace(x=16, eta1=rankin_W(cert.field, cert.y) * cert.s / 4)
     ok, reason = verify_certificate(bad)

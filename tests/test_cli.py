@@ -214,6 +214,39 @@ def test_bound_cli(capsys):
     assert "statement" in doc
 
 
+def test_bound_cli_soundness_exit(capsys, monkeypatch):
+    from coverdist import bounds
+
+    monkeypatch.setattr(bounds, "verify_certificate", lambda cert: (False, "tampered"))
+    rc, out, err = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
+    assert rc == 4
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "SoundnessError"
+    assert "tampered" in doc["message"]
+
+
+def test_bound_computes_once_verifies_once(capsys, monkeypatch):
+    from coverdist import bounds
+
+    calls = {"rankin_W": [], "_eta2_base": []}
+    for name, log in calls.items():
+
+        def counted(field, y, fn=getattr(bounds, name), log=log):
+            log.append(y)
+            return fn(field, y)
+
+        monkeypatch.setattr(bounds, name, counted)
+    rc, out, _ = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
+    assert rc == 0
+    y = json.loads(out)["y"]
+    # one rankin_W to build the certificate and one to verify it
+    assert calls["rankin_W"] == [y, y]
+    # one eta2 base per y on the doubling schedule, and one more to verify
+    tried = [bounds.Y_MIN << k for k in range((y // bounds.Y_MIN).bit_length())]
+    assert calls["_eta2_base"] == tried + [y]
+
+
 def test_primes_cli(capsys):
     rc, out, err = call_main(
         capsys, ["primes", "--field", "quadratic:-5", "--max-norm", "12"]

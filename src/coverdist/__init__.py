@@ -3,8 +3,6 @@ checks, distortion measures with rational moment certificates, and
 effective minimum-norm bounds."""
 
 from .bounds import (
-    BoundCertificate,
-    ModuliCertificate,
     alpha_upper_bound,
     certify_moduli,
     class_measure_bound,
@@ -18,14 +16,9 @@ from .bounds import (
     verify_certificate,
 )
 from .distortion import (
-    CertifyResult,
     DistortionProblem,
-    DistortionState,
-    MomentReport,
-    RunResult,
     alpha,
     certify,
-    check_problem,
     initial_state,
     mask_mass,
     moments,
@@ -36,7 +29,6 @@ from .distortion import (
 from .errors import (
     CoverdistError,
     DeltaOutOfRange,
-    DisallowedD,
     EnumerationTooLarge,
     IdealNotDividingQ,
     IndistinguishableModulus,
@@ -46,8 +38,6 @@ from .errors import (
     NormTooLargeToFactor,
     PMinOnIndistinguishable,
     ResourceError,
-    SearchBudgetExceeded,
-    SieveTooLarge,
     SoundnessError,
     UnitIdeal,
     UnitModulus,
@@ -55,17 +45,11 @@ from .errors import (
     YTooSmall,
     ZeroIdeal,
 )
-from .kernels import backend_name
 from .ring import (
-    FieldSpec,
-    Ideal,
-    PrimeIdeal,
     check_hnf,
-    elem_add,
     elem_conj,
     elem_mul,
     elem_norm,
-    elem_sub,
     factor_ideal,
     ideal_divides,
     ideal_from_gens,
@@ -78,21 +62,16 @@ from .ring import (
     is_distinguishable,
     make_field,
     p_min,
-    pmin_with_exponent,
     prime_norms_up_to,
     primes_above,
     primes_up_to_norm,
     reduce,
     residue_at,
-    residue_index,
-    residues,
     unit_ideal,
 )
 from .system import (
     CongruenceClass,
-    CoveringInstance,
     build_problem,
-    build_targets,
     covers,
     multiplicity,
     resolve_delta_policy,

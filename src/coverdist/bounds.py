@@ -32,12 +32,10 @@ import numpy as np
 from . import distortion, kernels, ring, system
 from .errors import (
     IdealNotDividingQ,
-    IndistinguishableModulus,
     InputError,
     MixedFields,
     SearchBudgetExceeded,
     SoundnessError,
-    UnitModulus,
     XNotPerfectSquare,
     YTooSmall,
 )
@@ -116,21 +114,14 @@ def m1_bound(instance, j):
     return _m1_euler(instance.field, instance.s, instance.primes[j - 1][0].norm)
 
 
-def m2_bound(instance_or_norms, j, s=None):
+def m2_bound(instance, j):
     """Second-moment majorant for level j, valid for any deltas in [0, 1/2]:
     s^2/(q_j-1)^2 * prod_{i<j} (1 + (6 q_i - 2)/(q_i - 1)^2)."""
-    if isinstance(instance_or_norms, system.CoveringInstance):
-        norms = [p.norm for p, _ in instance_or_norms.primes]
-        if s is None:
-            s = instance_or_norms.s
-    else:
-        norms = [int(n) for n in instance_or_norms]
-        if s is None:
-            raise InputError("s is required with a bare norm list")
-    if not 1 <= j <= len(norms):
+    if not 1 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
+    norms = [p.norm for p, _ in instance.primes]
     q = norms[j - 1]
-    out = Fraction(s * s, (q - 1) ** 2)
+    out = Fraction(instance.s**2, (q - 1) ** 2)
     for n in norms[: j - 1]:
         out *= 1 + Fraction(6 * n - 2, (n - 1) ** 2)
     return out
@@ -355,24 +346,12 @@ class ModuliCertificate(NamedTuple):
 def certify_moduli(field, moduli, s=None, policy=None):
     """Residue-free certificate: if the majorant eta stays below 1, no choice
     of residues on these moduli (each used at most s times) covers the ring."""
-    if not moduli:
-        raise InputError("empty moduli list")
-    for i, m in enumerate(moduli):
-        if m.field != field:
-            raise MixedFields(f"modulus {i} is over {m.field.label()}")
-        if ring.ideal_norm(m) == 1:
-            raise UnitModulus(i)
-        if not ring.is_distinguishable(m):
-            raise IndistinguishableModulus(i)
+    _, q, primes = system.factor_moduli(field, moduli)
     s_auto = system.multiplicity(moduli)
     if s is None:
         s = s_auto
     elif s < s_auto:
         raise InputError(f"s = {s} is below the multiplicity {s_auto} of the list")
-    q = moduli[0]
-    for m in moduli[1:]:
-        q = ring.ideal_intersect(q, m)
-    primes = ring.factor_ideal(q)
     deltas = system.resolve_policy_for_primes(primes, s, policy)
     seen_nonzero = False
     for d in deltas:

@@ -9,7 +9,8 @@ Subcommands:
   primes          prime ideals up to a norm bound
   ideal-tool      one-off ideal arithmetic
 
-Exit codes: 0 success, 2 invalid input, 3 budget refusal, 4 soundness failure.
+Exit codes: 0 success, 2 invalid input or flags, 3 budget refusal or an
+unprintable result, 4 soundness failure; errors go to stderr as one JSON object.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import bounds, distortion, ring, serialize, system
-from .errors import CoverdistError, SoundnessError
+from .errors import CoverdistError, InputError, SoundnessError
 
 
 def _load_json(path):
@@ -28,14 +29,14 @@ def _load_json(path):
             return json.load(fh)
     except OSError as e:
         raise CoverdistError(f"cannot read {path}: {e}") from None
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON, or an int over the digit limit
         raise CoverdistError(f"bad JSON in {path}: {e}") from None
 
 
 def _inline_ideal(field, text, flag):
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise CoverdistError(f"bad JSON in {flag}: {e}") from None
     return serialize.parse_ideal(field, obj)
 
@@ -283,8 +284,15 @@ def _add_common(p, with_input=True):
     p.add_argument("--output", default=None, help="write result here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with InputError (exit 2, JSON on stderr)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverdist",
         description="covering systems over Z and quadratic integer rings: "
         "coverage checks, distortion measures, and certified bounds",
@@ -342,8 +350,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CoverdistError as e:
         sys.stderr.write(

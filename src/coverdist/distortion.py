@@ -85,9 +85,6 @@ class DistortionState(NamedTuple):
         out.flags.writeable = False
         return out
 
-    def point_masses(self):
-        return _lookup(self.table, self.codes[self.norm.levels[self.level]]).tolist()
-
     def total_mass(self):
         return _grouped_sum(self.codes, self.norm.sizes[self.level], self.table)
 
@@ -102,7 +99,6 @@ class MomentReport(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    problem: DistortionProblem
     norm: _Norm
     states: list
     reports: list
@@ -142,15 +138,6 @@ def _grouped_sum(ids, counts, values):
     for i in np.flatnonzero(sums).tolist():
         total += values[i] * int(sums[i])
     return total
-
-
-def check_problem(problem, explain=False):
-    """Validate a problem; returns ok or (ok, message) with explain=True."""
-    try:
-        _normalize(problem)
-    except InputError as e:
-        return (False, str(e)) if explain else False
-    return (True, "") if explain else True
 
 
 def _normalize(problem):
@@ -402,12 +389,12 @@ def run(problem, deltas, checks=True):
         for rep, fm in zip(reports, final_masses):
             if fm != rep.target_mass:
                 raise SoundnessError(f"target {rep.j} mass not stable after its step")
-    return RunResult(problem, norm, states, reports, eta, final_masses)
+    return RunResult(norm, states, reports, eta, final_masses)
 
 
-def certify(problem, deltas, checks=True):
-    """Non-coverage certificate when eta < 1, else inconclusive."""
-    result = run(problem, deltas, checks=checks)
+def certify(problem, deltas):
+    """Non-coverage certificate when eta < 1, else inconclusive; checks always on."""
+    result = run(problem, deltas)
     norm = result.norm
     eta = result.eta
     if eta >= 1:

@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     MixedFields,
     NonSquarefree,
+    NormTooLargeToFactor,
     PMinOnIndistinguishable,
     SoundnessError,
     UnitIdeal,
@@ -74,16 +75,8 @@ def make_field(kind, d=None):
 # ------------------------------------------------------------------ elements
 
 
-def elem_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
 def elem_sub(x, y):
     return (x[0] - y[0], x[1] - y[1])
-
-
-def elem_neg(x):
-    return (-x[0], -x[1])
 
 
 def elem_mul(field, x, y):
@@ -283,23 +276,9 @@ def reduce(x, ideal):
     return ((a - t * ideal.v) % ideal.u, y)
 
 
-def residue_index(xr, ideal):
-    """Index of a reduced residue in the canonical enumeration."""
-    return xr[1] * ideal.u + xr[0]
-
-
 def residue_at(index, ideal):
+    """The reduced residue (x, y) with canonical index y*u + x."""
     return (index % ideal.u, index // ideal.u)
-
-
-def residues(ideal, max_enum=10**8):
-    """All residues mod the ideal in canonical order (index y*u + x)."""
-    from .errors import EnumerationTooLarge
-
-    n = ideal_norm(ideal)
-    if n > max_enum:
-        raise EnumerationTooLarge(f"norm {n} exceeds enumeration cutoff {max_enum}")
-    return [(x, y) for y in range(ideal.w) for x in range(ideal.u)]
 
 
 # ------------------------------------------------------------------ splitting
@@ -371,15 +350,13 @@ def _divide_by_prime(ideal, prime):
     return Ideal(field, j.u // p, j.v // p, j.w // p)
 
 
-def _factor_int_budget(n, composite_cutoff=COMPOSITE_CUTOFF):
+def _factor_int_budget(n):
     """Prime factorization of n with an effort budget.
 
     Trial division up to TRIAL_LIMIT always runs; a leftover cofactor is
     accepted if it is a prime or a prime power (cheap to certify), otherwise
-    it must be below composite_cutoff to be sent to the general factorizer.
+    it must be below COMPOSITE_CUTOFF to be sent to the general factorizer.
     """
-    from .errors import NormTooLargeToFactor
-
     out = {}
     trial = factorint(n, limit=TRIAL_LIMIT, use_rho=False, use_pm1=False)
     for p, e in trial.items():
@@ -392,7 +369,7 @@ def _factor_int_budget(n, composite_cutoff=COMPOSITE_CUTOFF):
             b, k = int(pp[0]), int(pp[1])
             out[b] = out.get(b, 0) + k * e
             continue
-        if p > composite_cutoff:
+        if p > COMPOSITE_CUTOFF:
             raise NormTooLargeToFactor(
                 f"composite cofactor with {len(str(p))} digits exceeds the factoring budget"
             )
@@ -401,7 +378,7 @@ def _factor_int_budget(n, composite_cutoff=COMPOSITE_CUTOFF):
     return out
 
 
-def factor_ideal(ideal, composite_cutoff=COMPOSITE_CUTOFF):
+def factor_ideal(ideal):
     """[(PrimeIdeal, exponent), ...] sorted by (norm, u, v, w); verified exactly."""
     n = ideal_norm(ideal)
     if n == 1:
@@ -409,7 +386,7 @@ def factor_ideal(ideal, composite_cutoff=COMPOSITE_CUTOFF):
     field = ideal.field
     out = []
     rem = ideal
-    for p in sorted(_factor_int_budget(n, composite_cutoff)):
+    for p in sorted(_factor_int_budget(n)):
         for prime in primes_above(field, p):
             e = 0
             while ideal_divides(prime.ideal, rem):
@@ -429,10 +406,8 @@ def factor_ideal(ideal, composite_cutoff=COMPOSITE_CUTOFF):
     return out
 
 
-def pmin_with_exponent(ideal, factors=None):
-    """The unique largest-norm prime of ideal and its exponent, or None."""
-    if factors is None:
-        factors = factor_ideal(ideal)
+def pmin_with_exponent(factors):
+    """The unique largest-norm prime of a factor_ideal list and its exponent, or None."""
     if not factors:
         raise UnitIdeal("the unit ideal has no prime factors")
     top = max(p.norm for p, _ in factors)
@@ -442,13 +417,13 @@ def pmin_with_exponent(ideal, factors=None):
     return hits[0]
 
 
-def is_distinguishable(ideal, factors=None):
+def is_distinguishable(ideal):
     """True iff exactly one prime of maximal norm divides the ideal."""
-    return pmin_with_exponent(ideal, factors) is not None
+    return pmin_with_exponent(factor_ideal(ideal)) is not None
 
 
-def p_min(ideal, factors=None):
-    hit = pmin_with_exponent(ideal, factors)
+def p_min(ideal):
+    hit = pmin_with_exponent(factor_ideal(ideal))
     if hit is None:
         raise PMinOnIndistinguishable(f"no unique maximal-norm prime in {ideal}")
     return hit[0]

@@ -1,5 +1,5 @@
-"""Directed rational rounding and certified bounds for sqrt, log, and
-classical prime-counting constants.
+"""Directed rational rounding, a lower bound for sqrt, two-sided bounds
+for log, and classical prime-counting constants.
 
 Everything returns Fraction values that bound the target real from the
 requested side, so downstream inequality checks stay exact. Interval
@@ -64,18 +64,6 @@ def sqrt_lo(x, bits=DEFAULT_BITS):
     return Fraction(s, 1 << bits)
 
 
-def sqrt_hi(x, bits=DEFAULT_BITS):
-    """Rational upper bound on sqrt(x), x >= 0."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of negative")
-    t = -((-(x.numerator << (2 * bits))) // x.denominator)  # ceil
-    s = isqrt(t)
-    if s * s < t:
-        s += 1
-    return Fraction(s, 1 << bits)
-
-
 def _atanh_sum(u, terms):
     # 2 * sum_{i < terms} u^(2i+1)/(2i+1), plus an upper bound on the tail
     s = Fraction(0)
@@ -108,10 +96,6 @@ def ln_bounds(x, terms=24, bits=DEFAULT_BITS):
     lo = k * (LN2_LO if k >= 0 else LN2_HI) + s
     hi = k * (LN2_HI if k >= 0 else LN2_LO) + s + tail
     return round_down(lo, bits), round_up(hi, bits)
-
-
-def ln_lo(x, terms=24, bits=DEFAULT_BITS):
-    return ln_bounds(x, terms, bits)[0]
 
 
 def ln_hi(x, terms=24, bits=DEFAULT_BITS):

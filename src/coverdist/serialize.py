@@ -4,14 +4,15 @@ Integers may be given as JSON numbers or as decimal strings (for values
 beyond native JSON ranges). Rationals are emitted as strings "p/q".
 Elements are a bare integer (rational field) or a pair [a, b] meaning
 a + b*omega. Ideals are {"hnf": [u, v, w]}, {"gens": [element, ...]},
-{"principal": element}, or a bare integer (principal).
+{"principal": element}, or a bare integer (principal). Output numbers past
+Python's int-to-str digit limit raise ResourceError (exit 3).
 """
 
 import json
 from fractions import Fraction
 
 from . import ring
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 
 def parse_int(x, what="integer"):
@@ -130,7 +131,10 @@ def parse_delta_policy(text):
 
 
 def frac_str(x):
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:  # beyond Python's int-to-str digit limit
+        raise ResourceError("a certified rational is too large to print in decimal") from None
 
 
 def element_json(field, e):
@@ -156,4 +160,7 @@ def field_json(field):
 
 
 def dumps_stable(obj):
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+    except ValueError:  # an int beyond Python's int-to-str digit limit
+        raise ResourceError("an output integer is too large to print in decimal") from None

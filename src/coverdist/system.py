@@ -1,9 +1,9 @@
 """Covering systems of congruence classes a_i + I_i and their level data.
 
-Validation factors every modulus, requires each to be distinguishable
-(unique prime of maximal norm), computes Q = intersection of the moduli,
-and orders the primes of Q by ascending norm (ties by HNF) to fix the
-level structure used by the distortion construction.
+factor_moduli, shared by validate and bounds.certify_moduli, factors every
+modulus, requires each to be distinguishable (unique prime of maximal
+norm), computes Q = intersection of the moduli and orders the primes of Q
+by ascending norm (ties by HNF) to fix the levels of the distortion run.
 """
 
 from collections import Counter
@@ -56,28 +56,32 @@ def multiplicity(moduli):
     return max(Counter(moduli).values())
 
 
-def validate(field, raw_classes):
-    """Check and normalize (residue, modulus) pairs into a CoveringInstance."""
-    if not raw_classes:
-        raise InputError("empty class list")
-    classes = []
-    factored = []
-    for i, (residue, modulus) in enumerate(raw_classes):
+def factor_moduli(field, moduli):
+    """(tops, q, q_factors) for moduli over `field`, none the unit ideal and
+    each distinguishable: tops[i] = (P_min, exponent) of moduli[i], q their
+    intersection and q_factors = factor_ideal(q). The first bad modulus raises."""
+    if not moduli:
+        raise InputError("empty moduli list")
+    tops = []
+    for i, modulus in enumerate(moduli):
         if modulus.field != field:
-            raise MixedFields(f"class {i} modulus is over {modulus.field.label()}")
+            raise MixedFields(f"modulus {i} is over {modulus.field.label()}")
         if ring.ideal_norm(modulus) == 1:
             raise UnitModulus(i)
-        factors = ring.factor_ideal(modulus)
-        hit = ring.pmin_with_exponent(modulus, factors)
-        if hit is None:
+        top = ring.pmin_with_exponent(ring.factor_ideal(modulus))
+        if top is None:
             raise IndistinguishableModulus(i)
-        classes.append(CongruenceClass(ring.reduce(residue, modulus), modulus))
-        factored.append((factors, hit))
+        tops.append(top)
+    q = moduli[0]
+    for modulus in moduli[1:]:
+        q = ring.ideal_intersect(q, modulus)
+    return tops, q, ring.factor_ideal(q)  # sorted by canonical key
 
-    q = classes[0].modulus
-    for cls in classes[1:]:
-        q = ring.ideal_intersect(q, cls.modulus)
-    q_factors = ring.factor_ideal(q)  # already sorted by canonical key
+
+def validate(field, raw_classes):
+    """Check and normalize (residue, modulus) pairs into a CoveringInstance."""
+    tops, q, q_factors = factor_moduli(field, [m for _, m in raw_classes])
+    classes = [CongruenceClass(ring.reduce(r, m), m) for r, m in raw_classes]
 
     levels = [ring.unit_ideal(field)]
     for prime, e in q_factors:
@@ -90,7 +94,7 @@ def validate(field, raw_classes):
 
     by_ideal = {prime.ideal: j for j, (prime, _) in enumerate(q_factors, start=1)}
     class_data = []
-    for (factors, (pmin, exponent)), cls in zip(factored, classes):
+    for (pmin, exponent), cls in zip(tops, classes):
         j = by_ideal.get(pmin.ideal)
         if j is None:
             raise SoundnessError("class P_min does not divide Q")
@@ -110,23 +114,26 @@ def validate(field, raw_classes):
     )
 
 
-def _class_mask(cls, q, mask=None):
-    """Boolean mask over residues of O/Q for the class residue + modulus."""
-    n = ring.ideal_norm(q)
-    if mask is None:
-        mask = np.zeros(n, dtype=np.bool_)
+def _class_mask(cls, q, mask):
+    """Mark the residues of O/Q in the class residue + modulus on the mask."""
     (aa, ab), m = cls.residue, cls.modulus
     kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
-    return mask
+
+
+def _enum_size(q, max_enum):
+    """|O/Q|, the residue count; EnumerationTooLarge if it exceeds max_enum."""
+    n = ring.ideal_norm(q)
+    if n > max_enum:
+        raise EnumerationTooLarge(
+            f"norm of Q has {n.bit_length()} bits, above the enumeration cutoff {max_enum}"
+        )
+    return n
 
 
 def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     """("covers", None) or ("uncovered", witness element), by enumeration."""
     q = instance.q
-    n = ring.ideal_norm(q)
-    if n > max_enum:
-        raise EnumerationTooLarge(f"norm {n} exceeds enumeration cutoff {max_enum}")
-    mask = np.zeros(n, dtype=np.bool_)
+    mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
     for cls in instance.classes:
         _class_mask(cls, q, mask)
     missing = np.flatnonzero(~mask)
@@ -139,21 +146,12 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     return ("uncovered", witness)
 
 
-def build_targets(instance, j, max_enum=DEFAULT_MAX_ENUM):
-    """B_j: residues mod Q covered by classes whose P_min is the j-th prime."""
-    mask = target_mask(instance, j, max_enum)
-    q = instance.q
-    return {ring.residue_at(int(i), q) for i in np.flatnonzero(mask)}
-
-
 def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
+    """B_j over O/Q: the residues covered by classes whose P_min is the j-th prime."""
     if not 1 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
     q = instance.q
-    n = ring.ideal_norm(q)
-    if n > max_enum:
-        raise EnumerationTooLarge(f"norm {n} exceeds enumeration cutoff {max_enum}")
-    mask = np.zeros(n, dtype=np.bool_)
+    mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
     for cls, data in zip(instance.classes, instance.class_data):
         if data.level == j:
             _class_mask(cls, q, mask)
@@ -165,9 +163,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     from .distortion import DistortionProblem
 
     q = instance.q
-    n = ring.ideal_norm(q)
-    if n > max_enum:
-        raise EnumerationTooLarge(f"norm {n} exceeds enumeration cutoff {max_enum}")
+    _enum_size(q, max_enum)  # refuse before the label arrays are allocated
     levels = []
     for lv in instance.levels:
         levels.append(kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w))

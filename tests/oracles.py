@@ -8,6 +8,7 @@ arithmetic.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
@@ -74,7 +75,26 @@ def roots_mod(trace, nm, p):
     return [t for t in range(p) if (t * t - trace * t + nm) % p == 0]
 
 
+# ------------------------------------------------------------------ residues
+
+
+def residue_index(xr, ideal):
+    """Index y*u + x of a reduced residue (x, y) in the canonical enumeration."""
+    return xr[1] * ideal.u + xr[0]
+
+
+def residues(ideal):
+    """All residues mod the ideal in canonical order (index y*u + x)."""
+    return [(x, y) for y in range(ideal.w) for x in range(ideal.u)]
+
+
 # ---------------------------------------------------------------- distortion
+
+
+def point_masses(state):
+    """Per-point masses of a codebook state: table[codes[label of the point]]."""
+    labels = state.norm.levels[state.level]
+    return [state.table[c] for c in state.codes[labels].tolist()]
 
 
 def run_oracle(n, levels, targets, deltas, initial=None):
@@ -193,6 +213,18 @@ def run_per_label(problem, deltas):
 # ------------------------------------------------------- scaled-int analysis
 
 
+def sqrt_hi(x, bits=96):
+    """Rational upper bound on sqrt(x), x >= 0."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("sqrt of negative")
+    t = -((-(x.numerator << (2 * bits))) // x.denominator)  # ceil
+    s = isqrt(t)
+    if s * s < t:
+        s += 1
+    return Fraction(s, 1 << bits)
+
+
 def inv_sum_up(values):
     """Scaled-integer upper bound on sum of 1/v."""
     total = 0
@@ -225,8 +257,6 @@ def euler_product_down(values):
 
 def rankin_product_up(values):
     """Scaled-int upper bound on prod of (1 - v^-1/2)^-1."""
-    from math import isqrt
-
     acc = SCALE
     for v in values:
         # (1 - 1/sqrt(v))^-1 = sqrt(v)/(sqrt(v)-1); use r <= sqrt(v)*2^48 < r+1

@@ -47,7 +47,6 @@ from coverdist import (
     primes_up_to_norm,
     rankin_W,
     residue_at,
-    residues,
     resolve_delta_policy,
     run,
     verify_certificate,
@@ -97,10 +96,10 @@ def test_measure_suite_exact_invariants(corpus, problems):
     for idx, (inst, prob) in enumerate(zip(corpus, problems)):
         for deltas in _policies(inst, idx):
             res = run(prob, deltas)
-            assert sum(res.states[0].point_masses()) == ONE
+            assert sum(oracles.point_masses(res.states[0])) == ONE
             for j in range(1, inst.depth + 1):
-                pm_prev = res.states[j - 1].point_masses()
-                pm_cur = res.states[j].point_masses()
+                pm_prev = oracles.point_masses(res.states[j - 1])
+                pm_cur = oracles.point_masses(res.states[j])
                 assert sum(pm_cur) == ONE
                 lab_prev = prob.levels[j - 1]
                 width = int(lab_prev.max()) + 1
@@ -124,7 +123,7 @@ def test_per_step_bound_and_stability(corpus, problems):
     for idx, (inst, prob) in enumerate(zip(corpus, problems)):
         for deltas in _policies(inst, idx):
             res = run(prob, deltas)
-            final_pm = res.states[-1].point_masses()
+            final_pm = oracles.point_masses(res.states[-1])
             for rep in res.reports:
                 cap = rep.m1
                 if rep.delta:
@@ -175,7 +174,7 @@ def test_certificates_sound_against_brute_force(corpus, problems):
             elif cres.verdict == "certified-noncover":
                 certified += 1
                 assert cres.eta < 1
-                final_pm = cres.result.states[-1].point_masses()
+                final_pm = oracles.point_masses(cres.result.states[-1])
                 outside = sum(
                     m for m, t in zip(final_pm, union.tolist()) if not t
                 )
@@ -212,7 +211,7 @@ def test_pinned_certificates(near_cover, classic_cover):
         union = np.zeros(12, dtype=bool)
         for tgt in prob.targets:
             union |= tgt
-        final_pm = cres.result.states[-1].point_masses()
+        final_pm = oracles.point_masses(cres.result.states[-1])
         assert sum(m for m, t in zip(final_pm, union.tolist()) if not t) == 0
 
 
@@ -222,7 +221,7 @@ def test_pinned_certificates(near_cover, classic_cover):
 def test_alpha_pointwise_domination(corpus, problems):
     for inst, prob in zip(corpus, problems):
         res = run(prob, (ZERO,) * inst.depth)  # alpha is measure-independent
-        points = residues(inst.q)
+        points = oracles.residues(inst.q)
         for j in range(1, inst.depth + 1):
             vals = alpha(res.states[j - 1], j)
             for x, a in zip(points, vals):
@@ -252,7 +251,7 @@ def test_class_measure_domination(corpus, problems):
     bound*(1 - 1e-9) and be re-checked exactly.
     """
     for idx, (inst, prob) in enumerate(zip(corpus, problems)):
-        points = residues(inst.q)
+        points = oracles.residues(inst.q)
         pts = np.asarray(points, dtype=np.int64)
         divisors = [
             (I, ideal_norm(I), oracles.hnf_labels(pts, I.u, I.v, I.w))

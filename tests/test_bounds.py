@@ -35,7 +35,6 @@ from coverdist import (
     mertens_sum_bound,
     prime_norms_up_to,
     rankin_W,
-    residues,
     resolve_delta_policy,
     run,
     step,
@@ -43,7 +42,7 @@ from coverdist import (
     validate,
     verify_certificate,
 )
-from coverdist.rounding import ln_bounds, ln_hi, ln_lo
+from coverdist.rounding import ln_bounds, ln_hi
 
 F = Fraction
 HALF = F(1, 2)
@@ -66,7 +65,7 @@ def test_alpha_bound_dominates(corpus):
     for inst in rng.sample(small, min(30, len(small))):
         prob = build_problem(inst)
         st = initial_state(prob)
-        points = residues(inst.q)
+        points = oracles.residues(inst.q)
         for j in range(1, inst.depth + 1):
             true = alpha(st, j)
             for x, a in zip(points, true):
@@ -104,7 +103,7 @@ def test_class_measure_bound_dominates(corpus):
             for ideal in divisors:
                 if ideal_norm(ideal) > 40:
                     continue
-                for a in residues(ideal):
+                for a in oracles.residues(ideal):
                     for j in range(inst.depth + 1):
                         exact, bound = class_measure_bound(inst, res, a, ideal, j)
                         assert exact <= bound
@@ -189,9 +188,19 @@ def test_m1_m2_values():
     assert m2_bound(inst_eleven, 1) == F(1, 100)
     # worst-case history factor for q=11: 1 + 64/100
     assert m2_bound(inst_eleven, 2) == F(1, 144) * (1 + F(64, 100))
-    assert m2_bound([11, 13], 2, s=2) == 4 * m2_bound([11, 13], 2, s=1)
+    # the same norms with (11) used twice: s = 2 scales the bound by s^2
+    inst_twice = validate(
+        field,
+        [
+            ((0, 0), ideal_from_gens(field, [(11, 0)])),
+            ((1, 0), ideal_from_gens(field, [(11, 0)])),
+            ((1, 0), ideal_from_gens(field, [(13, 0)])),
+        ],
+    )
+    assert inst_twice.s == 2
+    assert m2_bound(inst_twice, 2) == 4 * m2_bound(inst_eleven, 2)
     with pytest.raises(InputError):
-        m2_bound([11, 13], 2)  # s required for bare norms
+        m2_bound(inst_eleven, 3)
 
 
 # ------------------------------------------------------------- rankin / eta1
@@ -444,6 +453,27 @@ def test_moduli_rejects_bad_input():
     assert info.value.index == 1
     with pytest.raises(MixedFields):
         certify_moduli(field, [ideal_principal(gauss, (2, 0))])
+
+
+def test_moduli_checks_match_validate():
+    # validate and certify_moduli share one check of the moduli: the first
+    # bad modulus gives the same error, at the same index, in both
+    gauss = get_field(-1)
+    two = ideal_principal(gauss, (2, 0))
+    five = ideal_principal(gauss, (5, 0))  # two primes of norm 5
+    for bad, error in [
+        (ideal_principal(make_field("rational"), (2, 0)), MixedFields),
+        (unit_ideal(gauss), UnitModulus),
+        (five, IndistinguishableModulus),
+    ]:
+        moduli = [two, two, bad, five]
+        with pytest.raises(error) as by_moduli:
+            certify_moduli(gauss, moduli)
+        with pytest.raises(error) as by_classes:
+            validate(gauss, [((0, 0), m) for m in moduli])
+        assert str(by_moduli.value) == str(by_classes.value)
+        if error is not MixedFields:  # the one without an index attribute
+            assert by_moduli.value.index == by_classes.value.index == 2
 
 
 def test_moduli_eta_dominates_measure_eta(corpus):

@@ -384,7 +384,8 @@ def test_ideal_tool_distinguishable(capsys):
 
 def test_exit_code_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for text in ["{nope", "[" * 100000]:
+    # the last is a number beyond Python's str-to-int digit limit
+    for text in ["{nope", "[" * 100000, '{"classes": [' + "7" * 5000 + "]}"]:
         path.write_text(text)
         rc, out, err = call_main(capsys, ["check", "--input", str(path)])
         assert rc == 2 and out == ""
@@ -398,6 +399,7 @@ def test_ideal_tool_bad_json(capsys):
     for args, flag in [
         (["norm", "--ideal", "{bad"], "--ideal"),
         (["norm", "--ideal", "[" * 100000], "--ideal"),
+        (["norm", "--ideal", "7" * 5000], "--ideal"),
         (["mul", "--ideal", "6", "--ideal2", "{bad"], "--ideal2"),
     ]:
         rc, out, err = call_main(capsys, base + args)
@@ -470,6 +472,45 @@ def test_primes_huge_limit_no_traceback():
     )
     assert rc == 3 and out == ""
     assert json.loads(err)["error"] == "SieveTooLarge"
+
+
+def _json_error(rc, out, err, code, error):
+    assert rc == code and out == ""
+    assert json.loads(err)["error"] == error  # exactly one JSON object
+
+
+def test_unprintable_certified_rational(tmp_path, capsys):
+    # the delta-0 m1 row at q = 100003 is a Fraction over 4300 digits
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"moduli": [100003]}))
+    args = ["certify-moduli", "--input", str(path), "--delta", "explicit:0"]
+    _json_error(*call_main(capsys, args), 3, "ResourceError")
+
+
+def test_unprintable_output_integer(tmp_path, capsys):
+    # each modulus prints, but the HNF of Q = (2^13000 * 3^8000) does not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"moduli": [str(2**13000), str(3**8000)]}))
+    args = ["certify-moduli", "--input", str(path)]
+    _json_error(*call_main(capsys, args), 3, "ResourceError")
+
+
+def test_enum_budget_message_on_unprintable_norm(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    classes = [{"residue": 0, "modulus": str(m)} for m in (2**13000, 3**8000)]
+    path.write_text(json.dumps({"classes": classes}))
+    rc, out, err = call_main(capsys, ["check", "--input", str(path)])
+    _json_error(rc, out, err, 3, "EnumerationTooLarge")
+    assert "25680 bits" in json.loads(err)["message"]
+
+
+def test_argparse_rejections_are_json(capsys):
+    for args in (["bound", "--field", "rational", "--s", "abc"], ["bound"]):
+        _json_error(*call_main(capsys, args), 2, "InputError")
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--help"])
+    assert info.value.code == 0
+    assert "--field" in capsys.readouterr().out
 
 
 def test_exit_code_hierarchy():

@@ -19,7 +19,6 @@ from coverdist import (
     alpha,
     build_problem,
     certify,
-    check_problem,
     ideal_from_gens,
     ideal_norm,
     initial_state,
@@ -43,7 +42,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def masses(state):
-    return state.point_masses()
+    return oracles.point_masses(state)
 
 
 @pytest.fixture(scope="module")
@@ -553,8 +552,3 @@ def test_delta_validation(near_cover):
         run(prob, [F(2, 3)])
     with pytest.raises(DeltaOutOfRange):
         run(prob, [F(-1, 2)])
-
-
-def test_check_problem(near_cover):
-    prob = build_problem(near_cover)
-    assert check_problem(prob) is True

@@ -35,8 +35,6 @@ from coverdist import (
     primes_up_to_norm,
     reduce,
     residue_at,
-    residue_index,
-    residues,
     unit_ideal,
 )
 from coverdist.kernels import kron_values, sieve
@@ -222,7 +220,7 @@ def test_reduce_properties():
                 assert 0 <= r[0] < ideal.u and 0 <= r[1] < ideal.w
                 assert in_class(x, r, ideal)
                 assert reduce(r, ideal) == r
-                idx = residue_index(r, ideal)
+                idx = oracles.residue_index(r, ideal)
                 assert 0 <= idx < ideal_norm(ideal)
                 assert residue_at(idx, ideal) == r
 
@@ -230,11 +228,11 @@ def test_reduce_properties():
 def test_residues_enumeration():
     field = get_field(-5)
     ideal = ideal_principal(field, (3, 0))
-    rs = residues(ideal)
+    rs = oracles.residues(ideal)
     assert len(rs) == ideal_norm(ideal) == 9
     assert len(set(rs)) == 9
     for i, r in enumerate(rs):
-        assert residue_index(r, ideal) == i
+        assert oracles.residue_index(r, ideal) == i
     # no two distinct representatives are congruent
     for a in rs:
         for b in rs:

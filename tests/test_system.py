@@ -15,7 +15,6 @@ from coverdist import (
     MixedFields,
     UnitModulus,
     build_problem,
-    build_targets,
     covers,
     ideal_from_gens,
     ideal_mul,
@@ -25,8 +24,6 @@ from coverdist import (
     multiplicity,
     reduce,
     residue_at,
-    residue_index,
-    residues,
     resolve_delta_policy,
     resolve_policy_for_primes,
     target_mask,
@@ -189,11 +186,12 @@ def test_covers_enumeration_cutoff(near_cover):
 
 def test_classic_targets(classic_cover):
     inst = classic_cover
-    b1 = build_targets(inst, 1)
-    b2 = build_targets(inst, 2)
+    b1 = np.flatnonzero(target_mask(inst, 1)).tolist()
+    b2 = np.flatnonzero(target_mask(inst, 2)).tolist()
+    # Q = (12), point i is i mod 12
     # level 1: 0 mod 2 and 1 mod 4; level 2: 0 mod 3, 5 mod 6, 7 mod 12
-    assert b1 == {(r, 0) for r in [0, 2, 4, 6, 8, 10, 1, 5, 9]}
-    assert b2 == {(r, 0) for r in [0, 3, 6, 9, 5, 11, 7]}
+    assert b1 == sorted([0, 2, 4, 6, 8, 10, 1, 5, 9])
+    assert b2 == sorted([0, 3, 6, 9, 5, 11, 7])
     with pytest.raises(InputError):
         target_mask(inst, 0)
     with pytest.raises(InputError):
@@ -238,14 +236,14 @@ def test_build_problem_labels(classic_cover):
     for j, lv in enumerate(inst.levels):
         for i in range(n):
             pt = residue_at(i, inst.q)
-            assert prob.levels[j][i] == residue_index(reduce(pt, lv), lv)
+            assert prob.levels[j][i] == oracles.residue_index(reduce(pt, lv), lv)
 
 
 def test_build_problem_points(gauss_cover):
     # point i of the problem is residue_at(i, q), the i-th of residues(q)
     prob = build_problem(gauss_cover)
     q = gauss_cover.q
-    pts = residues(q)
+    pts = oracles.residues(q)
     assert len(prob.levels[0]) == len(pts)
     assert [residue_at(i, q) for i in range(len(pts))] == pts
     assert [t.sum() for t in prob.targets] == [3]
@@ -292,4 +290,4 @@ def test_build_problem_cutoff(classic_cover):
     with pytest.raises(EnumerationTooLarge):
         build_problem(classic_cover, max_enum=5)
     with pytest.raises(EnumerationTooLarge):
-        build_targets(classic_cover, 1, max_enum=5)
+        target_mask(classic_cover, 1, max_enum=5)

@@ -154,8 +154,11 @@ def _normalize(problem):
             raise InputError("empty point set")
         if arr.min() < 0:
             raise InputError(f"level {j} labels must be nonnegative")
-        # relabel densely (stable: by ascending original label)
-        _, arr = np.unique(arr, return_inverse=True)
+        # relabel densely (stable: by ascending original label); labels that
+        # are already dense are what np.unique would return, so skip its sort.
+        # A label >= n cannot be dense and would make bincount allocate to it.
+        if arr.max() >= n or not np.bincount(arr).all():
+            _, arr = np.unique(arr, return_inverse=True)
         levels.append(arr.astype(np.int64))
 
     sizes, reps = [], []

@@ -1,5 +1,5 @@
-"""Integer kernels: prime sieve, Kronecker symbol table, coset marking,
-and level-label computation, all in numpy.
+"""Integer kernels: prime sieve, residues and Kronecker symbols modulo many
+primes, coset marking, and level-label computation, all in numpy.
 
 Each kernel is sequential and deterministic, so repeated runs give
 bit-identical output.
@@ -48,19 +48,25 @@ def kronecker_disc(disc, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def kron_values(disc, ps):
-    """Kronecker symbols (disc/p) for an int64 array of primes ps (int8: -1, 0, 1)."""
+def mod_values(m, ps):
+    """m mod p for a Python int m >= 0 and each p of an int64 array of ps below 2^31."""
     ps = np.ascontiguousarray(ps, dtype=np.int64)
     if len(ps) and int(ps.max()) >= 2**31:
         raise ValueError("prime too large for kernel")
     # Every residue is below p < 2^31, so every product here fits in int64.
-    # disc may not, so disc mod p is built from the base-2^31 digits of |disc|.
-    m = abs(int(disc))
+    # m may not, so m mod p is built from the base-2^31 digits of m.
     a = np.zeros_like(ps)
     for shift in range(31 * (m.bit_length() // 31), -1, -31):
         a <<= 31
         a += (m >> shift) & (2**31 - 1)
         a %= ps
+    return a
+
+
+def kron_values(disc, ps):
+    """Kronecker symbols (disc/p) for an int64 array of primes ps (int8: -1, 0, 1)."""
+    ps = np.ascontiguousarray(ps, dtype=np.int64)
+    a = mod_values(abs(int(disc)), ps)
     if disc < 0:
         np.negative(a, out=a)
         a %= ps

@@ -10,6 +10,11 @@ Nonzero ideals are kept in Hermite normal form Ideal(field, u, v, w),
 the lattice u*Z + (v + w*omega)*Z, normalized so that u > 0, w > 0,
 0 <= v < u, w | u, w | v, and u*w divides the element norm of v + w*omega.
 Rational ideals are (m, 0, 1).
+
+Factoring a norm into rational primes, the one step that needs number
+theory beyond gcds, runs the routines of ntheory (primality, square roots
+mod p, integer roots, Pollard-Brent rho) under the budget rule of
+_factor_int_budget.
 """
 
 from dataclasses import dataclass
@@ -17,8 +22,6 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
-from sympy import factorint, isprime, perfect_power
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from . import kernels
 from .errors import (
@@ -32,6 +35,7 @@ from .errors import (
     UnitIdeal,
     ZeroIdeal,
 )
+from .ntheory import isprime, perfect_power, pollard_brent, sqrt_mod
 
 TRIAL_LIMIT = 10**6
 COMPOSITE_CUTOFF = 10**24
@@ -351,31 +355,60 @@ def _divide_by_prime(ideal, prime):
 
 
 def _factor_int_budget(n):
-    """Prime factorization of n with an effort budget.
+    """Prime factorization {p: e} of the integer n >= 1, within a budget.
 
-    Trial division up to TRIAL_LIMIT always runs; a leftover cofactor is
-    accepted if it is a prime or a prime power (cheap to certify), otherwise
-    it must be below COMPOSITE_CUTOFF to be sent to the general factorizer.
+    1. Trial-divide by the primes up to TRIAL_LIMIT, stopping at sqrt(n).
+    2. Replace each leftover cofactor c by its root m when c = m**k, taking
+       the largest such k.
+    3. If m is prime, accept it.
+    4. Otherwise, if m <= COMPOSITE_CUTOFF, factor it with Pollard-Brent rho.
+    5. Otherwise take three Fermat steps: a = isqrt(m) + 1, moved up by 1 if
+       its parity is wrong for m mod 4, then a + 2 and a + 4. If a*a - m is a
+       square b*b, send both halves a - b and a + b through steps 2-6.
+    6. If nothing splits m, raise NormTooLargeToFactor.
+
+    Each cofactor gets one primality test.
     """
     out = {}
-    trial = factorint(n, limit=TRIAL_LIMIT, use_rho=False, use_pm1=False)
-    for p, e in trial.items():
-        p = int(p)
-        if p <= TRIAL_LIMIT or isprime(p):
-            out[p] = out.get(p, 0) + e
-            continue
-        pp = perfect_power(p)
-        if pp and isprime(pp[0]):
-            b, k = int(pp[0]), int(pp[1])
-            out[b] = out.get(b, 0) + k * e
-            continue
-        if p > COMPOSITE_CUTOFF:
-            raise NormTooLargeToFactor(
-                f"composite cofactor with {len(str(p))} digits exceeds the factoring budget"
-            )
-        for q, f in factorint(p).items():
-            out[int(q)] = out.get(int(q), 0) + f * e
+    limit = min(TRIAL_LIMIT, isqrt(n))
+    ps = np.flatnonzero(kernels.sieve(limit))
+    for p in ps[kernels.mod_values(n, ps) == 0].tolist():
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
+    if n < (limit + 1) ** 2:  # no prime factor up to limit, so n is 1 or prime
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [(n, 1)]
+    while stack:
+        m, e = stack.pop()
+        m, k = perfect_power(m)
+        e *= k
+        if isprime(m):
+            out[m] = out.get(m, 0) + e
+        elif m <= COMPOSITE_CUTOFF:
+            d = pollard_brent(m)
+            stack += [(d, e), (m // d, e)]
+        else:
+            stack += [(half, e) for half in _fermat_split(m)]
     return out
+
+
+def _fermat_split(m):
+    """(a - b, a + b) with m = a*a - b*b, from three Fermat steps, or refuse."""
+    a = isqrt(m) + 1
+    if (m % 4 == 1) != (a % 2 == 1):
+        a += 1
+    for a in (a, a + 2, a + 4):
+        b = isqrt(a * a - m)
+        if b * b == a * a - m and a - b > 1:
+            return a - b, a + b
+    raise NormTooLargeToFactor(
+        f"composite cofactor with {m.bit_length()} bits exceeds the factoring budget"
+    )
 
 
 def factor_ideal(ideal):

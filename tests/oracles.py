@@ -267,6 +267,44 @@ def rankin_product_up(values):
     return Fraction(acc, SCALE)
 
 
+# ------------------------------------------------------------- factoring
+
+
+def factor_int_budget_sympy(n):
+    """ring._factor_int_budget as it was on sympy: trial division to
+    TRIAL_LIMIT, then sympy's own Fermat steps and perfect-power checks; a
+    composite cofactor above COMPOSITE_CUTOFF raises NormTooLargeToFactor.
+
+    sympy's factor cache is global to the process, so it is cleared first;
+    its Fermat path can still raise ValueError by caching a composite factor.
+    """
+    from sympy import factor_cache, factorint, isprime, perfect_power
+
+    from coverdist.errors import NormTooLargeToFactor
+    from coverdist.ring import COMPOSITE_CUTOFF, TRIAL_LIMIT
+
+    factor_cache.cache_clear()
+    out = {}
+    trial = factorint(n, limit=TRIAL_LIMIT, use_rho=False, use_pm1=False)
+    for p, e in trial.items():
+        p = int(p)
+        if p <= TRIAL_LIMIT or isprime(p):
+            out[p] = out.get(p, 0) + e
+            continue
+        pp = perfect_power(p)
+        if pp and isprime(pp[0]):
+            b, k = int(pp[0]), int(pp[1])
+            out[b] = out.get(b, 0) + k * e
+            continue
+        if p > COMPOSITE_CUTOFF:
+            raise NormTooLargeToFactor(
+                f"composite cofactor with {len(str(p))} digits exceeds the factoring budget"
+            )
+        for q, f in factorint(p).items():
+            out[int(q)] = out.get(int(q), 0) + f * e
+    return out
+
+
 # ------------------------------------------------------- ideal counting
 
 def kronecker(disc, m):

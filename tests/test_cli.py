@@ -504,6 +504,37 @@ def test_enum_budget_message_on_unprintable_norm(tmp_path, capsys):
     assert "25680 bits" in json.loads(err)["message"]
 
 
+def test_fermat_split_with_small_factors_refused(tmp_path, capsys):
+    # Q = (2^89 - 1)(2^89 + 155) is a Fermat split, but 2^89 + 155 =
+    # 7703 * 124133 * 1706489 * 379331555297. Trial division takes 7703 and
+    # 124133 out first, and no Fermat step splits the 149-bit cofactor left.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"moduli": [(2**89 - 1) * (2**89 + 155)]}))
+    args = ["certify-moduli", "--input", str(path)]
+    _json_error(*call_main(capsys, args), 3, "NormTooLargeToFactor")
+
+
+def test_cli_never_imports_sympy():
+    script = f"""
+import contextlib, io, sys
+from coverdist.cli import main
+data = {str(DATA)!r}
+runs = [
+    ["check", "--input", data + "/classic.json"],
+    ["certify", "--input", data + "/classic.json"],
+    ["certify-moduli", "--input", data + "/moduli1113.json"],
+    ["bound", "--field", "quadratic:-1", "--s", "1"],
+    ["primes", "--field", "quadratic:5", "--max-norm", "1000"],
+]
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_argparse_rejections_are_json(capsys):
     for args in (["bound", "--field", "rational", "--s", "abc"], ["bound"]):
         _json_error(*call_main(capsys, args), 2, "InputError")

@@ -552,3 +552,30 @@ def test_delta_validation(near_cover):
         run(prob, [F(2, 3)])
     with pytest.raises(DeltaOutOfRange):
         run(prob, [F(-1, 2)])
+
+
+def test_sparse_labels_certify_as_dense(six_system, near_cover, gauss_cover):
+    # dense labels skip the relabelling sort; sparse ones (all labels x2, or
+    # one huge label) are relabelled to the same dense problem
+    for inst in (six_system, near_cover, gauss_cover):
+        prob = build_problem(inst)
+        deltas = [HALF] * len(prob.targets)
+        want = certify(prob, deltas)
+        top = [np.where(lv == lv.max(), 2**40, lv) for lv in prob.levels]
+        for levels in ([2 * lv for lv in prob.levels], top):
+            got = certify(DistortionProblem(levels=levels, targets=prob.targets), deltas)
+            assert got[:5] == want[:5]
+
+
+def test_malformed_labels_rejected():
+    targets = [np.array([True, False])]
+    cases = [
+        ([np.array([0, 0]), np.array([0, -1])], "level 1 labels must be nonnegative"),
+        ([np.array([0, 0]), np.array([[0, 1]])], "level 1 labels malformed"),
+        ([np.array([0, 0]), np.array([0, 1, 2])], "level 1 labels malformed"),
+        ([np.array([], dtype=np.int64)], "empty point set"),
+        ([], "need at least the level-0 labels"),
+    ]
+    for levels, message in cases:
+        with pytest.raises(InputError, match=message):
+            run(DistortionProblem(levels=levels, targets=targets), [HALF])

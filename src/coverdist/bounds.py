@@ -24,7 +24,7 @@ requirement is absorbed by the floor Y_MIN = 512.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from .rounding import (
     ln_hi,
     round_down,
     round_up,
+    round_up_pair,
     sqrt_lo,
 )
 
@@ -133,12 +134,17 @@ def m2_bound(instance, j):
 def rankin_W(field, y):
     """Certified upper bound on prod over prime norms q <= y of (1-q^-1/2)^-1,
     quantized up to the next multiple of 1/1000."""
-    acc = Fraction(1)
+    # the accumulator is a reduced (num, den) pair, rounded up once per prime
+    num = den = 1
     shift = 1 << SQRT_BITS
-    for q in ring.prime_norms_up_to(field, y).tolist():
-        n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
-        acc = round_up(acc * Fraction(n, n - shift))
-    return ceil_to_grid(acc, Fraction(1, 1000))
+    norms = ring.prime_norms_up_to(field, y)
+    for i in range(0, len(norms), 4096):  # a list per slice keeps peak RSS down
+        for q in norms[i : i + 4096].tolist():
+            n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
+            a, b = n * num, (n - shift) * den
+            g = gcd(a, b)
+            num, den = round_up_pair(a // g, b // g)
+    return ceil_to_grid(Fraction(num, den), Fraction(1, 1000))
 
 
 def eta1_major(field, s, y, x):
@@ -170,19 +176,18 @@ def mertens_sum_bound(field, z):
 
 def _p_small(field, y):
     # certified-up product over prime norms q <= y of q(q+1)/(q-1)^2,
-    # the per-prime second-moment factor at delta = 0
-    acc = Fraction(1)
+    # the per-prime second-moment factor at delta = 0, rounded up once per
+    # block of 64 primes; q(q+1) fits in int64 below the sieve cap
+    norms = ring.prime_norms_up_to(field, y)
+    nums = norms * (norms + 1)
+    dens = (norms - 1) ** 2
     num = den = 1
-    count = 0
-    for q in ring.prime_norms_up_to(field, y).tolist():
-        num *= q * (q + 1)
-        den *= (q - 1) * (q - 1)
-        count += 1
-        if count == 64:
-            acc = round_up(acc * Fraction(num, den))
-            num = den = 1
-            count = 0
-    return round_up(acc * Fraction(num, den))
+    for i in range(0, len(norms), 64):
+        a = num * prod(nums[i : i + 64].tolist())
+        b = den * prod(dens[i : i + 64].tolist())
+        g = gcd(a, b)
+        num, den = round_up_pair(a // g, b // g)
+    return Fraction(num, den)
 
 
 def _mertens_prod_hi(lz_lo, lz_hi):
@@ -216,7 +221,7 @@ def _eta2_base(field, y):
     # Sum over q in dyadic blocks (a, 2a], then close the tail at A with
     # (log q)^12 <= (log A)^12 sqrt(q)/sqrt(A) once log A >= LOG_CLOSE.
     psmall = _p_small(field, y)
-    ly_lo, _ = ln_bounds(y)
+    ly_lo, ly_hi = ln_bounds(y)
     lbmy = round_down(_mertens_prod_lo(ly_lo))
     m0 = isqrt(y) + 1
     # telescoping prod_{n >= m0} (1-1/n^2)^-1 = m0/(m0-1) covers every inert
@@ -224,10 +229,8 @@ def _eta2_base(field, y):
     cin6 = round_up(Fraction(m0, m0 - 1) ** 6)
     total = Fraction(0)
     a = y
-    while True:
-        la_lo, la_hi = ln_bounds(a)
-        if la_lo >= LOG_CLOSE:
-            break
+    la_lo, la_hi = ly_lo, ly_hi
+    while la_lo < LOG_CLOSE:
         b = 2 * a
         lb_lo, lb_hi = ln_bounds(b)
         # count of prime norms in (a, b]: <= 2 pi(b) rational-prime norms
@@ -238,7 +241,7 @@ def _eta2_base(field, y):
         rfac = round_up(ratio**12 * cin6)
         total = round_up(total + sm * rfac)
         a = b
-    la_lo, la_hi = ln_bounds(a)
+        la_lo, la_hi = lb_lo, lb_hi
     sq_a = sqrt_lo(a)
     ka = round_up(la_hi**12 / sq_a)
     coef = round_up(

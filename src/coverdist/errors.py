@@ -97,3 +97,7 @@ class SearchBudgetExceeded(ResourceError):
 
 class SieveTooLarge(ResourceError):
     pass
+
+
+class PrimeTooLarge(ResourceError):
+    pass

@@ -9,7 +9,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import SieveTooLarge
+from .errors import PrimeTooLarge, SieveTooLarge
 
 # Largest sieve limit accepted: its flags take 128 MB. It is checked before
 # any allocation, and it keeps every sieved prime below the 2^31 that
@@ -52,7 +52,7 @@ def mod_values(m, ps):
     """m mod p for a Python int m >= 0 and each p of an int64 array of ps below 2^31."""
     ps = np.ascontiguousarray(ps, dtype=np.int64)
     if len(ps) and int(ps.max()) >= 2**31:
-        raise ValueError("prime too large for kernel")
+        raise PrimeTooLarge(f"prime {int(ps.max())} is not below the kernel limit 2^31")
     # Every residue is below p < 2^31, so every product here fits in int64.
     # m may not, so m mod p is built from the base-2^31 digits of m.
     a = np.zeros_like(ps)

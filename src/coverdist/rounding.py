@@ -2,7 +2,10 @@
 for log, and classical prime-counting constants.
 
 Everything returns Fraction values that bound the target real from the
-requested side, so downstream inequality checks stay exact. Interval
+requested side, so downstream inequality checks stay exact. The one
+exception is round_up_pair, the same upward rounding on a reduced
+(numerator, denominator) pair of ints, for loops that would otherwise pay
+for a Fraction per step; round_up is a thin wrapper over it. Interval
 literals below are pinned by tests against independent high-precision
 evaluation (mpmath).
 """
@@ -31,17 +34,25 @@ PRIME_RECIP_SQ_HI = Fraction(45225, 10**5)
 PI_UPPER_C = Fraction(125506, 10**5)
 
 
-def round_up(x, bits=DEFAULT_BITS):
-    """Rational >= x whose numerator and denominator fit in about `bits` bits."""
-    num, den = x.numerator, x.denominator
+def round_up_pair(num, den, bits=DEFAULT_BITS):
+    """round_up on a reduced pair of ints: the reduced (num, den) of a
+    rational >= num/den whose parts fit in about `bits` bits."""
     if num.bit_length() <= bits and den.bit_length() <= bits:
-        return x
+        return num, den
     e = bits - (num.bit_length() - den.bit_length())
     if e >= 0:
         q, r = divmod(num << e, den)
-        return Fraction(q + (1 if r else 0), 1 << e)
+        q += 1 if r else 0
+        # strip the powers of two that q shares with 2^e
+        k = min((q & -q).bit_length() - 1, e)
+        return q >> k, 1 << (e - k)
     q, r = divmod(num, den << -e)
-    return Fraction((q + (1 if r else 0)) << -e, 1)
+    return (q + (1 if r else 0)) << -e, 1
+
+
+def round_up(x, bits=DEFAULT_BITS):
+    """Rational >= x whose numerator and denominator fit in about `bits` bits."""
+    return Fraction(*round_up_pair(x.numerator, x.denominator, bits))
 
 
 def round_down(x, bits=DEFAULT_BITS):

@@ -213,6 +213,49 @@ def run_per_label(problem, deltas):
 # ------------------------------------------------------- scaled-int analysis
 
 
+def round_up_fraction(x, bits=96):
+    """rounding.round_up as it was on Fractions, before the pair form: the
+    oracle for round_up_pair."""
+    num, den = x.numerator, x.denominator
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return x
+    e = bits - (num.bit_length() - den.bit_length())
+    if e >= 0:
+        q, r = divmod(num << e, den)
+        return Fraction(q + (1 if r else 0), 1 << e)
+    q, r = divmod(num, den << -e)
+    return Fraction((q + (1 if r else 0)) << -e, 1)
+
+
+def rankin_W_fraction(norms):
+    """bounds.rankin_W as it was on a Fraction accumulator, given the prime
+    norms <= y: the oracle for the (num, den) pair loop."""
+    acc = Fraction(1)
+    shift = 1 << 48
+    for q in norms:
+        n = isqrt(q << 96)
+        acc = round_up_fraction(acc * Fraction(n, n - shift))
+    k = -((-acc.numerator * 1000) // acc.denominator)  # ceil to the 1/1000 grid
+    return Fraction(k, 1000)
+
+
+def p_small_fraction(norms):
+    """bounds._p_small as it was on a Fraction accumulator: products of 64
+    primes at a time, rounded up after each block and once at the end."""
+    acc = Fraction(1)
+    num = den = 1
+    count = 0
+    for q in norms:
+        num *= q * (q + 1)
+        den *= (q - 1) * (q - 1)
+        count += 1
+        if count == 64:
+            acc = round_up_fraction(acc * Fraction(num, den))
+            num = den = 1
+            count = 0
+    return round_up_fraction(acc * Fraction(num, den))
+
+
 def sqrt_hi(x, bits=96):
     """Rational upper bound on sqrt(x), x >= 0."""
     x = Fraction(x)

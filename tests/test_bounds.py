@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import mpmath
 import pytest
 
 import oracles
-from conftest import get_field, half_policy, zero_policy
+from conftest import FIELD_KEYS, get_field, half_policy, zero_policy
 from coverdist import (
     IdealNotDividingQ,
     UnitModulus,
@@ -42,12 +44,15 @@ from coverdist import (
     validate,
     verify_certificate,
 )
+from coverdist.bounds import _p_small
 from coverdist.rounding import ln_bounds, ln_hi
 
 F = Fraction
 HALF = F(1, 2)
 
 mpmath.mp.dps = 40
+
+PINS = json.loads((Path(__file__).parent / "data" / "bound_pins.json").read_text())
 
 
 # -------------------------------------------------------- per-level bounds
@@ -376,6 +381,45 @@ def test_verify_rejects_tampering():
     bad = cert._replace(x=16, eta1=rankin_W(cert.field, cert.y) * cert.s / 4)
     ok, reason = verify_certificate(bad)
     assert not ok and "below 1" in reason
+
+
+# ------------------------------------------------- pinned analytic numbers
+
+
+@pytest.mark.parametrize(
+    "pin", PINS["effective_bound"], ids=lambda p: f"{p['field']}-s{p['s']}"
+)
+def test_effective_bound_pinned(pin):
+    cert = effective_bound(get_field(pin["field"]), pin["s"])
+    got = (cert.y, cert.w, cert.eta2, cert.x)
+    assert got == (pin["y"], F(pin["w"]), F(pin["eta2"]), pin["x"])
+
+
+@pytest.mark.parametrize(
+    "pin", PINS["analytic"], ids=lambda p: f"{p['field']}-y{p['y']}"
+)
+def test_analytic_layer_pinned(pin):
+    field = get_field(pin["field"])
+    assert _p_small(field, pin["y"]) == F(pin["p_small"])
+    assert rankin_W(field, pin["y"]) == F(pin["rankin_W"])
+
+
+def test_analytic_pins_reach_a_full_last_block():
+    # the Fraction code rounded once more when the norm count is a multiple
+    # of 64; the pins and the oracle show that skipping it changes nothing
+    assert len(prime_norms_up_to(get_field("rational"), 719)) % 64 == 0
+    assert len(prime_norms_up_to(get_field(-1), 709)) % 64 == 0
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_analytic_layer_matches_fraction_oracle(key):
+    field = get_field(key)
+    rng = random.Random(str(key))
+    ys = [512, 700, 709, 719, 729, 4096] + [rng.randrange(512, 20000) for _ in range(6)]
+    for y in ys:
+        norms = prime_norms_up_to(field, y).tolist()
+        assert _p_small(field, y) == oracles.p_small_fraction(norms), y
+        assert rankin_W(field, y) == oracles.rankin_W_fraction(norms), y
 
 
 # ------------------------------------------------------ moduli certificates

@@ -11,6 +11,7 @@ from coverdist import (
     NonSquarefree,
     NormTooLargeToFactor,
     PMinOnIndistinguishable,
+    ResourceError,
     SoundnessError,
     UnitIdeal,
     ZeroIdeal,
@@ -37,7 +38,8 @@ from coverdist import (
     residue_at,
     unit_ideal,
 )
-from coverdist.kernels import kron_values, sieve
+from coverdist.errors import PrimeTooLarge
+from coverdist.kernels import kron_values, mod_values, sieve
 
 QF = [k for k in FIELD_KEYS if k != "rational"]
 
@@ -530,6 +532,16 @@ def test_kron_values_against_oracle():
         disc = field.discriminant
         want = [oracles.kronecker(disc, p) for p in ps.tolist()]
         assert kron_values(disc, ps).tolist() == want
+
+
+def test_kernels_refuse_primes_from_2_31():
+    ps = np.array([3, 2**31 + 11], dtype=np.int64)
+    for call in (lambda: mod_values(5, ps), lambda: kron_values(-4, ps)):
+        with pytest.raises(PrimeTooLarge) as info:
+            call()
+        assert isinstance(info.value, ResourceError) and info.value.exit_code == 3
+    assert mod_values(5, ps[:1]).tolist() == [2]
+    assert mod_values(2**31 + 10, np.array([2**31 - 1])).tolist() == [11]
 
 
 def test_factor_inert_prime_beyond_kernel():

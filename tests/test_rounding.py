@@ -4,8 +4,10 @@ from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import sqrt_hi
+from oracles import round_up_fraction, sqrt_hi
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     EGAMMA_EXP_LO,
@@ -20,6 +22,7 @@ from coverdist.rounding import (
     ln_hi,
     round_down,
     round_up,
+    round_up_pair,
     sqrt_lo,
 )
 
@@ -163,3 +166,55 @@ def test_isqrt_agreement():
         x = Fraction(n)
         assert sqrt_lo(x) >= isqrt(n) - 1
         assert sqrt_hi(x) <= isqrt(n) + 2
+
+
+@st.composite
+def _sized(draw):
+    # a positive int of 95-98 bits, around the 96-bit threshold, or of 1-260 bits
+    k = draw(st.one_of(st.integers(95, 98), st.integers(1, 260)))
+    return draw(st.integers(1 << (k - 1), (1 << k) - 1))
+
+
+@st.composite
+def _pair(draw):
+    num = draw(_sized()) * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        return num, 1 << draw(st.integers(0, 260))  # dyadic
+    return num, draw(_sized())
+
+
+def _branch(num, den, bits):
+    e = bits - (num.bit_length() - den.bit_length())
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return "small"
+    return "e >= 0" if e >= 0 else "e < 0"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_pair(), st.sampled_from([96, 96, 64, 8]))
+@example(((1 << 97) - 1, 3), 96)  # e >= 0, 97-bit numerator
+@example((7, (1 << 98) + 1), 96)  # e >= 0, 99-bit denominator
+@example(((1 << 300) + 1, (1 << 97) - 1), 96)  # e < 0
+@example((-((1 << 300) + 1), 7), 96)  # e < 0, negative
+@example(((1 << 96) + 1, 1 << 97), 96)  # dyadic, rounds to a power-of-two denominator
+@example(((1 << 97) - 1, 1 << 100), 96)  # dyadic, strips common powers of two
+def test_round_up_pair_matches_fraction_oracle(pair, bits):
+    x = Fraction(*pair)
+    num, den = x.numerator, x.denominator
+    want = round_up_fraction(x, bits)
+    assert round_up_pair(num, den, bits) == (want.numerator, want.denominator)
+    assert round_up(Fraction(num, den), bits) == want
+    # rounding is idempotent, so a block product of 1 changes nothing
+    assert round_up_pair(*round_up_pair(num, den, bits), bits) == round_up_pair(num, den, bits)
+
+
+def test_round_up_pair_reaches_both_branches():
+    cases = [Fraction((1 << 97) - 1, 3), Fraction(7, (1 << 98) + 1), Fraction((1 << 300) + 1, 7)]
+    got = [_branch(x.numerator, x.denominator, 96) for x in cases]
+    assert got == ["e >= 0", "e >= 0", "e < 0"]
+    for x in cases:
+        want = round_up_fraction(x)
+        assert round_up_pair(x.numerator, x.denominator) == (want.numerator, want.denominator)
+    # a dyadic input whose rounded numerator is even: Fraction(q, 2^e) strips
+    # the shared two, so the result keeps a 97-bit denominator
+    assert round_up_pair((1 << 95) + 1, 1 << 96) == ((1 << 95) + 1, 1 << 96)

@@ -23,6 +23,7 @@ with e^g = exp(Euler gamma) and B the Mertens constant. The y >= 285
 requirement is absorbed by the floor Y_MIN = 512.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -34,6 +35,7 @@ from .errors import (
     IdealNotDividingQ,
     InputError,
     MixedFields,
+    ResourceError,
     SearchBudgetExceeded,
     SoundnessError,
     XNotPerfectSquare,
@@ -108,6 +110,26 @@ def _m1_euler(field, s, q):
     return out
 
 
+def _check_m1_printable(field, q):
+    # Refuse an m1 row whose decimal form would pass the int-to-str digit
+    # limit, before the product that builds it. Every rational prime p >= 5
+    # in (q/2, q) that is a prime norm divides the reduced numerator of
+    # _m1_euler(field, s, q): q - 1 and each n - 1 lie below 2p, so p could
+    # divide one only as p + 1 = n or q, an even prime norm and so 2 or 4.
+    # Each such p has at least q.bit_length() - 2 bits.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    norms = np.unique(ring.prime_norms_up_to(field, q - 1))
+    big = norms[norms > max(q // 2, 4)]
+    roots = np.sqrt(big).astype(np.int64)  # exact on squares below 2^53
+    bits = int(np.count_nonzero(roots * roots != big)) * (q.bit_length() - 2)
+    if 1000 * bits >= 3322 * limit:  # 2^bits >= 10^limit, as log2(10) < 3.322
+        raise ResourceError(
+            f"the m1 row at norm {q} has over {limit} digits, too large to print"
+        )
+
+
 def m1_bound(instance, j):
     """First-moment majorant for level j, valid when deltas 1..j-1 are all 0."""
     if not 1 <= j <= instance.depth:
@@ -134,10 +156,14 @@ def m2_bound(instance, j):
 def rankin_W(field, y):
     """Certified upper bound on prod over prime norms q <= y of (1-q^-1/2)^-1,
     quantized up to the next multiple of 1/1000."""
-    # the accumulator is a reduced (num, den) pair, rounded up once per prime
+    return _rankin_fold(ring.prime_norms_up_to(field, y))
+
+
+def _rankin_fold(norms):
+    # rankin_W over an ascending norms array; the accumulator is a reduced
+    # (num, den) pair, rounded up once per prime
     num = den = 1
     shift = 1 << SQRT_BITS
-    norms = ring.prime_norms_up_to(field, y)
     for i in range(0, len(norms), 4096):  # a list per slice keeps peak RSS down
         for q in norms[i : i + 4096].tolist():
             n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
@@ -175,19 +201,35 @@ def mertens_sum_bound(field, z):
 
 
 def _p_small(field, y):
-    # certified-up product over prime norms q <= y of q(q+1)/(q-1)^2,
-    # the per-prime second-moment factor at delta = 0, rounded up once per
-    # block of 64 primes; q(q+1) fits in int64 below the sieve cap
-    norms = ring.prime_norms_up_to(field, y)
-    nums = norms * (norms + 1)
-    dens = (norms - 1) ** 2
-    num = den = 1
-    for i in range(0, len(norms), 64):
+    # certified-up product over prime norms q <= y of q(q+1)/(q-1)^2, the
+    # per-prime second-moment factor at delta = 0, from scratch
+    return Fraction(*_p_small_fold(ring.prime_norms_up_to(field, y))[0])
+
+
+def _p_small_fold(norms, carry=(1, 1, 0)):
+    # ((num, den), carry): the product over an ascending norms array, rounded
+    # up once per block of 64 norms. carry = (num, den, k) is the rounded
+    # product over norms[:k], k a multiple of 64; the returned carry covers
+    # every full block of norms. The norms <= y are a prefix of the norms
+    # <= 2y, so a search over growing y folds each full block once, in the
+    # same order as a fold from scratch, and gets the same pair.
+    # q(q+1) fits in int64 below the sieve cap.
+    num, den, k = carry
+    rest = norms[k:]
+    nums = rest * (rest + 1)
+    dens = (rest - 1) ** 2
+    full = len(rest) - len(rest) % 64
+    num, den = _fold_blocks(num, den, nums[:full], dens[:full])
+    return _fold_blocks(num, den, nums[full:], dens[full:]), (num, den, k + full)
+
+
+def _fold_blocks(num, den, nums, dens):
+    for i in range(0, len(nums), 64):
         a = num * prod(nums[i : i + 64].tolist())
         b = den * prod(dens[i : i + 64].tolist())
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
-    return Fraction(num, den)
+    return num, den
 
 
 def _mertens_prod_hi(lz_lo, lz_hi):
@@ -210,17 +252,18 @@ def eta2_major(field, s, y):
     y = int(y)
     if y < Y_MIN:
         raise YTooSmall(f"y = {y} is below the supported floor {Y_MIN}")
-    return round_up(s * s * _eta2_base(field, y))
+    return round_up(s * s * _eta2_base(_p_small(field, y), y))
 
 
-def _eta2_base(field, y):
+def _eta2_base(psmall, y):
+    # The s-free base of eta2_major, given psmall = _p_small(field, y); the
+    # rest depends only on y, so a search passes a psmall it folded forward.
     # Each level at prime norm q > y contributes at most
     #   s^2/(q-1)^2 * P_small * prod over norms q' in (y, q) of g1(q')
     # with P_small = prod_{q' <= y} q'(q'+1)/(q'-1)^2 (delta = 0 factors) and
     # g1(t) = (1+4t-t^2)/(1-t)^2 <= (1-t)^-6 (delta = 1/2 factors, doubled).
     # Sum over q in dyadic blocks (a, 2a], then close the tail at A with
     # (log q)^12 <= (log A)^12 sqrt(q)/sqrt(A) once log A >= LOG_CLOSE.
-    psmall = _p_small(field, y)
     ly_lo, ly_hi = ln_bounds(y)
     lbmy = round_down(_mertens_prod_lo(ly_lo))
     m0 = isqrt(y) + 1
@@ -267,20 +310,29 @@ def effective_bound(field, s):
     """Smallest (y, x) on the doubling schedule with eta2 < 1/2 and
     eta1 + eta2 < 1; any covering system over the field with multiplicity
     <= s and distinguishable moduli must then use a modulus of norm <= x.
-    The certificate is verified once by verify_certificate before it is
-    returned; a failure raises SoundnessError."""
+
+    The search does each piece of work once: from y to 2y it appends the
+    prime norms in (y, 2y] and carries the full 64-norm blocks of the eta2
+    product, and it takes rankin_W from the norms of the last y; the values
+    equal eta2_major and rankin_W bit for bit. The certificate is then
+    verified once by verify_certificate, which recomputes both from
+    scratch; a failure raises SoundnessError."""
     if s < 1:
         raise InputError("s must be >= 1")
     y = max(Y_MIN, s**3)
-    eta2 = None
+    norms = ring.prime_norms_up_to(field, y)
+    carry = (1, 1, 0)
     for _ in range(MAX_Y_DOUBLINGS):
-        eta2 = eta2_major(field, s, y)
+        psmall, carry = _p_small_fold(norms, carry)
+        eta2 = round_up(s * s * _eta2_base(Fraction(*psmall), y))
         if eta2 < HALF:
             break
+        norms = np.concatenate([norms, ring.prime_norms_up_to(field, 2 * y, y)])
         y *= 2
     else:
         raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
-    w = rankin_W(field, y)
+    w = _rankin_fold(norms)
+    del norms  # verification sieves its own; do not hold both
     target = 1 - eta2
     r = 2
     for _ in range(MAX_R_DOUBLINGS):
@@ -368,6 +420,7 @@ def certify_moduli(field, moduli, s=None, policy=None):
     eta = Fraction(0)
     for j, ((prime, nu), delta) in enumerate(zip(primes, deltas), start=1):
         if delta == 0:
+            _check_m1_printable(field, prime.norm)
             contribution = _m1_euler(field, s, prime.norm)
             mech = "m1"
         else:

@@ -487,24 +487,30 @@ def primes_up_to_norm(field, y):
     return out
 
 
-def prime_norms_up_to(field, y):
-    """Ascending int64 array of prime norms <= y, with multiplicity.
+def prime_norms_up_to(field, y, above=0):
+    """Ascending int64 array of prime norms in (above, y], with multiplicity.
 
     A split rational prime contributes its norm twice (two primes above);
-    used by the bound machinery, which needs norms only.
+    used by the bound machinery, which needs norms only. A search over
+    growing y appends the norms in (y_old, y] to those it has, and so runs
+    the Kronecker step once per prime.
     """
-    y = int(y)
+    y, above = int(y), max(int(above), 0)
     if y < 2:
         return np.empty(0, dtype=np.int64)
     flags = kernels.sieve(y)
-    ps = np.flatnonzero(flags).astype(np.int64)
+    ps = np.flatnonzero(flags[above + 1 :]).astype(np.int64)
+    ps += above + 1
     if field.kind == "rational":
         return ps
+    # an inert p has norm p^2, in (above, y] for p in (isqrt(above), isqrt(y)]
+    lo = isqrt(above) + 1
+    small = np.flatnonzero(flags[lo : isqrt(y) + 1]).astype(np.int64) + lo
+    del flags  # before the Kronecker step, which sets the peak
     syms = kernels.kron_values(field.discriminant, ps)
     split = ps[syms == 1]
     ram = ps[syms == 0]
-    inert = ps[syms == -1]
-    inert = inert[inert <= isqrt(y)]
+    inert = small[kernels.kron_values(field.discriminant, small) == -1]
     norms = np.concatenate([split, split, ram, inert * inert])
     norms.sort(kind="stable")
     return norms

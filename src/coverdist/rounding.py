@@ -11,7 +11,7 @@ evaluation (mpmath).
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 DEFAULT_BITS = 96
 
@@ -75,16 +75,21 @@ def sqrt_lo(x, bits=DEFAULT_BITS):
     return Fraction(s, 1 << bits)
 
 
-def _atanh_sum(u, terms):
-    # 2 * sum_{i < terms} u^(2i+1)/(2i+1), plus an upper bound on the tail
-    s = Fraction(0)
-    p = u
-    u2 = u * u
-    for i in range(terms):
-        s += p / (2 * i + 1)
-        p *= u2
-    tail = 2 * p / ((2 * terms + 1) * (1 - u2))
-    return 2 * s, tail
+def _atanh_sum(a, b, terms):
+    # 2 * sum_{i < terms} u^(2i+1)/(2i+1) at u = a/b in [0, 1), plus an upper
+    # bound on the tail, summed on ints over the one common denominator
+    # b^(2 terms - 1) * lcm(1, 3, ..., 2 terms - 1)
+    lc = lcm(*range(1, 2 * terms, 2))
+    a2, b2 = a * a, b * b
+    acc = 0
+    pb = 1  # b^(2 (terms - 1 - i)) at step i
+    for i in reversed(range(terms)):
+        acc = acc * a2 + lc // (2 * i + 1) * pb
+        pb *= b2
+    den = pb // b  # b^(2 terms - 1)
+    s = Fraction(2 * a * acc, den * lc)
+    tail = Fraction(2 * a * a2**terms, den * (2 * terms + 1) * (b2 - a2))
+    return s, tail
 
 
 def ln_bounds(x, terms=24, bits=DEFAULT_BITS):
@@ -101,9 +106,12 @@ def ln_bounds(x, terms=24, bits=DEFAULT_BITS):
     # ensure 2^k <= x < 2^(k+1)
     if (num < den << k) if k >= 0 else (num << -k) < den:
         k -= 1
-    m = x / Fraction(2) ** k
-    u = (m - 1) / (m + 1)
-    s, tail = _atanh_sum(u, terms)
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    g = gcd(num - den, num + den)  # u = (m-1)/(m+1) with m = num/den
+    s, tail = _atanh_sum((num - den) // g, (num + den) // g, terms)
     lo = k * (LN2_LO if k >= 0 else LN2_HI) + s
     hi = k * (LN2_HI if k >= 0 else LN2_LO) + s + tail
     return round_down(lo, bits), round_up(hi, bits)

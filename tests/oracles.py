@@ -256,6 +256,30 @@ def p_small_fraction(norms):
     return round_up_fraction(acc * Fraction(num, den))
 
 
+def ln_bounds_fraction(x, terms=24, bits=96):
+    """rounding.ln_bounds as it was with a Fraction per atanh term: the
+    oracle for the sum on ints over one common denominator."""
+    from coverdist.rounding import LN2_HI, LN2_LO, round_down
+
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    k = num.bit_length() - den.bit_length()
+    if (num < den << k) if k >= 0 else (num << -k) < den:
+        k -= 1
+    m = x / Fraction(2) ** k
+    u = (m - 1) / (m + 1)
+    s = Fraction(0)
+    p = u
+    u2 = u * u
+    for i in range(terms):
+        s += p / (2 * i + 1)
+        p *= u2
+    tail = 2 * p / ((2 * terms + 1) * (1 - u2))
+    lo = k * (LN2_LO if k >= 0 else LN2_HI) + 2 * s
+    hi = k * (LN2_HI if k >= 0 else LN2_LO) + 2 * s + tail
+    return round_down(lo, bits), round_up_fraction(hi, bits)
+
+
 def sqrt_hi(x, bits=96):
     """Rational upper bound on sqrt(x), x >= 0."""
     x = Fraction(x)

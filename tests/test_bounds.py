@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -15,6 +16,7 @@ from coverdist import (
     IndistinguishableModulus,
     InputError,
     MixedFields,
+    ResourceError,
     XNotPerfectSquare,
     YTooSmall,
     alpha,
@@ -44,7 +46,7 @@ from coverdist import (
     validate,
     verify_certificate,
 )
-from coverdist.bounds import _p_small
+from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small, _p_small_fold
 from coverdist.rounding import ln_bounds, ln_hi
 
 F = Fraction
@@ -422,7 +424,64 @@ def test_analytic_layer_matches_fraction_oracle(key):
         assert rankin_W(field, y) == oracles.rankin_W_fraction(norms), y
 
 
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_carried_p_small_matches_from_scratch(key):
+    # effective_bound carries the full 64-blocks from one y to the next; the
+    # carried fold must equal a fold from scratch at every step, on the
+    # doubling schedules from 512 and 729 and across full-block edges
+    field = get_field(key)
+    schedules = [
+        [512 << k for k in range(7)],
+        [729 << k for k in range(6)],
+        [512, 709, 709, 719, 1000, 1418, 1438, 4096],
+    ]
+    for ys in schedules:
+        carry = (1, 1, 0)
+        for y in ys:
+            norms = prime_norms_up_to(field, y)
+            pair, carry = _p_small_fold(norms, carry)
+            assert carry[2] == len(norms) - len(norms) % 64, y
+            assert F(*pair) == _p_small(field, y), y
+            assert F(*pair) == oracles.p_small_fraction(norms.tolist()), y
+
+
 # ------------------------------------------------------ moduli certificates
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_m1_numerator_has_every_prime_norm_above_half(key):
+    # the size bound behind _check_m1_printable: each rational prime p >= 5
+    # in (q/2, q) that is a prime norm divides the reduced m1 numerator
+    field = get_field(key)
+    norms = sorted(set(prime_norms_up_to(field, 1500).tolist()))
+    for q in norms:
+        num = _m1_euler(field, 1, q).numerator
+        for p in norms:
+            if max(q // 2, 4) < p < q and isqrt(p) ** 2 != p:
+                assert num % p == 0, (q, p)
+
+
+def test_m1_size_check_refuses_only_unprintable_rows():
+    # at the smallest digit limit the check fires from some q on; its first
+    # 20 refusals, where the bound is tightest, are rows that do not print
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for key in ("rational", -1, 5):
+            field = get_field(key)
+            refused = []
+            for q in sorted(set(prime_norms_up_to(field, 8000).tolist())):
+                try:
+                    _check_m1_printable(field, q)
+                except ResourceError:
+                    refused.append(q)
+                    with pytest.raises(ValueError):
+                        str(_m1_euler(field, 1, q).numerator)
+                if len(refused) == 20:
+                    break
+            assert len(refused) == 20, key
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _rat_ideals(ns):

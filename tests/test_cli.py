@@ -227,24 +227,52 @@ def test_bound_cli_soundness_exit(capsys, monkeypatch):
 
 
 def test_bound_computes_once_verifies_once(capsys, monkeypatch):
-    from coverdist import bounds
+    from coverdist import bounds, ring
 
-    calls = {"rankin_W": [], "_eta2_base": []}
-    for name, log in calls.items():
+    calls = {"prime_norms_up_to": [], "rankin_W": [], "eta2_major": []}
+    verifying = []
+    folded = []  # every 64-block of q(q+1) products the search folds
 
-        def counted(field, y, fn=getattr(bounds, name), log=log):
-            log.append(y)
-            return fn(field, y)
+    def logged(module, name, log):
+        fn = getattr(module, name)
 
-        monkeypatch.setattr(bounds, name, counted)
+        def wrapper(*args):
+            log(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    logged(bounds, "verify_certificate", lambda a: verifying.append(True))
+    logged(ring, "prime_norms_up_to", lambda a: calls["prime_norms_up_to"].append(a[1:]))
+    for name in ("rankin_W", "eta2_major"):
+        logged(bounds, name, lambda a, log=calls[name]: log.append((*a[1:], bool(verifying))))
+
+    def fold_log(args):
+        if not verifying:
+            nums = args[2].tolist()
+            folded.extend(tuple(nums[i : i + 64]) for i in range(0, len(nums), 64))
+
+    logged(bounds, "_fold_blocks", fold_log)
     rc, out, _ = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
     assert rc == 0
     y = json.loads(out)["y"]
-    # one rankin_W to build the certificate and one to verify it
-    assert calls["rankin_W"] == [y, y]
-    # one eta2 base per y on the doubling schedule, and one more to verify
     tried = [bounds.Y_MIN << k for k in range((y // bounds.Y_MIN).bit_length())]
-    assert calls["_eta2_base"] == tried + [y]
+    assert len(tried) > 2
+    # the search adds the norms in (y/2, y] at each y and reuses the last
+    # array for rankin_W; the verification sieves again for its own
+    # rankin_W and eta2_major
+    search = [(tried[0],)] + [(b, a) for a, b in zip(tried, tried[1:])]
+    assert calls["prime_norms_up_to"] == search + [(y,), (y,)]
+    # the from-scratch rankin_W and eta2_major run once each, to verify
+    assert calls["rankin_W"] == [(y, True)]
+    assert calls["eta2_major"] == [(1, y, True)]
+    # the search folds each full 64-block once, in order; partial blocks,
+    # one per y, are folded into a copy
+    norms = ring.prime_norms_up_to(ring.make_field("rational"), y)
+    nums = (norms * (norms + 1)).tolist()
+    full = [tuple(nums[i : i + 64]) for i in range(0, len(nums) - 63, 64)]
+    assert [b for b in folded if len(b) == 64] == full
+    assert len(folded) - len(full) <= len(tried)
 
 
 def test_primes_cli(capsys):
@@ -479,12 +507,20 @@ def _json_error(rc, out, err, code, error):
     assert json.loads(err)["error"] == error  # exactly one JSON object
 
 
-def test_unprintable_certified_rational(tmp_path, capsys):
-    # the delta-0 m1 row at q = 100003 is a Fraction over 4300 digits
+def test_unprintable_certified_rational(tmp_path, capsys, monkeypatch):
+    # the delta-0 m1 row at each q is a Fraction over 4300 digits; it is
+    # refused from a size bound, before the product that would build it
+    from coverdist import bounds
+
+    def never(*args):
+        raise AssertionError("_m1_euler ran")
+
+    monkeypatch.setattr(bounds, "_m1_euler", never)
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"moduli": [100003]}))
-    args = ["certify-moduli", "--input", str(path), "--delta", "explicit:0"]
-    _json_error(*call_main(capsys, args), 3, "ResourceError")
+    for q in (100003, 3000017):
+        path.write_text(json.dumps({"field": "rational", "moduli": [q]}))
+        args = ["certify-moduli", "--input", str(path), "--delta", "explicit:0"]
+        _json_error(*call_main(capsys, args), 3, "ResourceError")
 
 
 def test_unprintable_output_integer(tmp_path, capsys):

@@ -503,6 +503,11 @@ def test_prime_norms_multiset():
         ps = primes_up_to_norm(field, 500)
         norms_list = sorted(q.norm for q in ps)
         assert norms_list == sorted(prime_norms_up_to(field, 500).tolist())
+        # the norms in (above, y] are the tail of the norms <= y, in order
+        for above, y in [(-7, 500), (1, 500), (3, 4), (4, 9), (24, 25), (250, 500), (500, 500)]:
+            full = prime_norms_up_to(field, y)
+            tail = prime_norms_up_to(field, y, above)
+            assert tail.tolist() == full[full > above].tolist(), (above, y)
 
 
 def test_primes_up_to_norm_small():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import round_up_fraction, sqrt_hi
+from oracles import ln_bounds_fraction, round_up_fraction, sqrt_hi
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     EGAMMA_EXP_LO,
@@ -109,6 +109,26 @@ def test_ln_bounds_against_mpmath():
         assert lo <= true <= hi, x
         # the interval width is dominated by k * (LN2 literal gap of 1e-19)
         assert hi - lo < Fraction(1, 10**16), x
+
+
+_LN_ARGS = st.one_of(
+    st.integers(0, 80).map(lambda k: Fraction(2**k)),
+    st.integers(0, 40).map(lambda k: Fraction(729 << k)),
+    st.fractions(min_value=1, max_value=10**12, max_denominator=10**9),
+    st.fractions(min_value=Fraction(1, 10**9), max_value=1, max_denominator=10**12),
+).filter(lambda x: x > 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LN_ARGS, st.sampled_from([(24, 96), (24, 96), (8, 64), (1, 96)]))
+@example(Fraction(1), (24, 96))
+@example(Fraction(2**19), (24, 96))
+@example(Fraction(729 * 2**20), (24, 96))
+@example(Fraction(1, 3), (8, 64))
+def test_ln_bounds_matches_fraction_oracle(x, opts):
+    # the atanh sum on ints gives the same rational as the Fraction loop,
+    # so every rounded bound is the same
+    assert ln_bounds(x, *opts) == ln_bounds_fraction(x, *opts)
 
 
 def test_ln_monotone_helpers():

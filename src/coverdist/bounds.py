@@ -120,10 +120,9 @@ def _check_m1_printable(field, q):
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    norms = np.unique(ring.prime_norms_up_to(field, q - 1))
-    big = norms[norms > max(q // 2, 4)]
-    roots = np.sqrt(big).astype(np.int64)  # exact on squares below 2^53
-    bits = int(np.count_nonzero(roots * roots != big)) * (q.bit_length() - 2)
+    # a rational prime is a prime norm unless it is inert
+    unram, ram, _ = ring._split_primes(field, q - 1, max(q // 2, 4))
+    bits = (len(unram) + len(ram)) * (q.bit_length() - 2)
     if 1000 * bits >= 3322 * limit:  # 2^bits >= 10^limit, as log2(10) < 3.322
         raise ResourceError(
             f"the m1 row at norm {q} has over {limit} digits, too large to print"
@@ -143,10 +142,14 @@ def m2_bound(instance, j):
     if not 1 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
     norms = [p.norm for p, _ in instance.primes]
-    q = norms[j - 1]
-    out = Fraction(instance.s**2, (q - 1) ** 2)
-    for n in norms[: j - 1]:
-        out *= 1 + Fraction(6 * n - 2, (n - 1) ** 2)
+    return _m2_history(instance.s, norms[j - 1], [(n, HALF) for n in norms[: j - 1]])
+
+
+def _m2_history(s, q, history):
+    # s^2/(q-1)^2 * prod over (n, delta) in history of 1 + (3n-1)/((1-delta)(n-1)^2)
+    out = Fraction(s * s, (q - 1) ** 2)
+    for n, delta in history:
+        out *= 1 + Fraction(3 * n - 1, (n - 1) ** 2) / (1 - delta)
     return out
 
 
@@ -424,12 +427,8 @@ def certify_moduli(field, moduli, s=None, policy=None):
             contribution = _m1_euler(field, s, prime.norm)
             mech = "m1"
         else:
-            # second moment with per-prime history factors
-            # 1 + (3q-1)/((1-delta_i)(q-1)^2), divided by 4 delta (1-delta)
-            m2 = Fraction(s * s, (prime.norm - 1) ** 2)
-            for (pi, _), di in zip(primes[: j - 1], deltas[: j - 1]):
-                n = pi.norm
-                m2 *= 1 + Fraction(3 * n - 1, (n - 1) ** 2) / (1 - di)
+            history = [(pi.norm, di) for (pi, _), di in zip(primes[: j - 1], deltas)]
+            m2 = _m2_history(s, prime.norm, history)
             contribution = m2 / (4 * delta * (1 - delta))
             mech = "m2"
         rows.append(ModuliRow(j, prime, nu, delta, mech, contribution))

@@ -47,8 +47,11 @@ def _write(args, doc, lines):
     else:
         payload = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            raise CoverdistError(f"cannot write {args.output}: {e}") from None
     else:
         sys.stdout.write(payload)
 

@@ -159,7 +159,7 @@ def _normalize(problem):
         # A label >= n cannot be dense and would make bincount allocate to it.
         if arr.max() >= n or not np.bincount(arr).all():
             _, arr = np.unique(arr, return_inverse=True)
-        levels.append(arr.astype(np.int64))
+        levels.append(arr.astype(np.int64, copy=False))  # read, never written
 
     sizes, reps = [], []
     for arr in levels:

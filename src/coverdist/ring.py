@@ -11,6 +11,10 @@ the lattice u*Z + (v + w*omega)*Z, normalized so that u > 0, w > 0,
 0 <= v < u, w | u, w | v, and u*w divides the element norm of v + w*omega.
 Rational ideals are (m, 0, 1).
 
+How a rational prime p splits is read off (disc/p) in two places only:
+_ideals_above builds the primes above one p, and _split_primes sorts every
+p up to a bound with one sieve and one Kronecker pass.
+
 Factoring a norm into rational primes, the one step that needs number
 theory beyond gcds, runs the routines of ntheory (primality, square roots
 mod p, integer roots, Pollard-Brent rho) under the budget rule of
@@ -304,37 +308,26 @@ def primes_above(field, p):
     p = int(p)
     if not isprime(p):
         raise InputError(f"{p} is not prime")
+    return _ideals_above(field, p, kernels.kronecker_disc(field.discriminant, p))
+
+
+def _ideals_above(field, p, sym):
+    # the PrimeIdeals above the rational prime p, given sym = (disc/p), in
+    # canonical order: one (p, -r, 1) per root r of x^2 - T x + N mod p
     if field.kind == "rational":
         return [PrimeIdeal(Ideal(field, p, 0, 1), p, p, "rational")]
-    sym = kernels.kronecker_disc(field.discriminant, p)
     if sym == -1:
         return [PrimeIdeal(Ideal(field, p, 0, p), p, p * p, "inert")]
-    if sym == 0:
-        # double root of x^2 - T x + N mod p
-        if p == 2:
-            r = field.d % 2
-        else:
-            r = (field.trace * pow(2, p - 2, p)) % p
-        return [PrimeIdeal(Ideal(field, p, (-r) % p, 1), p, p, "ramified")]
     if p == 2:
-        r1, r2 = 0, 1  # x^2 + x + N with N even
+        roots = {field.d % 2} if sym == 0 else {0, 1}  # N is even when 2 splits
     else:
-        sq = sqrt_mod(field.discriminant % p, p)
+        sq = sqrt_mod(field.discriminant % p, p)  # 0 when ramified: a double root
         inv2 = pow(2, p - 2, p)
-        r1 = ((field.trace + sq) * inv2) % p
-        r2 = ((field.trace - sq) * inv2) % p
-    out = [
-        PrimeIdeal(Ideal(field, p, (-r) % p, 1), p, p, "split") for r in (r1, r2)
-    ]
+        roots = {(field.trace + sq) * inv2 % p, (field.trace - sq) * inv2 % p}
+    kind = "ramified" if sym == 0 else "split"
+    out = [PrimeIdeal(Ideal(field, p, (-r) % p, 1), p, p, kind) for r in roots]
     out.sort(key=prime_sort_key)
     return out
-
-
-def _conjugate_prime(field, prime):
-    if prime.splitting in ("rational", "inert"):
-        return prime.ideal
-    p = prime.under
-    return Ideal(field, p, (-prime.ideal.v - field.trace) % p, 1)
 
 
 def _divide_by_prime(ideal, prime):
@@ -345,10 +338,9 @@ def _divide_by_prime(ideal, prime):
         if ideal.u % p:
             raise SoundnessError("inexact rational division")
         return Ideal(field, ideal.u // p, 0, 1)
-    if prime.splitting == "inert":
-        j = ideal
-    else:
-        j = ideal_mul(ideal, _conjugate_prime(field, prime))
+    j = ideal
+    if prime.splitting != "inert":  # times the conjugate, as prime * conjugate = (p)
+        j = ideal_mul(ideal, Ideal(field, p, (-prime.ideal.v - field.trace) % p, 1))
     if j.u % p or j.v % p or j.w % p:
         raise SoundnessError("inexact division by prime")
     return Ideal(field, j.u // p, j.v // p, j.w // p)
@@ -462,27 +454,33 @@ def p_min(ideal):
     return hit[0]
 
 
+def _split_primes(field, y, above=0):
+    """(unram, ram, inert): ascending int64 arrays of the rational primes p
+    with a prime above them of norm in (above, y]: unram the p in (above, y]
+    with (disc/p) = 1, or all of them over Q; ram those with (disc/p) = 0;
+    inert the p with (disc/p) = -1 and p^2 in (above, y]."""
+    y, above = max(int(y), 1), max(int(above), 0)
+    flags = kernels.sieve(y)
+    ps = np.flatnonzero(flags[above + 1 :]).astype(np.int64, copy=False)
+    ps += above + 1
+    if field.kind == "rational":
+        return ps, ps[:0], ps[:0]
+    # an inert p has norm p^2, in (above, y] for p in (isqrt(above), isqrt(y)]
+    lo = isqrt(above) + 1
+    small = np.flatnonzero(flags[lo : isqrt(y) + 1]).astype(np.int64) + lo
+    del flags  # before the Kronecker step, which sets the peak
+    k = len(small)
+    ps = np.concatenate([small, ps])
+    syms = kernels.kron_values(field.discriminant, ps)
+    return ps[k:][syms[k:] == 1], ps[k:][syms[k:] == 0], small[syms[:k] == -1]
+
+
 def primes_up_to_norm(field, y):
     """Prime ideals of norm <= y in canonical order; empty when y < 2."""
-    y = int(y)
-    if y < 2:
-        return []
-    flags = kernels.sieve(y)
-    ps = np.flatnonzero(flags)
     out = []
-    if field.kind == "rational":
+    for sym, ps in zip((1, 0, -1), _split_primes(field, y)):
         for p in ps.tolist():
-            p = int(p)
-            out.append(PrimeIdeal(Ideal(field, p, 0, 1), p, p, "rational"))
-        return out
-    syms = kernels.kron_values(field.discriminant, ps.astype(np.int64))
-    for p, s in zip(ps.tolist(), syms.tolist()):
-        p = int(p)
-        if s == -1:
-            if p * p <= y:
-                out.append(PrimeIdeal(Ideal(field, p, 0, p), p, p * p, "inert"))
-        else:
-            out.extend(primes_above(field, p))
+            out.extend(_ideals_above(field, p, sym))
     out.sort(key=prime_sort_key)
     return out
 
@@ -495,22 +493,9 @@ def prime_norms_up_to(field, y, above=0):
     growing y appends the norms in (y_old, y] to those it has, and so runs
     the Kronecker step once per prime.
     """
-    y, above = int(y), max(int(above), 0)
-    if y < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = kernels.sieve(y)
-    ps = np.flatnonzero(flags[above + 1 :]).astype(np.int64)
-    ps += above + 1
+    unram, ram, inert = _split_primes(field, y, above)
     if field.kind == "rational":
-        return ps
-    # an inert p has norm p^2, in (above, y] for p in (isqrt(above), isqrt(y)]
-    lo = isqrt(above) + 1
-    small = np.flatnonzero(flags[lo : isqrt(y) + 1]).astype(np.int64) + lo
-    del flags  # before the Kronecker step, which sets the peak
-    syms = kernels.kron_values(field.discriminant, ps)
-    split = ps[syms == 1]
-    ram = ps[syms == 0]
-    inert = small[kernels.kron_values(field.discriminant, small) == -1]
-    norms = np.concatenate([split, split, ram, inert * inert])
+        return unram
+    norms = np.concatenate([unram, unram, ram, inert * inert])
     norms.sort(kind="stable")
     return norms

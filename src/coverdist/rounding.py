@@ -5,7 +5,8 @@ Everything returns Fraction values that bound the target real from the
 requested side, so downstream inequality checks stay exact. The one
 exception is round_up_pair, the same upward rounding on a reduced
 (numerator, denominator) pair of ints, for loops that would otherwise pay
-for a Fraction per step; round_up is a thin wrapper over it. Interval
+for a Fraction per step. It is the one directed rounding: round_up is a
+thin wrapper over it, and round_down(x) is -round_up(-x). Interval
 literals below are pinned by tests against independent high-precision
 evaluation (mpmath).
 """
@@ -57,13 +58,7 @@ def round_up(x, bits=DEFAULT_BITS):
 
 def round_down(x, bits=DEFAULT_BITS):
     """Rational <= x whose numerator and denominator fit in about `bits` bits."""
-    num, den = x.numerator, x.denominator
-    if num.bit_length() <= bits and den.bit_length() <= bits:
-        return x
-    e = bits - (num.bit_length() - den.bit_length())
-    if e >= 0:
-        return Fraction((num << e) // den, 1 << e)
-    return Fraction((num // (den << -e)) << -e, 1)
+    return -round_up(-x, bits)
 
 
 def sqrt_lo(x, bits=DEFAULT_BITS):

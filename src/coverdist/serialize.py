@@ -5,10 +5,12 @@ beyond native JSON ranges). Rationals are emitted as strings "p/q".
 Elements are a bare integer (rational field) or a pair [a, b] meaning
 a + b*omega. Ideals are {"hnf": [u, v, w]}, {"gens": [element, ...]},
 {"principal": element}, or a bare integer (principal). Output numbers past
-Python's int-to-str digit limit raise ResourceError (exit 3).
+Python's int-to-str digit limit raise ResourceError (exit 3), and so do
+explicit deltas, which every command prints.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from . import ring
@@ -121,10 +123,24 @@ def parse_delta_policy(text):
         if not body:
             return ("explicit", [])
         try:
-            return ("explicit", [Fraction(part.strip()) for part in body.split(",")])
+            return ("explicit", [_parse_delta(part.strip()) for part in body.split(",")])
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad delta list {body!r}") from None
     raise InputError(f"bad delta policy {text!r} (want threshold:Y or explicit:...)")
+
+
+def _parse_delta(text):
+    # Every command prints its deltas, so one that cannot print has no answer.
+    # Fraction expands an exponent into all its digits: refuse first one past
+    # the digit limit by more than the mantissa's length, as no nonzero value
+    # with it can print.
+    limit = sys.get_int_max_str_digits()
+    mantissa, e, exp = text.lower().partition("e")
+    if limit and e and abs(int(exp)) > limit + len(mantissa):
+        raise ResourceError("a delta exponent is too large to print in decimal")
+    delta = Fraction(text)
+    frac_str(delta)
+    return delta
 
 
 # ------------------------------------------------------------------ emission
@@ -134,7 +150,7 @@ def frac_str(x):
     try:
         return str(Fraction(x))
     except ValueError:  # beyond Python's int-to-str digit limit
-        raise ResourceError("a certified rational is too large to print in decimal") from None
+        raise ResourceError("a rational is too large to print in decimal") from None
 
 
 def element_json(field, e):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, ring
+from . import distortion, kernels, ring
 from .errors import (
     DeltaOutOfRange,
     EnumerationTooLarge,
@@ -160,15 +160,13 @@ def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
 
 def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     """Materialize the level labels and target masks as a DistortionProblem."""
-    from .distortion import DistortionProblem
-
     q = instance.q
     _enum_size(q, max_enum)  # refuse before the label arrays are allocated
     levels = []
     for lv in instance.levels:
         levels.append(kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w))
     targets = [target_mask(instance, j, max_enum) for j in range(1, instance.depth + 1)]
-    return DistortionProblem(levels=levels, targets=targets)
+    return distortion.DistortionProblem(levels=levels, targets=targets)
 
 
 def resolve_policy_for_primes(primes, s, policy):
@@ -191,15 +189,12 @@ def resolve_policy_for_primes(primes, s, policy):
             for prime, _ in primes
         ]
     if kind == "explicit":
-        deltas = [Fraction(x) for x in policy[1]]
+        deltas = policy[1]
         if len(deltas) != len(primes):
             raise InputError(
                 f"expected {len(primes)} deltas (one per prime of Q), got {len(deltas)}"
             )
-        for x in deltas:
-            if not 0 <= x <= Fraction(1, 2):
-                raise DeltaOutOfRange(f"delta {x} outside [0, 1/2]")
-        return deltas
+        return [distortion._check_delta(x) for x in deltas]
     raise InputError(f"unknown delta policy {kind!r}")
 
 

@@ -4,14 +4,19 @@ Everything here deliberately avoids the package's own code paths:
 membership via Cramer solves, lattice normal forms via sympy, splitting by
 brute-force root counting, measures via a per-point dict walk or a
 per-label list walk, and analytic sums/products via scaled-integer directed
-arithmetic.
+arithmetic. The exceptions are code the package replaced, kept as it was
+to check its replacement: primes_up_to_norm_loop classifies each sieved
+prime again through ring.primes_above.
 """
 
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
+
+from coverdist import kernels, ring
 
 SCALE_BITS = 96
 SCALE = 1 << SCALE_BITS
@@ -227,6 +232,18 @@ def round_up_fraction(x, bits=96):
     return Fraction((q + (1 if r else 0)) << -e, 1)
 
 
+def round_down_fraction(x, bits=96):
+    """rounding.round_down as it was, with its own copy of the shift logic:
+    the oracle for -round_up(-x)."""
+    num, den = x.numerator, x.denominator
+    if num.bit_length() <= bits and den.bit_length() <= bits:
+        return x
+    e = bits - (num.bit_length() - den.bit_length())
+    if e >= 0:
+        return Fraction((num << e) // den, 1 << e)
+    return Fraction((num // (den << -e)) << -e, 1)
+
+
 def rankin_W_fraction(norms):
     """bounds.rankin_W as it was on a Fraction accumulator, given the prime
     norms <= y: the oracle for the (num, den) pair loop."""
@@ -439,3 +456,30 @@ def hnf_labels(pts, u, v, w):
     r1 = x1 - k * w
     r0 = (x0 - k * v) % u
     return r1 * u + r0
+
+
+# ---------------------------------------------------------------- splitting
+
+
+def primes_up_to_norm_loop(field, y):
+    """ring.primes_up_to_norm as it was: sieve, Kronecker symbols, then
+    ring.primes_above (primality test and symbol again) per split or
+    ramified prime."""
+    y = int(y)
+    if y < 2:
+        return []
+    ps = np.flatnonzero(kernels.sieve(y))
+    out = []
+    if field.kind == "rational":
+        for p in ps.tolist():
+            out.append(ring.PrimeIdeal(ring.Ideal(field, p, 0, 1), p, p, "rational"))
+        return out
+    syms = kernels.kron_values(field.discriminant, ps.astype(np.int64))
+    for p, s in zip(ps.tolist(), syms.tolist()):
+        if s == -1:
+            if p * p <= y:
+                out.append(ring.PrimeIdeal(ring.Ideal(field, p, 0, p), p, p * p, "inert"))
+        else:
+            out.extend(ring.primes_above(field, p))
+    out.sort(key=ring.prime_sort_key)
+    return out

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from coverdist.cli import main
 
@@ -137,6 +143,34 @@ def test_output_file(tmp_path, capsys):
     )
     assert rc == 0 and out == ""
     assert target.read_text() == (GOLDEN / "check_classic.json").read_text()
+
+
+def test_output_unwritable_is_json_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    args = ["check", "--input", str(DATA / "classic.json"), "--output", str(target)]
+    rc, out, err = call_main(capsys, args)
+    _json_error(rc, out, err, 2, "CoverdistError")
+    assert json.loads(err)["message"].startswith(f"cannot write {target}")
+
+
+def test_unprintable_delta_refused_before_work(capsys, monkeypatch):
+    # every command prints its deltas, so a delta past the int-to-str digit
+    # limit has no answer; it is refused as it is parsed
+    from coverdist import bounds, distortion
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the delta parse")
+
+    monkeypatch.setattr(distortion, "run", never)
+    monkeypatch.setattr(bounds, "certify_moduli", never)
+    for command, data in [
+        ("certify", "classic.json"),
+        ("moments", "classic.json"),
+        ("certify-moduli", "moduli1113.json"),
+    ]:
+        for delta in ("1e100000", "1e-100000", "-1e100000", "0,1e4300"):
+            args = [command, "--input", str(DATA / data), "--delta", "explicit:" + delta]
+            _json_error(*call_main(capsys, args), 3, "ResourceError")
 
 
 def test_string_integers_accepted(capsys, tmp_path):
@@ -593,6 +627,155 @@ def test_exit_code_hierarchy():
     assert ResourceError("x").exit_code == 3
     assert SoundnessError("x").exit_code == 4
     assert issubclass(SoundnessError, CoverdistError)
+
+
+# ------------------------------------------------------------------- fuzzing
+
+# A case is a valid document over a small field, often with one part
+# replaced by an extreme or malformed value, plus random flags. Values are
+# small or extreme: mid-sized moduli and norms make honest work (a sieve to
+# 2^27) that a fuzz run should not wait for.
+_FIELDS = ["rational", "quadratic:-1", "quadratic:-3", "quadratic:5", "quadratic:-5"]
+_ODD = st.one_of(
+    st.sampled_from(
+        [0, -1, 2**31, 2**64 + 13, 100003, 3000017, 134217757, 10**40, str(2**13000),
+         "7" * 5000, "12", " 7 ", "x", "", [], {}, None, True, 1.5, "quadratic:4",
+         "quadratic:1", "quadratic:" + "9" * 60, {"hnf": [4, 1, 2]}, {"gens": []}]
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def _slots(obj):
+    """(container, key) for every value nested in a document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    out = []
+    for key, value in items:
+        out.append((obj, key))
+        if isinstance(value, (dict, list)):
+            out += _slots(value)
+    return out
+
+
+@st.composite
+def _docs(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    coeff = st.integers(-20, 60)
+    elem = coeff if field == "rational" else coeff | st.lists(coeff, min_size=2, max_size=2)
+    modulus = st.integers(2, 40) | st.fixed_dictionaries(
+        {"gens": st.lists(elem, min_size=1, max_size=2)}
+    )
+    cls = st.fixed_dictionaries({"residue": elem, "modulus": modulus})
+    doc = {
+        "field": field,
+        "classes": draw(st.lists(cls, min_size=1, max_size=6)),
+        "moduli": draw(st.lists(modulus, min_size=1, max_size=4)),
+    }
+    if draw(st.booleans()):
+        doc["s"] = draw(st.integers(-1, 4))
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(_slots(doc)))
+        container[key] = draw(_ODD)
+    return doc
+
+
+_DELTA = st.one_of(
+    st.none(),
+    st.builds(lambda y: f"threshold:{y}", st.integers(-2, 50) | _ODD),
+    st.lists(
+        st.sampled_from(
+            ["0", "0", "1/2", "1/2", "1/3", "2/5", "-1", "1", "1/0", "abc", "", "1e100000",
+             "1e-100000", "0e99999999999", "1e4300", "5e-3", "1" * 5000]
+        ),
+        max_size=4,
+    ).map(lambda ds: "explicit:" + ",".join(ds)),
+    st.text(max_size=12),
+)
+_ANY_FIELD = st.one_of(*[st.sampled_from(_FIELDS)] * 3, _ODD)
+_ENUM = st.one_of(st.just(10**5), st.just(10**5), st.integers(-5, 10**5))
+_COMMAND = st.one_of(
+    *[st.tuples(st.sampled_from(["check", "certify", "moments"]), _DELTA, _ENUM)] * 3,
+    st.tuples(st.just("certify-moduli"), _DELTA, st.none() | st.integers(-1, 4) | _ODD),
+    st.tuples(st.just("bound"), _ANY_FIELD, st.sampled_from([1, 0, -1, 10**6, 10**30])),
+    st.tuples(
+        st.just("primes"), _ANY_FIELD, st.sampled_from([-5, 0, 1, 2, 500, 2**27 + 1, 10**20])
+    ),
+    st.tuples(
+        st.just("ideal-tool"),
+        _ANY_FIELD,
+        st.sampled_from(["norm", "factor", "pmin", "mul", "distinguishable"]),
+    ),
+)
+
+
+_CLASSIC = json.loads((DATA / "classic.json").read_text())
+
+
+def _fuzz_argv(command, doc, fmt, output, tmp):
+    """argv for one fuzz case; the document goes to a file in tmp."""
+    name, arg, extra = command
+    path = Path(tmp) / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [name, "--format", fmt]
+    if output:
+        argv += ["--output", str(Path(tmp) / output)]
+    if name in ("bound", "primes", "ideal-tool"):
+        argv += ["--field", arg if isinstance(arg, str) else json.dumps(arg)]
+        if name == "bound":
+            return argv + ["--s", str(extra)]
+        if name == "primes":
+            return argv + ["--max-norm", str(extra)]
+        ideal = doc.get("moduli")
+        if isinstance(ideal, list) and ideal:
+            ideal = ideal[0]
+        return argv + ["--op", extra, "--ideal", json.dumps(ideal), "--ideal2", "6"]
+    argv += ["--input", str(path)]
+    if name != "check" and arg is not None:
+        argv += ["--delta", arg]
+    if name == "certify-moduli":
+        return argv + ([] if extra is None else ["--s", str(extra)])
+    return argv + ["--max-enum", str(extra)]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    _COMMAND, _docs(), st.sampled_from(["json", "text"]), st.sampled_from([None, "out", "no/dir"])
+)
+@example(("check", None, 100), _CLASSIC, "json", "no/dir")
+@example(("certify", "explicit:1e100000", 100), _CLASSIC, "json", None)
+@example(("moments", "explicit:1e-100000", 100), _CLASSIC, "text", None)
+@example(("certify-moduli", "explicit:1e100000", None), {"moduli": [11, 13]}, "json", None)
+@example(("certify-moduli", "explicit:0", None), {"moduli": [3000017]}, "json", None)
+@example(("certify-moduli", "explicit:0", None), {"moduli": [100003]}, "json", None)
+@example(("certify-moduli", None, None), {"moduli": [100003]}, "json", None)
+def test_cli_fuzz(command, doc, fmt, output):
+    # any input ends in exit 0, 2 or 3, in bounded time, with exactly one
+    # JSON error object on stderr when it fails and nothing there otherwise
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _fuzz_argv(command, doc, fmt, output, tmp)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        elapsed = time.perf_counter() - start
+    assert rc in (0, 2, 3), (argv, err.getvalue())
+    assert elapsed < 30, argv
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())  # one object, nothing after it
+        assert set(error) == {"error", "message"}, argv
 
 
 def test_console_script_installed():

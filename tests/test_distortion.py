@@ -579,3 +579,11 @@ def test_malformed_labels_rejected():
     for levels, message in cases:
         with pytest.raises(InputError, match=message):
             run(DistortionProblem(levels=levels, targets=targets), [HALF])
+
+
+def test_normalize_keeps_dense_int64_labels(six_system):
+    # build_problem's labels are dense int64 already; the run reads them in
+    # place instead of holding one copy per level
+    prob = build_problem(six_system)
+    result = run(prob, [HALF] * len(prob.targets))
+    assert all(np.shares_memory(a, b) for a, b in zip(result.norm.levels, prob.levels))

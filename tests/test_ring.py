@@ -1,5 +1,6 @@
 import random
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from coverdist import (
     residue_at,
     unit_ideal,
 )
+from coverdist import kernels
+from coverdist import ring as ring_module
 from coverdist.errors import PrimeTooLarge
 from coverdist.kernels import kron_values, mod_values, sieve
 
@@ -508,6 +511,36 @@ def test_prime_norms_multiset():
             full = prime_norms_up_to(field, y)
             tail = prime_norms_up_to(field, y, above)
             assert tail.tolist() == full[full > above].tolist(), (above, y)
+
+
+def test_primes_up_to_norm_matches_loop_oracle(monkeypatch):
+    # one classification pass builds the ideals: no primality test and no
+    # per-prime Kronecker symbol, which the replaced loop ran on every
+    # split or ramified prime
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    fields = [get_field(key) for key in FIELD_KEYS]
+    wants = [oracles.primes_up_to_norm_loop(field, 20000) for field in fields]
+    monkeypatch.setattr(ring_module, "isprime", counted("isprime", ring_module.isprime))
+    monkeypatch.setattr(
+        ring_module,
+        "kernels",
+        SimpleNamespace(
+            sieve=kernels.sieve,
+            kron_values=kernels.kron_values,
+            kronecker_disc=counted("kronecker_disc", kernels.kronecker_disc),
+        ),
+    )
+    for field, want in zip(fields, wants):
+        assert primes_up_to_norm(field, 20000) == want, field
+    assert calls == []
 
 
 def test_primes_up_to_norm_small():

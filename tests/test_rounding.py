@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ln_bounds_fraction, round_up_fraction, sqrt_hi
+from oracles import ln_bounds_fraction, round_down_fraction, round_up_fraction, sqrt_hi
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     EGAMMA_EXP_LO,
@@ -224,6 +224,7 @@ def test_round_up_pair_matches_fraction_oracle(pair, bits):
     want = round_up_fraction(x, bits)
     assert round_up_pair(num, den, bits) == (want.numerator, want.denominator)
     assert round_up(Fraction(num, den), bits) == want
+    assert round_down(x, bits) == round_down_fraction(x, bits)
     # rounding is idempotent, so a block product of 1 changes nothing
     assert round_up_pair(*round_up_pair(num, den, bits), bits) == round_up_pair(num, den, bits)
 

@@ -10,8 +10,8 @@ Analytic bounds (directed rounding, always from above):
   - rankin_W, eta1_major: the Rankin trick on moduli of norm > x,
   - mertens_sum_bound: Mertens sum majorant over prime norms,
   - eta2_major: tail contribution of levels above the threshold y,
-  - effective_bound: searches (y, x) so eta1 + eta2 < 1 and emits a
-    certificate that verify_certificate has checked once, from scratch.
+  - effective_bound: a float search picks y, then (y, x) with eta1 + eta2
+    < 1 is computed once, exactly, and checked as verify_certificate does.
 
 The explicit inequalities used are classical (Rosser and Schoenfeld,
 "Approximate formulas for some functions of prime numbers", 1962):
@@ -25,7 +25,7 @@ requirement is absorbed by the floor Y_MIN = 512.
 
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +61,7 @@ Y_MIN = 512
 LOG_CLOSE = 24  # close the tail once log A >= 24, where (log q)^12/sqrt(q) decays
 SQRT_BITS = 48
 MAX_Y_DOUBLINGS = 40
-MAX_R_DOUBLINGS = 20000
+LOG_MARGIN = 1e-6  # the y search decides eta2 < 1/2 exactly this close to it
 
 
 # ---------------------------------------------------------- per-level bounds
@@ -203,36 +203,24 @@ def mertens_sum_bound(field, z):
     return round_up(2 * r + PRIME_RECIP_SQ_HI)
 
 
-def _p_small(field, y):
-    # certified-up product over prime norms q <= y of q(q+1)/(q-1)^2, the
-    # per-prime second-moment factor at delta = 0, from scratch
-    return Fraction(*_p_small_fold(ring.prime_norms_up_to(field, y))[0])
-
-
-def _p_small_fold(norms, carry=(1, 1, 0)):
-    # ((num, den), carry): the product over an ascending norms array, rounded
-    # up once per block of 64 norms. carry = (num, den, k) is the rounded
-    # product over norms[:k], k a multiple of 64; the returned carry covers
-    # every full block of norms. The norms <= y are a prefix of the norms
-    # <= 2y, so a search over growing y folds each full block once, in the
-    # same order as a fold from scratch, and gets the same pair.
-    # q(q+1) fits in int64 below the sieve cap.
-    num, den, k = carry
-    rest = norms[k:]
-    nums = rest * (rest + 1)
-    dens = (rest - 1) ** 2
-    full = len(rest) - len(rest) % 64
-    num, den = _fold_blocks(num, den, nums[:full], dens[:full])
-    return _fold_blocks(num, den, nums[full:], dens[full:]), (num, den, k + full)
-
-
-def _fold_blocks(num, den, nums, dens):
-    for i in range(0, len(nums), 64):
-        a = num * prod(nums[i : i + 64].tolist())
-        b = den * prod(dens[i : i + 64].tolist())
+def _p_small_fold(norms):
+    # certified-up product of q(q+1)/(q-1)^2 (delta = 0) over ascending prime
+    # norms q, rounded up once per 64 norms; q(q+1) fits int64 below the cap.
+    # A slice per block keeps no array as long as norms besides it.
+    num = den = 1
+    for i in range(0, len(norms), 64):
+        q = norms[i : i + 64]
+        a = num * prod((q * (q + 1)).tolist())
+        b = den * prod(((q - 1) ** 2).tolist())
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
-    return num, den
+    return Fraction(num, den)
+
+
+def _log_p_small(field, y, above):
+    # float sum of log q(q+1)/(q-1)^2 = log1p((3q-1)/(q-1)^2), q in (above, y]
+    q = ring.prime_norms_up_to(field, y, above).astype(np.float64)
+    return float(np.log1p((3 * q - 1) / np.square(q - 1)).sum())
 
 
 def _mertens_prod_hi(lz_lo, lz_hi):
@@ -255,12 +243,16 @@ def eta2_major(field, s, y):
     y = int(y)
     if y < Y_MIN:
         raise YTooSmall(f"y = {y} is below the supported floor {Y_MIN}")
-    return round_up(s * s * _eta2_base(_p_small(field, y), y))
+    return _eta2(s, ring.prime_norms_up_to(field, y), y)
 
 
-def _eta2_base(psmall, y):
-    # The s-free base of eta2_major, given psmall = _p_small(field, y); the
-    # rest depends only on y, so a search passes a psmall it folded forward.
+def _eta2(s, norms, y):
+    # eta2_major given the prime norms <= y
+    return round_up(s * s * round_up(_p_small_fold(norms) * _eta2_tail(y)))
+
+
+def _eta2_tail(y):
+    # The y-only factor of the s-free base of eta2_major, unrounded.
     # Each level at prime norm q > y contributes at most
     #   s^2/(q-1)^2 * P_small * prod over norms q' in (y, q) of g1(q')
     # with P_small = prod_{q' <= y} q'(q'+1)/(q'-1)^2 (delta = 0 factors) and
@@ -296,7 +288,7 @@ def _eta2_base(psmall, y):
     adj = Fraction(a, a - 1) ** 2  # (1 - 1/q)^-2 for every q > a
     tails = 4 / sq_a + Fraction(1, 2 * isqrt(a) ** 2)
     closure = round_up(coef * ka * adj * tails)
-    return round_up(psmall * (total + closure))
+    return total + closure
 
 
 class BoundCertificate(NamedTuple):
@@ -309,75 +301,82 @@ class BoundCertificate(NamedTuple):
     eta2: Fraction
 
 
+def _search_y(field, s):
+    # The first y from max(Y_MIN, s^3) on with eta2_major < 1/2. A priori,
+    # gap is within 1e-7 of log 2 eta2: n < 2^24 norms below the sieve cap,
+    # terms summing to < 21 (2 sum over p <= 2^27), each within 4 ulps, so
+    # any summing order errs < (n+3) 2^-53 21 < 4e-8; other logs < 1e-12;
+    # round-ups, 2^-95 per 64-norm block and per outer round_up, < 2^-75.
+    # Within LOG_MARGIN of 0, eta2_major decides.
+    y, above, log_p = max(Y_MIN, s**3), 0, 0.0
+    for _ in range(MAX_Y_DOUBLINGS):
+        log_p += _log_p_small(field, y, above)
+        tail = _eta2_tail(y)
+        gap = log_p + log(2 * s * s * tail.numerator) - log(tail.denominator)
+        if gap < -LOG_MARGIN or gap <= LOG_MARGIN and eta2_major(field, s, y) < HALF:
+            return y
+        above, y = y, 2 * y
+    raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
+
+
+def _w_and_eta2(field, s, y):
+    # (rankin_W(field, y), eta2_major(field, s, y)) from one sieve
+    norms = ring.prime_norms_up_to(field, y)
+    return _rankin_fold(norms), _eta2(s, norms, y)
+
+
+def _failed_check(cert, exact=None):
+    # the first check cert fails, or ""; exact = (w, eta2) at y, or from scratch
+    if not all(type(v) is int for v in (cert.s, cert.y, cert.x)):
+        return "s, y and x must be ints"
+    if cert.s < 1:
+        return "s < 1"
+    if cert.y < Y_MIN:
+        return "y below floor"
+    r = isqrt(cert.x)
+    if cert.x < 4 or r * r != cert.x:
+        return "x is not a perfect square >= 4"
+    w, eta2 = exact or _w_and_eta2(cert.field, cert.s, cert.y)
+    if w != cert.w:
+        return "rankin_W mismatch"
+    if eta2 != cert.eta2:
+        return "eta2 mismatch"
+    eta1 = w * cert.s / r
+    if eta1 != cert.eta1:
+        return "eta1 mismatch"
+    return "" if eta1 + eta2 < 1 else "eta1 + eta2 not below 1"
+
+
 def effective_bound(field, s):
     """Smallest (y, x) on the doubling schedule with eta2 < 1/2 and
     eta1 + eta2 < 1; any covering system over the field with multiplicity
     <= s and distinguishable moduli must then use a modulus of norm <= x.
 
-    The search does each piece of work once: from y to 2y it appends the
-    prime norms in (y, 2y] and carries the full 64-norm blocks of the eta2
-    product, and it takes rankin_W from the norms of the last y; the values
-    equal eta2_major and rankin_W bit for bit. The certificate is then
-    verified once by verify_certificate, which recomputes both from
-    scratch; a failure raises SoundnessError."""
+    A float search picks y, then w and eta2 are computed once, exactly. A
+    failed verify_certificate check or eta2 >= 1/2 raises SoundnessError."""
     if s < 1:
         raise InputError("s must be >= 1")
-    y = max(Y_MIN, s**3)
-    norms = ring.prime_norms_up_to(field, y)
-    carry = (1, 1, 0)
-    for _ in range(MAX_Y_DOUBLINGS):
-        psmall, carry = _p_small_fold(norms, carry)
-        eta2 = round_up(s * s * _eta2_base(Fraction(*psmall), y))
-        if eta2 < HALF:
-            break
-        norms = np.concatenate([norms, ring.prime_norms_up_to(field, 2 * y, y)])
-        y *= 2
-    else:
-        raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
-    w = _rankin_fold(norms)
-    del norms  # verification sieves its own; do not hold both
-    target = 1 - eta2
+    y = _search_y(field, s)
+    w, eta2 = _w_and_eta2(field, s, y)
+    if not eta2 < HALF:
+        raise SoundnessError(f"exact eta2 is not below 1/2 at y = {y}")
     r = 2
-    for _ in range(MAX_R_DOUBLINGS):
-        if w * s < target * r:
-            break
+    while w * s >= (1 - eta2) * r:  # ends: eta2 < 1/2, so r <= 4ws
         r *= 2
-    else:
-        raise SearchBudgetExceeded("eta1 target not reached")
     cert = BoundCertificate(field, s, y, r * r, w, w * s / r, eta2)
-    ok, reason = verify_certificate(cert)
-    if not ok:
+    reason = _failed_check(cert, (w, eta2))
+    if reason:
         raise SoundnessError(f"fresh certificate failed verification: {reason}")
     return cert
 
 
 def verify_certificate(cert):
-    """(ok, reason): recompute every quantity in a certificate from scratch,
-    with no cache, and check every inequality."""
+    """(ok, reason): every check, on w and eta2 recomputed from scratch."""
     try:
-        if not all(type(v) is int for v in (cert.s, cert.y, cert.x)):
-            return False, "s, y and x must be ints"
-        if cert.s < 1:
-            return False, "s < 1"
-        if cert.y < Y_MIN:
-            return False, "y below floor"
-        r = isqrt(cert.x)
-        if cert.x < 4 or r * r != cert.x:
-            return False, "x is not a perfect square >= 4"
-        w = rankin_W(cert.field, cert.y)
-        if w != cert.w:
-            return False, "rankin_W mismatch"
-        eta2 = eta2_major(cert.field, cert.s, cert.y)
-        if eta2 != cert.eta2:
-            return False, "eta2 mismatch"
-        eta1 = w * cert.s / r
-        if eta1 != cert.eta1:
-            return False, "eta1 mismatch"
-        if not eta1 + eta2 < 1:
-            return False, "eta1 + eta2 not below 1"
+        reason = _failed_check(cert)
     except Exception as e:  # malformed certificate contents
         return False, f"verification error: {e}"
-    return True, ""
+    return not reason, reason
 
 
 # -------------------------------------------------------- moduli certificates

@@ -6,17 +6,19 @@ brute-force root counting, measures via a per-point dict walk or a
 per-label list walk, and analytic sums/products via scaled-integer directed
 arithmetic. The exceptions are code the package replaced, kept as it was
 to check its replacement: primes_up_to_norm_loop classifies each sieved
-prime again through ring.primes_above.
+prime again through ring.primes_above, and effective_bound_exact runs the
+y search on exact numbers through bounds' own eta2 arithmetic.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from coverdist import kernels, ring
+from coverdist import bounds, kernels, ring
+from coverdist.rounding import round_up, round_up_pair
 
 SCALE_BITS = 96
 SCALE = 1 << SCALE_BITS
@@ -271,6 +273,46 @@ def p_small_fraction(norms):
             num = den = 1
             count = 0
     return round_up_fraction(acc * Fraction(num, den))
+
+
+def effective_bound_exact(field, s):
+    """The y that bounds.effective_bound chose when its search was exact:
+    at each y it folded the eta2 product over the norms <= y, carrying the
+    full 64-norm blocks from one y to the next, and tested the exact
+    eta2 < 1/2. The oracle for the float search."""
+    y = max(bounds.Y_MIN, s**3)
+    norms = ring.prime_norms_up_to(field, y)
+    carry = (1, 1, 0)
+    for _ in range(bounds.MAX_Y_DOUBLINGS):
+        psmall, carry = _p_small_carry(norms, carry)
+        eta2 = round_up(s * s * round_up(Fraction(*psmall) * bounds._eta2_tail(y)))
+        if eta2 < Fraction(1, 2):
+            return y
+        norms = np.concatenate([norms, ring.prime_norms_up_to(field, 2 * y, y)])
+        y *= 2
+    raise AssertionError(f"eta2 stayed >= 1/2 up to y = {y}")
+
+
+def _p_small_carry(norms, carry):
+    # ((num, den), carry): the carry (num, den, k) is the rounded product
+    # over norms[:k], k a multiple of 64; the norms <= y are a prefix of the
+    # norms <= 2y, so each full block is folded once, in order
+    num, den, k = carry
+    rest = norms[k:]
+    nums = rest * (rest + 1)
+    dens = (rest - 1) ** 2
+    full = len(rest) - len(rest) % 64
+    num, den = _fold_blocks(num, den, nums[:full], dens[:full])
+    return _fold_blocks(num, den, nums[full:], dens[full:]), (num, den, k + full)
+
+
+def _fold_blocks(num, den, nums, dens):
+    for i in range(0, len(nums), 64):
+        a = num * prod(nums[i : i + 64].tolist())
+        b = den * prod(dens[i : i + 64].tolist())
+        g = gcd(a, b)
+        num, den = round_up_pair(a // g, b // g)
+    return num, den
 
 
 def ln_bounds_fraction(x, terms=24, bits=96):

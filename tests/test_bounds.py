@@ -2,7 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt, log
 from pathlib import Path
 
 import mpmath
@@ -46,7 +46,8 @@ from coverdist import (
     validate,
     verify_certificate,
 )
-from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small, _p_small_fold
+from coverdist import bounds
+from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small_fold
 from coverdist.rounding import ln_bounds, ln_hi
 
 F = Fraction
@@ -55,6 +56,11 @@ HALF = F(1, 2)
 mpmath.mp.dps = 40
 
 PINS = json.loads((Path(__file__).parent / "data" / "bound_pins.json").read_text())
+
+
+def _p_small(field, y):
+    # the exact P_small that eta2_major folds, from scratch
+    return _p_small_fold(prime_norms_up_to(field, y))
 
 
 # -------------------------------------------------------- per-level bounds
@@ -426,9 +432,10 @@ def test_analytic_layer_matches_fraction_oracle(key):
 
 @pytest.mark.parametrize("key", FIELD_KEYS)
 def test_carried_p_small_matches_from_scratch(key):
-    # effective_bound carries the full 64-blocks from one y to the next; the
-    # carried fold must equal a fold from scratch at every step, on the
-    # doubling schedules from 512 and 729 and across full-block edges
+    # the search carries a float log P_small from one y to the next, adding
+    # the terms over (previous y, y]; on the doubling schedules from 512 and
+    # 729 and across full-block edges, with a repeated y, log of the exact
+    # _p_small must lie in the enclosure of half-width LOG_MARGIN around it
     field = get_field(key)
     schedules = [
         [512 << k for k in range(7)],
@@ -436,13 +443,42 @@ def test_carried_p_small_matches_from_scratch(key):
         [512, 709, 709, 719, 1000, 1418, 1438, 4096],
     ]
     for ys in schedules:
-        carry = (1, 1, 0)
+        log_p, above = 0.0, 0
         for y in ys:
-            norms = prime_norms_up_to(field, y)
-            pair, carry = _p_small_fold(norms, carry)
-            assert carry[2] == len(norms) - len(norms) % 64, y
-            assert F(*pair) == _p_small(field, y), y
-            assert F(*pair) == oracles.p_small_fraction(norms.tolist()), y
+            log_p += bounds._log_p_small(field, y, above)
+            above = y
+            exact = _p_small(field, y)
+            assert exact == oracles.p_small_fraction(prime_norms_up_to(field, y).tolist())
+            err = log_p - (log(exact.numerator) - log(exact.denominator))
+            # well inside: the a priori error bound is 1e-7
+            assert abs(err) < bounds.LOG_MARGIN / 1000, y
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_float_search_picks_the_exact_y(key):
+    # the y search on floats against the exact search it replaced
+    field = get_field(key)
+    for s in range(1, 10):
+        assert bounds._search_y(field, s) == oracles.effective_bound_exact(field, s), s
+
+
+def test_forced_fallback_matches_pins(monkeypatch):
+    # with an infinite margin the exact eta2_major decides at every y; the
+    # search must still stop at each pinned y, with the pinned eta2 there
+    calls = []
+    exact = bounds.eta2_major
+
+    def logged(field, s, y):
+        calls.append((y, exact(field, s, y)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(bounds, "LOG_MARGIN", inf)
+    monkeypatch.setattr(bounds, "eta2_major", logged)
+    for pin in PINS["effective_bound"]:
+        calls.clear()
+        y = bounds._search_y(get_field(pin["field"]), pin["s"])
+        assert calls[-1] == (pin["y"], F(pin["eta2"])) and y == pin["y"]
+        assert [c[0] for c in calls] == [max(512, pin["s"] ** 3) << k for k in range(len(calls))]
 
 
 # ------------------------------------------------------ moduli certificates

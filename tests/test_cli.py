@@ -251,21 +251,21 @@ def test_bound_cli(capsys):
 def test_bound_cli_soundness_exit(capsys, monkeypatch):
     from coverdist import bounds
 
-    monkeypatch.setattr(bounds, "verify_certificate", lambda cert: (False, "tampered"))
+    # a search that hands the exact stage y = Y_MIN, where eta2 at s = 1 is
+    # not below 1/2: the exact check refuses the certificate
+    monkeypatch.setattr(bounds, "_search_y", lambda field, s: bounds.Y_MIN)
     rc, out, err = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
     assert rc == 4
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "SoundnessError"
-    assert "tampered" in doc["message"]
+    assert "eta2" in doc["message"] and "1/2" in doc["message"]
 
 
 def test_bound_computes_once_verifies_once(capsys, monkeypatch):
     from coverdist import bounds, ring
 
-    calls = {"prime_norms_up_to": [], "rankin_W": [], "eta2_major": []}
-    verifying = []
-    folded = []  # every 64-block of q(q+1) products the search folds
+    calls = {"prime_norms_up_to": [], "_rankin_fold": [], "_p_small_fold": []}
 
     def logged(module, name, log):
         fn = getattr(module, name)
@@ -276,37 +276,22 @@ def test_bound_computes_once_verifies_once(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    logged(bounds, "verify_certificate", lambda a: verifying.append(True))
     logged(ring, "prime_norms_up_to", lambda a: calls["prime_norms_up_to"].append(a[1:]))
-    for name in ("rankin_W", "eta2_major"):
-        logged(bounds, name, lambda a, log=calls[name]: log.append((*a[1:], bool(verifying))))
-
-    def fold_log(args):
-        if not verifying:
-            nums = args[2].tolist()
-            folded.extend(tuple(nums[i : i + 64]) for i in range(0, len(nums), 64))
-
-    logged(bounds, "_fold_blocks", fold_log)
+    for name in ("_rankin_fold", "_p_small_fold"):
+        logged(bounds, name, lambda a, log=calls[name]: log.append(len(a[0])))
     rc, out, _ = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
     assert rc == 0
     y = json.loads(out)["y"]
     tried = [bounds.Y_MIN << k for k in range((y // bounds.Y_MIN).bit_length())]
     assert len(tried) > 2
-    # the search adds the norms in (y/2, y] at each y and reuses the last
-    # array for rankin_W; the verification sieves again for its own
-    # rankin_W and eta2_major
-    search = [(tried[0],)] + [(b, a) for a, b in zip(tried, tried[1:])]
-    assert calls["prime_norms_up_to"] == search + [(y,), (y,)]
-    # the from-scratch rankin_W and eta2_major run once each, to verify
-    assert calls["rankin_W"] == [(y, True)]
-    assert calls["eta2_major"] == [(1, y, True)]
-    # the search folds each full 64-block once, in order; partial blocks,
-    # one per y, are folded into a copy
-    norms = ring.prime_norms_up_to(ring.make_field("rational"), y)
-    nums = (norms * (norms + 1)).tolist()
-    full = [tuple(nums[i : i + 64]) for i in range(0, len(nums) - 63, 64)]
-    assert [b for b in folded if len(b) == 64] == full
-    assert len(folded) - len(full) <= len(tried)
+    # the search sieves only the new norms at each y, in (y/2, y]; the
+    # exact stage sieves y once, from scratch
+    search = [(tried[0], 0)] + [(b, a) for a, b in zip(tried, tried[1:])]
+    assert calls["prime_norms_up_to"] == search + [(y,)]
+    # one exact rankin fold and one full P_small fold, both over every norm <= y
+    n = len(ring.prime_norms_up_to(ring.make_field("rational"), y))
+    assert calls["_rankin_fold"] == [n]
+    assert calls["_p_small_fold"] == [n]
 
 
 def test_primes_cli(capsys):

@@ -1,9 +1,11 @@
 """The distortion construction: a sequence of exact rational measures on a
 finite set S that drains mass away from prescribed target sets.
 
-A problem is S (indexed 0..n-1), a chain of label arrays levels[0..J]
-(levels[j][i] = the level-j fiber of point i, each level refining the one
-before), and targets B_1..B_J with B_j constant on level-j fibers.
+A problem is a finite set S and an inverse system of label spaces
+L_0 <- ... <- L_J (each label a fiber of S, each level refining the one
+before) with targets B_1..B_J, B_j a set of level-j labels. For a covering
+system L_j is O/Q_j and S = L_J = O/Q. A DistortionProblem gives the same
+over points, as label arrays levels[0..J] and masks targets[0..J-1].
 
 Step j distorts the current measure using the conditional density of B_j
 on each level-(j-1) fiber: with alpha that density and delta = delta_j,
@@ -60,15 +62,12 @@ class DistortionProblem:
 
 
 class _Norm(NamedTuple):
-    n: int
-    levels: list
-    sizes: list  # int64 bincounts per level
-    reps: list  # first point index of each label, per level
+    sizes: list  # sizes[j][l] = points in level-j label l, int64
     parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
-    targets: list
-    target_bits: list  # target_bits[j-1][l] for level-j label l
+    target_bits: list  # target_bits[j-1][l]: level-j label l lies in B_j
     initial_codes: np.ndarray  # code of each level-0 label
     initial_table: tuple  # distinct initial point masses
+    points: np.ndarray | None  # level-J label of each point; None: point i is label i
 
 
 class DistortionState(NamedTuple):
@@ -111,14 +110,8 @@ class CertifyResult(NamedTuple):
     eta: Fraction
     reports: list
     uncovered_mass: Fraction | None
-    witness_index: int | None  # uncovered point: residue_at(index, q) for build_problem
+    witness_index: int | None  # first uncovered point: residue_at(index, q) for build_problem
     result: RunResult
-
-
-def _first_occurrence(labels, count):
-    reps = np.full(count, -1, dtype=np.int64)
-    reps[labels[::-1]] = np.arange(len(labels) - 1, -1, -1, dtype=np.int64)
-    return reps
 
 
 def _lookup(table, idx):
@@ -140,10 +133,19 @@ def _grouped_sum(ids, counts, values):
     return total
 
 
+def _point_labels(norm, k):
+    """The level-k label of each point."""
+    lab = np.arange(len(norm.sizes[-1])) if norm.points is None else norm.points
+    for i in range(len(norm.parents) - 1, k, -1):
+        lab = norm.parents[i][lab]
+    return lab
+
+
 def _normalize(problem):
+    """Check a DistortionProblem over points and convert it to label space."""
     if not problem.levels:
         raise InputError("need at least the level-0 labels")
-    levels = []
+    levels, reps = [], []
     n = None
     for j, raw in enumerate(problem.levels):
         arr = np.asarray(raw, dtype=np.int64)
@@ -154,18 +156,12 @@ def _normalize(problem):
             raise InputError("empty point set")
         if arr.min() < 0:
             raise InputError(f"level {j} labels must be nonnegative")
-        # relabel densely (stable: by ascending original label); labels that
-        # are already dense are what np.unique would return, so skip its sort.
-        # A label >= n cannot be dense and would make bincount allocate to it.
-        if arr.max() >= n or not np.bincount(arr).all():
-            _, arr = np.unique(arr, return_inverse=True)
-        levels.append(arr.astype(np.int64, copy=False))  # read, never written
-
-    sizes, reps = [], []
-    for arr in levels:
-        k = int(arr.max()) + 1
-        sizes.append(np.bincount(arr, minlength=k))
-        reps.append(_first_occurrence(arr, k))
+        # relabel densely (stable: by ascending original label), with the
+        # first point of each label
+        _, first, dense = np.unique(arr, return_index=True, return_inverse=True)
+        levels.append(dense.astype(np.int64, copy=False))
+        reps.append(first)
+    sizes = [np.bincount(arr) for arr in levels]
 
     parents = [None]
     for j in range(1, len(levels)):
@@ -211,17 +207,7 @@ def _normalize(problem):
         if _grouped_sum(initial_codes, sizes[0], initial_table) != 1:
             raise InputError("initial mass does not sum to 1")
 
-    return _Norm(
-        n=n,
-        levels=levels,
-        sizes=sizes,
-        reps=reps,
-        parents=parents,
-        targets=targets,
-        target_bits=target_bits,
-        initial_codes=initial_codes,
-        initial_table=initial_table,
-    )
+    return _Norm(sizes, parents, target_bits, initial_codes, initial_table, levels[-1])
 
 
 def initial_state(problem):
@@ -244,10 +230,11 @@ def _alpha_ids(state, j):
     (inter, size) pair.
     """
     norm = state.norm
-    if j != state.level + 1 or j > len(norm.targets):
+    if j != state.level + 1 or j > len(norm.target_bits):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    sz = norm.sizes[j - 1]
-    inter = np.bincount(norm.levels[j - 1][norm.targets[j - 1]], minlength=len(sz))
+    sz, bits = norm.sizes[j - 1], norm.target_bits[j - 1]
+    inter = np.zeros(len(sz), dtype=np.int64)  # target points per parent
+    np.add.at(inter, norm.parents[j][bits], norm.sizes[j][bits])
     radix = int(sz.max()) + 1
     pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
     alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
@@ -257,7 +244,7 @@ def _alpha_ids(state, j):
 def alpha(state, j):
     """Per-point alpha_j values (constant on level-(j-1) fibers)."""
     alphas, ids, _ = _alpha_ids(state, j)
-    return _lookup(alphas, ids[state.norm.levels[j - 1]]).tolist()
+    return _lookup(alphas, ids[_point_labels(state.norm, j - 1)]).tolist()
 
 
 def moments(state, j):
@@ -352,19 +339,30 @@ def _verify_step(old, new, j):
 
 def target_mass(state, j):
     """Mass of B_j under the state's measure (any level >= j)."""
-    return mask_mass(state, state.norm.targets[j - 1])
+    bits = state.norm.target_bits[j - 1]
+    for i in range(j + 1, state.level + 1):  # B_j over the state's labels
+        bits = bits[state.norm.parents[i]]
+    return _label_mass(state, bits)
+
+
+def _label_mass(state, bits):
+    """Mass of the labels of the state's level where bits is set."""
+    sizes = state.norm.sizes[state.level]
+    return _grouped_sum(state.codes[bits], sizes[bits], state.table)
 
 
 def mask_mass(state, mask):
     """Mass of the points where mask is set."""
-    lab = state.norm.levels[state.level]
+    lab = _point_labels(state.norm, state.level)
+    if np.shape(mask) != lab.shape:
+        raise InputError(f"mask of shape {np.shape(mask)} for {len(lab)} points")
     return _grouped_sum(state.codes[lab[mask]], 1, state.table)
 
 
 def run(problem, deltas, checks=True):
     """Run every step; returns states, per-step moment reports, and eta."""
     norm = problem if isinstance(problem, _Norm) else _normalize(problem)
-    levels = len(norm.targets)
+    levels = len(norm.target_bits)
     deltas = [_check_delta(x) for x in deltas]
     if len(deltas) != levels:
         raise InputError(f"expected {levels} deltas, got {len(deltas)}")
@@ -402,15 +400,16 @@ def certify(problem, deltas):
     eta = result.eta
     if eta >= 1:
         return CertifyResult("inconclusive", eta, result.reports, None, None, result)
-    union = np.zeros(norm.n, dtype=np.bool_)
-    for t in norm.targets:
-        union |= t
-    uncovered = 1 - mask_mass(result.states[-1], union)
+    union = norm.target_bits[0]  # B_1 | ... | B_j over the level-j labels
+    for parent, bits in zip(norm.parents[2:], norm.target_bits[1:]):
+        union = union[parent] | bits
+    uncovered = 1 - _label_mass(result.states[-1], union)
     if uncovered < 1 - eta:
         raise SoundnessError("uncovered mass below its certified floor")
     if uncovered <= 0:
         raise SoundnessError("eta < 1 but no uncovered mass")
-    idx = int(np.flatnonzero(~union)[0])
+    outside = ~union if norm.points is None else ~union[norm.points]
+    idx = int(np.flatnonzero(outside)[0])
     return CertifyResult(
         "certified-noncover", eta, result.reports, uncovered, idx, result
     )

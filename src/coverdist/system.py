@@ -147,26 +147,38 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
 
 
 def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
-    """B_j over O/Q: the residues covered by classes whose P_min is the j-th prime."""
+    """B_j over O/Q_j: the residues mod Q_j covered by the classes whose
+    P_min is the j-th prime. Their moduli divide Q_j."""
     if not 1 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
-    q = instance.q
-    mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
+    _enum_size(instance.q, max_enum)
+    qj = instance.levels[j]
+    mask = np.zeros(ring.ideal_norm(qj), dtype=np.bool_)
     for cls, data in zip(instance.classes, instance.class_data):
         if data.level == j:
-            _class_mask(cls, q, mask)
+            _class_mask(cls, qj, mask)
     return mask
 
 
 def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
-    """Materialize the level labels and target masks as a DistortionProblem."""
-    q = instance.q
-    _enum_size(q, max_enum)  # refuse before the label arrays are allocated
-    levels = []
-    for lv in instance.levels:
-        levels.append(kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w))
-    targets = [target_mask(instance, j, max_enum) for j in range(1, instance.depth + 1)]
-    return distortion.DistortionProblem(levels=levels, targets=targets)
+    """The inverse system O/Q_0 <- O/Q_1 <- ... <- O/Q_J = O/Q in label
+    space: level-j label l is the HNF index of a residue mod Q_j, with
+    parent its residue mod Q_{j-1}, n/|O/Q_j| points and a target bit."""
+    n = _enum_size(instance.q, max_enum)  # refuse before any label array
+    sizes, parents = [np.array([n], dtype=np.int64)], [None]
+    for j in range(1, instance.depth + 1):
+        lo, hi = instance.levels[j - 1], instance.levels[j]
+        parent = kernels.level_labels(hi.u, hi.w, lo.u, lo.v, lo.w)
+        count, above = ring.ideal_norm(hi), len(sizes[-1])
+        # in range, and count / above children per parent (so count labels)
+        ok = parent.min() >= 0 and parent.max() < above
+        if not ok or (np.bincount(parent, minlength=above) != count // above).any():
+            raise SoundnessError(f"level {j} labels do not map O/Q_{j} onto O/Q_{j - 1}")
+        parents.append(parent)
+        sizes.append(np.full(count, n // count, dtype=np.int64))
+    target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
+    initial_codes = np.zeros(1, dtype=np.int64)
+    return distortion._Norm(sizes, parents, target_bits, initial_codes, (Fraction(1, n),), None)
 
 
 def resolve_policy_for_primes(primes, s, policy):

@@ -6,8 +6,10 @@ brute-force root counting, measures via a per-point dict walk or a
 per-label list walk, and analytic sums/products via scaled-integer directed
 arithmetic. The exceptions are code the package replaced, kept as it was
 to check its replacement: primes_up_to_norm_loop classifies each sieved
-prime again through ring.primes_above, and effective_bound_exact runs the
-y search on exact numbers through bounds' own eta2 arithmetic.
+prime again through ring.primes_above, effective_bound_exact runs the
+y search on exact numbers through bounds' own eta2 arithmetic, and
+build_problem_points builds the n-point label arrays and target masks of
+a covering system through the package's kernels.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from coverdist import bounds, kernels, ring
+from coverdist import DistortionProblem, bounds, kernels, ring
 from coverdist.rounding import round_up, round_up_pair
 
 SCALE_BITS = 96
@@ -98,9 +100,27 @@ def residues(ideal):
 # ---------------------------------------------------------------- distortion
 
 
-def point_masses(state):
-    """Per-point masses of a codebook state: table[codes[label of the point]]."""
-    labels = state.norm.levels[state.level]
+def build_problem_points(instance):
+    """system.build_problem as it was: J+1 label arrays and J target masks,
+    each over the n points of O/Q (point i is residue_at(i, q))."""
+    q = instance.q
+    levels = [kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w) for lv in instance.levels]
+    targets = []
+    for j in range(1, instance.depth + 1):
+        mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
+        for cls, data in zip(instance.classes, instance.class_data):
+            if data.level == j:
+                (aa, ab), m = cls.residue, cls.modulus
+                kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
+        targets.append(mask)
+    return DistortionProblem(levels=levels, targets=targets)
+
+
+def point_masses(state, problem):
+    """Per-point masses of a codebook state: table[codes[label of the point]],
+    with the points and labels of the n-point problem, numbered densely."""
+    levels = np.asarray(problem.levels[state.level])
+    labels = np.unique(levels, return_inverse=True)[1]
     return [state.table[c] for c in state.codes[labels].tolist()]
 
 

@@ -68,6 +68,12 @@ def problems(corpus):
     return [build_problem(inst) for inst in corpus]
 
 
+@pytest.fixture(scope="module")
+def point_problems(corpus):
+    """The same problems over the n points of O/Q, from the oracle builder."""
+    return [oracles.build_problem_points(inst) for inst in corpus]
+
+
 def _policies(inst, idx):
     """Three delta assignments per instance: trivial, default, and a seeded
     random mix of {0, 1/6, 1/3, 1/2}."""
@@ -81,7 +87,7 @@ def _policies(inst, idx):
 # ------------------------------------------------------------------ measures
 
 
-def test_measure_suite_exact_invariants(corpus, problems):
+def test_measure_suite_exact_invariants(corpus, problems, point_problems):
     """Total mass, fiber conservation, and target measurability are exact
     after every step, over the whole randomized corpus."""
     t0 = time.monotonic()
@@ -93,15 +99,15 @@ def test_measure_suite_exact_invariants(corpus, problems):
         assert ideal_norm(inst.q) <= 10**4
         assert 1 <= len(inst.classes) <= 12
         assert 1 <= inst.s <= 4
-    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+    for idx, (inst, prob, pts) in enumerate(zip(corpus, problems, point_problems)):
         for deltas in _policies(inst, idx):
             res = run(prob, deltas)
-            assert sum(oracles.point_masses(res.states[0])) == ONE
+            assert sum(oracles.point_masses(res.states[0], pts)) == ONE
             for j in range(1, inst.depth + 1):
-                pm_prev = oracles.point_masses(res.states[j - 1])
-                pm_cur = oracles.point_masses(res.states[j])
+                pm_prev = oracles.point_masses(res.states[j - 1], pts)
+                pm_cur = oracles.point_masses(res.states[j], pts)
                 assert sum(pm_cur) == ONE
-                lab_prev = prob.levels[j - 1]
+                lab_prev = pts.levels[j - 1]
                 width = int(lab_prev.max()) + 1
                 acc_prev = [ZERO] * width
                 acc_cur = [ZERO] * width
@@ -110,43 +116,43 @@ def test_measure_suite_exact_invariants(corpus, problems):
                     acc_cur[l] += b
                 assert acc_prev == acc_cur
                 # B_j must be a union of level-j residue classes
-                lab = prob.levels[j]
+                lab = pts.levels[j]
                 sizes = np.bincount(lab)
-                hits = np.bincount(lab[prob.targets[j - 1]], minlength=len(sizes))
+                hits = np.bincount(lab[pts.targets[j - 1]], minlength=len(sizes))
                 assert np.all((hits == 0) | (hits == sizes))
     assert time.monotonic() - t0 < 60
 
 
-def test_per_step_bound_and_stability(corpus, problems):
+def test_per_step_bound_and_stability(corpus, problems, point_problems):
     """P_j(B_j) <= min(M1, M2/(4 delta (1-delta))) exactly, and later steps
     never change the mass of an already-processed target."""
-    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+    for idx, (inst, prob, pts) in enumerate(zip(corpus, problems, point_problems)):
         for deltas in _policies(inst, idx):
             res = run(prob, deltas)
-            final_pm = oracles.point_masses(res.states[-1])
+            final_pm = oracles.point_masses(res.states[-1], pts)
             for rep in res.reports:
                 cap = rep.m1
                 if rep.delta:
                     cap = min(cap, rep.m2 / (4 * rep.delta * (1 - rep.delta)))
                 assert rep.contribution == cap
                 assert rep.target_mass <= cap
-                tgt = prob.targets[rep.j - 1].tolist()
+                tgt = pts.targets[rep.j - 1].tolist()
                 final = sum(m for m, t in zip(final_pm, tgt) if t)
                 assert final == rep.target_mass
             assert res.final_target_masses == [r.target_mass for r in res.reports]
             assert res.eta == sum(r.contribution for r in res.reports)
 
 
-def test_codebook_matches_per_label_oracle(corpus, problems):
+def test_codebook_matches_per_label_oracle(corpus, problems, point_problems):
     """The codebook engine equals the per-label reference on every corpus
     instance under the zero, half, default and seeded random policies: eta,
     every report, the final target masses and the values at every level."""
     half = Fraction(1, 2)
-    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+    for idx, (inst, prob, pts) in enumerate(zip(corpus, problems, point_problems)):
         zero, default, mixed = _policies(inst, idx)
         for deltas in (zero, (half,) * inst.depth, default, mixed):
             res = run(prob, deltas)
-            values, reports, eta, final = oracles.run_per_label(prob, deltas)
+            values, reports, eta, final = oracles.run_per_label(pts, deltas)
             assert res.eta == eta
             assert [
                 (r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports
@@ -158,12 +164,12 @@ def test_codebook_matches_per_label_oracle(corpus, problems):
 # ---------------------------------------------------------------- soundness
 
 
-def test_certificates_sound_against_brute_force(corpus, problems):
+def test_certificates_sound_against_brute_force(corpus, problems, point_problems):
     certified = 0
-    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+    for idx, (inst, prob, pts) in enumerate(zip(corpus, problems, point_problems)):
         verdict, _ = covers(inst)
-        union = np.zeros(len(prob.levels[0]), dtype=bool)
-        for tgt in prob.targets:
+        union = np.zeros(len(pts.levels[0]), dtype=bool)
+        for tgt in pts.targets:
             union |= tgt
         for deltas in _policies(inst, idx):
             cres = certify(prob, deltas)
@@ -174,7 +180,7 @@ def test_certificates_sound_against_brute_force(corpus, problems):
             elif cres.verdict == "certified-noncover":
                 certified += 1
                 assert cres.eta < 1
-                final_pm = oracles.point_masses(cres.result.states[-1])
+                final_pm = oracles.point_masses(cres.result.states[-1], pts)
                 outside = sum(
                     m for m, t in zip(final_pm, union.tolist()) if not t
                 )
@@ -196,6 +202,7 @@ def test_pinned_certificates(near_cover, classic_cover):
     verdict, witness = covers(classic_cover)
     assert verdict == "covers" and witness is None
     prob = build_problem(classic_cover)
+    pts = oracles.build_problem_points(classic_cover)
     half = Fraction(1, 2)
     for deltas in [
         (ZERO, ZERO),
@@ -209,9 +216,9 @@ def test_pinned_certificates(near_cover, classic_cover):
         assert cres.verdict == "inconclusive"
         assert cres.eta >= 1
         union = np.zeros(12, dtype=bool)
-        for tgt in prob.targets:
+        for tgt in pts.targets:
             union |= tgt
-        final_pm = oracles.point_masses(cres.result.states[-1])
+        final_pm = oracles.point_masses(cres.result.states[-1], pts)
         assert sum(m for m, t in zip(final_pm, union.tolist()) if not t) == 0
 
 
@@ -242,7 +249,7 @@ def _divisor_ideals(inst):
     return out
 
 
-def test_class_measure_domination(corpus, problems):
+def test_class_measure_domination(corpus, problems, point_problems):
     """P_j(a + I) <= inflation bound for every divisor I of Q and every class.
 
     Classes are screened in float64 first: the bincount sum of <= 10^4
@@ -250,7 +257,7 @@ def test_class_measure_domination(corpus, problems):
     whose exact mass exceeded its bound would show a float mass above
     bound*(1 - 1e-9) and be re-checked exactly.
     """
-    for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+    for idx, (inst, prob, point_prob) in enumerate(zip(corpus, problems, point_problems)):
         points = oracles.residues(inst.q)
         pts = np.asarray(points, dtype=np.int64)
         divisors = [
@@ -264,8 +271,8 @@ def test_class_measure_domination(corpus, problems):
                 state = res.states[j]
                 values = state.values
                 vf = np.array([float(x) for x in values], dtype=np.float64)
-                point_f = vf[prob.levels[j]]
-                lab_j = prob.levels[j]
+                lab_j = point_prob.levels[j]
+                point_f = vf[lab_j]
                 for I, n_i, labs in divisors:
                     bound = Fraction(1, n_i)
                     for (prime, _), d in zip(inst.primes[:j], state.deltas):
@@ -288,7 +295,7 @@ def test_class_measure_domination(corpus, problems):
                 )
                 values = res.states[j].values
                 mine = ZERO
-                for l in prob.levels[j][labs == labs[i]].tolist():
+                for l in point_prob.levels[j][labs == labs[i]].tolist():
                     mine += values[l]
                 assert exact == mine
                 expect = Fraction(1, n_i)

@@ -41,8 +41,9 @@ HALF = F(1, 2)
 DATA = Path(__file__).parent / "data"
 
 
-def masses(state):
-    return oracles.point_masses(state)
+def masses(state, instance):
+    """Per-point masses, with the points of the n-point oracle builder."""
+    return oracles.point_masses(state, oracles.build_problem_points(instance))
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def test_near_cover_zero_policy(near_cover):
     assert (r1.m1, r1.m2, r1.contribution) == (F(3, 4), F(9, 16), F(3, 4))
     assert r1.target_mass == F(3, 4)
     # delta 0 never moves the measure
-    assert masses(res.states[-1]) == [F(1, 4)] * 4
+    assert masses(res.states[-1], near_cover) == [F(1, 4)] * 4
     assert res.final_target_masses == [F(3, 4)]
 
 
@@ -90,7 +91,7 @@ def test_near_cover_half_policy(near_cover):
     (r1,) = res.reports
     assert (r1.m1, r1.m2) == (F(3, 4), F(9, 16))
     assert r1.contribution == F(9, 16)  # min(3/4, (9/16)/(4*(1/2)(1/2)))
-    assert masses(res.states[-1]) == [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
+    assert masses(res.states[-1], near_cover) == [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
     assert r1.target_mass == HALF
     cert = certify(prob, [HALF])
     assert cert.verdict == "certified-noncover"
@@ -103,7 +104,7 @@ def test_near_cover_quarter_delta(near_cover):
     prob = build_problem(near_cover)
     res = run(prob, [F(1, 4)])
     # alpha = 3/4 >= 1/4: target factor (3/4-1/4)/(3/4*3/4) = 8/9
-    assert masses(res.states[-1]) == [F(2, 9), F(2, 9), F(2, 9), F(1, 3)]
+    assert masses(res.states[-1], near_cover) == [F(2, 9), F(2, 9), F(2, 9), F(1, 3)]
     (r1,) = res.reports
     assert r1.contribution == F(3, 4)  # m2 branch ties m1 here
     assert r1.target_mass == F(2, 3)
@@ -127,12 +128,12 @@ def test_six_system_zero_policy(six_system):
 def test_six_system_half_half(six_system):
     prob = build_problem(six_system)
     res = run(prob, [HALF, HALF])
-    assert masses(res.states[1]) == [F(0), F(1, 3), F(0), F(1, 3), F(0), F(1, 3)]
+    assert masses(res.states[1], six_system) == [F(0), F(1, 3), F(0), F(1, 3), F(0), F(1, 3)]
     r1, r2 = res.reports
     assert (r1.m1, r1.m2, r1.contribution) == (HALF, F(1, 4), F(1, 4))
     assert (r2.m1, r2.m2, r2.contribution) == (F(1, 3), F(1, 9), F(1, 9))
     # step 2: alpha = 1/3 < delta: targets vanish, others scale by 3/2
-    assert masses(res.states[2]) == [F(0), F(0), F(0), HALF, F(0), HALF]
+    assert masses(res.states[2], six_system) == [F(0), F(0), F(0), HALF, F(0), HALF]
     assert res.final_target_masses == [F(0), F(0)]
     assert res.eta == F(13, 36)
     cert = certify(prob, [HALF, HALF])
@@ -147,7 +148,7 @@ def test_six_system_mixed_policy(six_system):
     r1, r2 = res.reports
     assert r1.contribution == HALF
     assert (r2.m1, r2.m2, r2.contribution) == (F(1, 3), F(1, 9), F(1, 9))
-    assert masses(res.states[2]) == [F(1, 4), F(0), F(1, 4), F(1, 4), F(0), F(1, 4)]
+    assert masses(res.states[2], six_system) == [F(1, 4), F(0), F(1, 4), F(1, 4), F(0), F(1, 4)]
     assert res.eta == F(11, 18)
     # B_1 mass is stable: still 1/2 after step 2
     assert res.final_target_masses == [HALF, F(0)]
@@ -199,8 +200,9 @@ def test_gauss_zero_policy(gauss_cover):
 # ------------------------------------------------------ oracle agreement
 
 
-def _oracle_inputs(prob):
+def _oracle_inputs(inst):
     # step j of the oracle conditions on level j-1, so pass levels 0..J-1
+    prob = oracles.build_problem_points(inst)
     n = len(prob.levels[0])
     levels = [lv.tolist() for lv in prob.levels[:-1]]
     targets = [t.tolist() for t in prob.targets]
@@ -217,10 +219,10 @@ def test_corpus_matches_oracle(corpus):
                 resolve_delta_policy(inst, None) if policy is None else policy
             )
             res = run(prob, deltas)
-            n, levels, targets = _oracle_inputs(prob)
+            n, levels, targets = _oracle_inputs(inst)
             om, oreps = oracles.run_oracle(n, levels, targets, deltas)
             for st, want in zip(res.states, om):
-                assert masses(st) == want
+                assert masses(st, inst) == want
             for rep, (m1, m2, contribution) in zip(res.reports, oreps):
                 assert (rep.m1, rep.m2, rep.contribution) == (m1, m2, contribution)
 
@@ -232,9 +234,9 @@ def test_corpus_random_deltas(corpus):
         prob = build_problem(inst)
         deltas = [F(rng.randrange(0, 3), 6) for _ in range(inst.depth)]
         res = run(prob, deltas)
-        n, levels, targets = _oracle_inputs(prob)
+        n, levels, targets = _oracle_inputs(inst)
         om, _ = oracles.run_oracle(n, levels, targets, deltas)
-        assert masses(res.states[-1]) == om[-1]
+        assert masses(res.states[-1], inst) == om[-1]
         assert res.states[-1].total_mass() == 1
 
 
@@ -426,15 +428,16 @@ def test_stability_check(monkeypatch, six_system):
 
 
 def test_uncovered_floor_check(monkeypatch, near_cover):
-    # the union of the targets gets all the mass; each target keeps its own
-    orig = distortion.mask_mass
+    # the union of the targets gets all the mass; each target keeps its own,
+    # since the run is over before the label mass breaks
+    orig = distortion.run
 
-    def bad_mask_mass(state, mask):
-        if any(mask is t for t in state.norm.targets):
-            return orig(state, mask)
-        return F(1)
+    def run_then_break(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        monkeypatch.setattr(distortion, "_label_mass", lambda state, bits: F(1))
+        return res
 
-    monkeypatch.setattr(distortion, "mask_mass", bad_mask_mass)
+    monkeypatch.setattr(distortion, "run", run_then_break)
     with pytest.raises(SoundnessError, match="floor"):
         certify(build_problem(near_cover), [F(0)])
 
@@ -443,15 +446,12 @@ def test_uncovered_floor_check(monkeypatch, near_cover):
 
 
 def test_step_conserves_parent_fibers(six_system):
-    prob = build_problem(six_system)
-    states = run(prob, [F(1, 3), F(1, 5)]).states
-    lab1 = prob.levels[1]
-    before, after = states[1], states[2]
+    states = run(build_problem(six_system), [F(1, 3), F(1, 5)]).states
+    lab1 = oracles.build_problem_points(six_system).levels[1]
+    before, after = masses(states[1], six_system), masses(states[2], six_system)
     for lab in set(lab1.tolist()):
         idx = [i for i in range(6) if lab1[i] == lab]
-        assert sum(masses(before)[i] for i in idx) == sum(
-            masses(after)[i] for i in idx
-        )
+        assert sum(before[i] for i in idx) == sum(after[i] for i in idx)
 
 
 def test_eta_zero_policy_equals_density_sum(corpus):
@@ -462,7 +462,8 @@ def test_eta_zero_policy_equals_density_sum(corpus):
         prob = build_problem(inst)
         res = run(prob, zero_policy(inst))
         n = ideal_norm(inst.q)
-        want = sum(F(int(t.sum()), n) for t in prob.targets)
+        targets = oracles.build_problem_points(inst).targets
+        want = sum(F(int(t.sum()), n) for t in targets)
         assert res.eta == want
 
 
@@ -484,6 +485,19 @@ def test_mask_mass(near_cover):
     assert mask_mass(res.states[-1], np.array([False, False, False, True])) == HALF
 
 
+def test_mask_mass_refuses_wrong_shape(near_cover, six_system):
+    st = run(build_problem(six_system), [HALF, HALF]).states[1]
+    for mask in (np.ones(4, dtype=bool), np.ones((2, 3), dtype=bool), True):
+        with pytest.raises(InputError, match="mask of shape"):
+            mask_mass(st, mask)
+    # a converted chain counts its points, not its labels
+    chain = DistortionProblem(levels=[[0, 0, 0], [0, 0, 1]], targets=[[True, True, False]])
+    st = initial_state(chain)
+    assert mask_mass(st, [True, False, True]) == F(2, 3)
+    with pytest.raises(InputError, match="mask of shape"):
+        mask_mass(st, [True, False])
+
+
 # --------------------------------------------------------- custom problems
 
 
@@ -500,7 +514,7 @@ def test_custom_problem_nonuniform_initial():
     )
     res = run(prob, [HALF])
     # fiber {0,1} has alpha 1/2: point 0 -> 0, point 1 -> doubled
-    assert masses(res.states[-1]) == [F(0), F(1, 4), F(3, 8), F(3, 8)]
+    assert oracles.point_masses(res.states[-1], prob) == [F(0), F(1, 4), F(3, 8), F(3, 8)]
     assert res.reports[0].m1 == F(1, 8)
     # m2 = sum of mass * alpha^2 = (1/8+1/8)*(1/4)
     assert res.reports[0].m2 == F(1, 16)
@@ -555,16 +569,21 @@ def test_delta_validation(near_cover):
 
 
 def test_sparse_labels_certify_as_dense(six_system, near_cover, gauss_cover):
-    # dense labels skip the relabelling sort; sparse ones (all labels x2, or
-    # one huge label) are relabelled to the same dense problem
+    # the n-point chain, as is or with sparse labels (all labels x2, or one
+    # huge label), converts to the problem build_problem builds directly
     for inst in (six_system, near_cover, gauss_cover):
-        prob = build_problem(inst)
-        deltas = [HALF] * len(prob.targets)
-        want = certify(prob, deltas)
+        deltas = [HALF] * inst.depth
+        want = certify(build_problem(inst), deltas)
+        prob = oracles.build_problem_points(inst)
         top = [np.where(lv == lv.max(), 2**40, lv) for lv in prob.levels]
-        for levels in ([2 * lv for lv in prob.levels], top):
+        for levels in (prob.levels, [2 * lv for lv in prob.levels], top):
             got = certify(DistortionProblem(levels=levels, targets=prob.targets), deltas)
             assert got[:5] == want[:5]
+        # points in reverse order: the witness is still the first uncovered point
+        targets = [t[::-1] for t in prob.targets]
+        got = certify(DistortionProblem([lv[::-1] for lv in prob.levels], targets), deltas)
+        assert got[:4] == want[:4]
+        assert got.witness_index == np.flatnonzero(~np.logical_or.reduce(targets))[0]
 
 
 def test_malformed_labels_rejected():
@@ -579,11 +598,3 @@ def test_malformed_labels_rejected():
     for levels, message in cases:
         with pytest.raises(InputError, match=message):
             run(DistortionProblem(levels=levels, targets=targets), [HALF])
-
-
-def test_normalize_keeps_dense_int64_labels(six_system):
-    # build_problem's labels are dense int64 already; the run reads them in
-    # place instead of holding one copy per level
-    prob = build_problem(six_system)
-    result = run(prob, [HALF] * len(prob.targets))
-    assert all(np.shares_memory(a, b) for a, b in zip(result.norm.levels, prob.levels))

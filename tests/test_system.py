@@ -1,11 +1,14 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import get_field
+from conftest import FIELD_KEYS, get_field
 from coverdist import (
     CongruenceClass,
     DeltaOutOfRange,
@@ -13,6 +16,7 @@ from coverdist import (
     IndistinguishableModulus,
     InputError,
     MixedFields,
+    SoundnessError,
     UnitModulus,
     build_problem,
     covers,
@@ -22,6 +26,7 @@ from coverdist import (
     ideal_principal,
     make_field,
     multiplicity,
+    primes_up_to_norm,
     reduce,
     residue_at,
     resolve_delta_policy,
@@ -30,8 +35,18 @@ from coverdist import (
     unit_ideal,
     validate,
 )
+from coverdist import distortion, kernels
+from coverdist.cli import main
 
 HALF = Fraction(1, 2)
+DATA = Path(__file__).parent / "data"
+
+
+def _point_mask(inst, j):
+    """target_mask(inst, j) over O/Q: each residue takes the bit of its
+    residue mod Q_j."""
+    q, qj = inst.q, inst.levels[j]
+    return target_mask(inst, j)[kernels.level_labels(q.u, q.w, qj.u, qj.v, qj.w)]
 
 
 def brute_cover_oracle(instance):
@@ -186,8 +201,9 @@ def test_covers_enumeration_cutoff(near_cover):
 
 def test_classic_targets(classic_cover):
     inst = classic_cover
-    b1 = np.flatnonzero(target_mask(inst, 1)).tolist()
-    b2 = np.flatnonzero(target_mask(inst, 2)).tolist()
+    assert [len(target_mask(inst, j)) for j in (1, 2)] == [4, 12]  # |O/Q_j|
+    b1 = np.flatnonzero(_point_mask(inst, 1)).tolist()
+    b2 = np.flatnonzero(_point_mask(inst, 2)).tolist()
     # Q = (12), point i is i mod 12
     # level 1: 0 mod 2 and 1 mod 4; level 2: 0 mod 3, 5 mod 6, 7 mod 12
     assert b1 == sorted([0, 2, 4, 6, 8, 10, 1, 5, 9])
@@ -205,7 +221,7 @@ def test_target_mask_oracle(corpus):
         q = inst.q
         n = ideal_norm(q)
         for j in range(1, inst.depth + 1):
-            mask = target_mask(inst, j)
+            mask = _point_mask(inst, j)
             for i in range(n):
                 pt = residue_at(i, q)
                 want = False
@@ -224,29 +240,112 @@ def test_target_mask_oracle(corpus):
 
 
 def test_build_problem_labels(classic_cover):
+    # level-j label l is the residue residue_at(l, Q_j): its parent is that
+    # residue reduced mod Q_{j-1}, and it holds n/|O/Q_j| points
     inst = classic_cover
     prob = build_problem(inst)
     n = ideal_norm(inst.q)
-    assert len(prob.levels) == inst.depth + 1
-    assert len(prob.targets) == inst.depth
-    # level 0 is the trivial partition; last level separates all points
-    assert set(prob.levels[0].tolist()) == {0}
-    assert sorted(prob.levels[-1].tolist()) == list(range(n))
-    # labels agree with reduce + residue_index
-    for j, lv in enumerate(inst.levels):
-        for i in range(n):
-            pt = residue_at(i, inst.q)
-            assert prob.levels[j][i] == oracles.residue_index(reduce(pt, lv), lv)
+    assert len(prob.parents) == len(prob.sizes) == inst.depth + 1
+    assert len(prob.target_bits) == inst.depth
+    assert prob.sizes[0].tolist() == [n]
+    for j in range(1, inst.depth + 1):
+        lo, hi = inst.levels[j - 1], inst.levels[j]
+        count = ideal_norm(hi)
+        assert prob.sizes[j].tolist() == [n // count] * count
+        for l in range(count):
+            want = oracles.residue_index(reduce(residue_at(l, hi), lo), lo)
+            assert prob.parents[j][l] == want
 
 
 def test_build_problem_points(gauss_cover):
-    # point i of the problem is residue_at(i, q), the i-th of residues(q)
+    # point i of the problem is residue_at(i, q), the i-th of residues(q),
+    # and the level-J label of point i
     prob = build_problem(gauss_cover)
     q = gauss_cover.q
     pts = oracles.residues(q)
-    assert len(prob.levels[0]) == len(pts)
+    assert prob.points is None and prob.sizes[-1].tolist() == [1] * len(pts)
     assert [residue_at(i, q) for i in range(len(pts))] == pts
-    assert [t.sum() for t in prob.targets] == [3]
+    assert [t.sum() for t in prob.target_bits] == [3]
+
+
+def _split_pair_instance(key):
+    """Classes whose moduli hold a smallest prime, and two distinct primes
+    of one norm, one of them squared."""
+    field = get_field(key)
+    pool = primes_up_to_norm(field, 60)
+    p1, p2 = next((a, b) for a, b in zip(pool, pool[1:]) if a.norm == b.norm)
+    small = pool[0].ideal
+    raw = [
+        ((0, 0), small),
+        ((1, 0), ideal_mul(p1.ideal, small)),
+        ((0, 1), ideal_mul(p2.ideal, p2.ideal)),
+    ]
+    return validate(field, raw)
+
+
+def test_build_problem_matches_point_oracle(corpus):
+    """The label-space problem equals what _normalize derives from the
+    n-point label arrays and target masks of the oracle builder, on every
+    field, with prime powers and split primes of equal norm among them."""
+    extra = [_split_pair_instance(k) for k in FIELD_KEYS if k != "rational"]
+    seen = set()
+    for inst in corpus + extra:
+        got = build_problem(inst)
+        want = distortion._normalize(oracles.build_problem_points(inst))
+        for field in ("sizes", "parents", "target_bits"):
+            for a, b in zip(getattr(got, field), getattr(want, field)):
+                assert (a is b is None) or np.array_equal(a, b), field
+        assert [a.dtype for a in got.sizes] == [b.dtype for b in want.sizes]
+        assert np.array_equal(want.points, np.arange(ideal_norm(inst.q)))
+        assert np.array_equal(got.initial_codes, want.initial_codes)
+        assert got.initial_table == want.initial_table
+        norms = [p.norm for p, _ in inst.primes]
+        if max(e for _, e in inst.primes) > 1:
+            seen.add((inst.field.label(), "power"))
+        if len(set(norms)) < len(norms):
+            seen.add((inst.field.label(), "split"))
+    labels = [get_field(k).label() for k in FIELD_KEYS]
+    assert {(f, "power") for f in labels} <= seen
+    assert {(f, "split") for f in labels if f != "rational"} <= seen
+
+
+def test_build_problem_refuses_a_wrong_level_map(monkeypatch, capsys, classic_cover):
+    orig = kernels.level_labels
+    tampered = [
+        lambda labels: labels + 1,  # a label out of range
+        lambda labels: np.zeros_like(labels),  # one parent takes every child
+        lambda labels: labels[:-1],  # a level-j label without a parent
+    ]
+    for tamper in tampered:
+        monkeypatch.setattr(kernels, "level_labels", lambda *a: tamper(orig(*a)))
+        with pytest.raises(SoundnessError, match="do not map O/Q_"):
+            build_problem(classic_cover)
+    rc = main(["certify", "--input", str(DATA / "classic.json")])
+    out, err = capsys.readouterr()
+    assert rc == 4 and out == ""
+    assert json.loads(err)["error"] == "SoundnessError"
+
+
+def test_build_problem_memory():
+    """0 mod p for p = 2..17: n = 510510 points at depth 7. Only level J
+    has n labels, so the build peaks far below the J+1 int64 label arrays
+    of n entries each that the n-point form needs."""
+    field = make_field("rational")
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    inst = validate(field, [((0, 0), ideal_from_gens(field, [(p, 0)])) for p in primes])
+    n = ideal_norm(inst.q)
+    assert n == 510510 and inst.depth == 7
+    tracemalloc.start()
+    try:
+        prob = build_problem(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10**6, peak
+    for j in range(inst.depth):
+        arrays = [prob.sizes[j]] + ([prob.parents[j], prob.target_bits[j - 1]] if j else [])
+        assert all(len(a) < n for a in arrays), j
+    assert len(prob.parents[-1]) == len(prob.target_bits[-1]) == n
 
 
 # ------------------------------------------------------------------- policy

@@ -11,7 +11,13 @@ Analytic bounds (directed rounding, always from above):
   - mertens_sum_bound: Mertens sum majorant over prime norms,
   - eta2_major: tail contribution of levels above the threshold y,
   - effective_bound: a float search picks y, then (y, x) with eta1 + eta2
-    < 1 is computed once, exactly, and checked as verify_certificate does.
+    < 1 is computed once, exactly, over the prime norms the search already
+    produced, and checked as verify_certificate does.
+
+The analytic layer is exact integer and rational arithmetic over prime
+norms (array('q') from ring) plus float log sums, all on the standard
+library; only class_measure_bound, which measures a class on O/Q, and
+certify_moduli, which factors its moduli through system, load numpy.
 
 The explicit inequalities used are classical (Rosser and Schoenfeld,
 "Approximate formulas for some functions of prime numbers", 1962):
@@ -24,13 +30,13 @@ requirement is absorbed by the floor Y_MIN = 512.
 """
 
 import sys
+from array import array
 from fractions import Fraction
-from math import gcd, isqrt, log, prod
+from heapq import merge
+from math import fsum, gcd, isqrt, log, log1p, prod
 from typing import NamedTuple
 
-import numpy as np
-
-from . import distortion, kernels, ring, system
+from . import kernels, ring
 from .errors import (
     IdealNotDividingQ,
     InputError,
@@ -89,6 +95,10 @@ def class_measure_bound(instance, result, a, ideal, j):
         raise IdealNotDividingQ(f"{tuple(ideal[1:])} does not divide Q")
     if not 0 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
+    import numpy as np
+
+    from . import distortion
+
     state = result.states[j]
     q = instance.q
     mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
@@ -116,17 +126,20 @@ def _check_m1_printable(field, q):
     # in (q/2, q) that is a prime norm divides the reduced numerator of
     # _m1_euler(field, s, q): q - 1 and each n - 1 lie below 2p, so p could
     # divide one only as p + 1 = n or q, an even prime norm and so 2 or 4.
-    # Each such p has at least q.bit_length() - 2 bits.
+    # Their product divides it too, so once that reaches 10^limit the row
+    # has more than limit digits.
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
     # a rational prime is a prime norm unless it is inert
     unram, ram, _ = ring._split_primes(field, q - 1, max(q // 2, 4))
-    bits = (len(unram) + len(ram)) * (q.bit_length() - 2)
-    if 1000 * bits >= 3322 * limit:  # 2^bits >= 10^limit, as log2(10) < 3.322
-        raise ResourceError(
-            f"the m1 row at norm {q} has over {limit} digits, too large to print"
-        )
+    top, num = 10**limit, 1
+    for p in merge(unram, ram):
+        num *= p
+        if num >= top:
+            raise ResourceError(
+                f"the m1 row at norm {q} has over {limit} digits, too large to print"
+            )
 
 
 def m1_bound(instance, j):
@@ -167,12 +180,11 @@ def _rankin_fold(norms):
     # (num, den) pair, rounded up once per prime
     num = den = 1
     shift = 1 << SQRT_BITS
-    for i in range(0, len(norms), 4096):  # a list per slice keeps peak RSS down
-        for q in norms[i : i + 4096].tolist():
-            n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
-            a, b = n * num, (n - shift) * den
-            g = gcd(a, b)
-            num, den = round_up_pair(a // g, b // g)
+    for q in norms:
+        n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
+        a, b = n * num, (n - shift) * den
+        g = gcd(a, b)
+        num, den = round_up_pair(a // g, b // g)
     return ceil_to_grid(Fraction(num, den), Fraction(1, 1000))
 
 
@@ -205,22 +217,20 @@ def mertens_sum_bound(field, z):
 
 def _p_small_fold(norms):
     # certified-up product of q(q+1)/(q-1)^2 (delta = 0) over ascending prime
-    # norms q, rounded up once per 64 norms; q(q+1) fits int64 below the cap.
-    # A slice per block keeps no array as long as norms besides it.
+    # norms q, rounded up once per 64 norms
     num = den = 1
     for i in range(0, len(norms), 64):
-        q = norms[i : i + 64]
-        a = num * prod((q * (q + 1)).tolist())
-        b = den * prod(((q - 1) ** 2).tolist())
+        block = norms[i : i + 64]
+        a = num * prod(q * (q + 1) for q in block)
+        b = den * prod((q - 1) ** 2 for q in block)
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
     return Fraction(num, den)
 
 
-def _log_p_small(field, y, above):
-    # float sum of log q(q+1)/(q-1)^2 = log1p((3q-1)/(q-1)^2), q in (above, y]
-    q = ring.prime_norms_up_to(field, y, above).astype(np.float64)
-    return float(np.log1p((3 * q - 1) / np.square(q - 1)).sum())
+def _log_p_small(norms):
+    # float sum of log q(q+1)/(q-1)^2 = log1p((3q-1)/(q-1)^2) over norms
+    return fsum(log1p((3 * q - 1) / (q - 1) ** 2) for q in norms)
 
 
 def _mertens_prod_hi(lz_lo, lz_hi):
@@ -302,19 +312,23 @@ class BoundCertificate(NamedTuple):
 
 
 def _search_y(field, s):
-    # The first y from max(Y_MIN, s^3) on with eta2_major < 1/2. A priori,
-    # gap is within 1e-7 of log 2 eta2: n < 2^24 norms below the sieve cap,
-    # terms summing to < 21 (2 sum over p <= 2^27), each within 4 ulps, so
-    # any summing order errs < (n+3) 2^-53 21 < 4e-8; other logs < 1e-12;
-    # round-ups, 2^-95 per 64-norm block and per outer round_up, < 2^-75.
-    # Within LOG_MARGIN of 0, eta2_major decides.
+    # (y, the prime norms <= y) for the first y from max(Y_MIN, s^3) on
+    # with eta2_major < 1/2. A priori, gap is within 1e-7 of log 2 eta2:
+    # n < 2^24 norms below the sieve cap, terms summing to < 21 (2 sum over
+    # p <= 2^27), each within 4 ulps, so any summing order errs
+    # < (n+3) 2^-53 21 < 4e-8; other logs < 1e-12; round-ups, 2^-95 per
+    # 64-norm block and per outer round_up, < 2^-75. Within LOG_MARGIN of
+    # 0, the exact eta2 decides.
     y, above, log_p = max(Y_MIN, s**3), 0, 0.0
+    norms = array("q")
     for _ in range(MAX_Y_DOUBLINGS):
-        log_p += _log_p_small(field, y, above)
+        new = ring.prime_norms_up_to(field, y, above)
+        norms += new
+        log_p += _log_p_small(new)
         tail = _eta2_tail(y)
         gap = log_p + log(2 * s * s * tail.numerator) - log(tail.denominator)
-        if gap < -LOG_MARGIN or gap <= LOG_MARGIN and eta2_major(field, s, y) < HALF:
-            return y
+        if gap < -LOG_MARGIN or gap <= LOG_MARGIN and _eta2(s, norms, y) < HALF:
+            return y, norms
         above, y = y, 2 * y
     raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
 
@@ -352,12 +366,13 @@ def effective_bound(field, s):
     eta1 + eta2 < 1; any covering system over the field with multiplicity
     <= s and distinguishable moduli must then use a modulus of norm <= x.
 
-    A float search picks y, then w and eta2 are computed once, exactly. A
-    failed verify_certificate check or eta2 >= 1/2 raises SoundnessError."""
+    A float search picks y, then w and eta2 are computed once, exactly,
+    over the prime norms <= y that the search produced. A failed
+    verify_certificate check or eta2 >= 1/2 raises SoundnessError."""
     if s < 1:
         raise InputError("s must be >= 1")
-    y = _search_y(field, s)
-    w, eta2 = _w_and_eta2(field, s, y)
+    y, norms = _search_y(field, s)
+    w, eta2 = _rankin_fold(norms), _eta2(s, norms, y)
     if not eta2 < HALF:
         raise SoundnessError(f"exact eta2 is not below 1/2 at y = {y}")
     r = 2
@@ -403,6 +418,8 @@ class ModuliCertificate(NamedTuple):
 def certify_moduli(field, moduli, s=None, policy=None):
     """Residue-free certificate: if the majorant eta stays below 1, no choice
     of residues on these moduli (each used at most s times) covers the ring."""
+    from . import system
+
     _, q, primes = system.factor_moduli(field, moduli)
     s_auto = system.multiplicity(moduli)
     if s is None:

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, distortion, ring, serialize, system
+from . import bounds, kernels, ring, serialize
 from .errors import CoverdistError, InputError, SoundnessError
 
 
@@ -57,6 +57,8 @@ def _write(args, doc, lines):
 
 
 def _load_instance(args):
+    from . import system
+
     field, raw = serialize.parse_instance(_load_json(args.input))
     return system.validate(field, raw)
 
@@ -80,6 +82,8 @@ def _level_rows(instance, reports):
 
 
 def cmd_check(args):
+    from . import system
+
     instance = _load_instance(args)
     verdict, witness = system.covers(instance, args.max_enum)
     doc = {
@@ -104,6 +108,8 @@ def cmd_check(args):
 
 
 def cmd_certify(args):
+    from . import distortion, system
+
     instance = _load_instance(args)
     deltas = system.resolve_delta_policy(instance, serialize.parse_delta_policy(args.delta))
     problem = system.build_problem(instance, args.max_enum)
@@ -141,6 +147,8 @@ def cmd_certify(args):
 
 
 def cmd_moments(args):
+    from . import distortion, system
+
     instance = _load_instance(args)
     deltas = system.resolve_delta_policy(instance, serialize.parse_delta_policy(args.delta))
     problem = system.build_problem(instance, args.max_enum)
@@ -304,19 +312,19 @@ def build_parser():
 
     p = sub.add_parser("check", help="brute-force coverage verdict")
     _add_common(p)
-    p.add_argument("--max-enum", type=int, default=system.DEFAULT_MAX_ENUM)
+    p.add_argument("--max-enum", type=int, default=kernels.DEFAULT_MAX_ENUM)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", help="distortion certificate for a class list")
     _add_common(p)
     p.add_argument("--delta", default=None, help="threshold:Y or explicit:q1,q2,...")
-    p.add_argument("--max-enum", type=int, default=system.DEFAULT_MAX_ENUM)
+    p.add_argument("--max-enum", type=int, default=kernels.DEFAULT_MAX_ENUM)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("moments", help="per-level moment table")
     _add_common(p)
     p.add_argument("--delta", default=None, help="threshold:Y or explicit:q1,q2,...")
-    p.add_argument("--max-enum", type=int, default=system.DEFAULT_MAX_ENUM)
+    p.add_argument("--max-enum", type=int, default=kernels.DEFAULT_MAX_ENUM)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("certify-moduli", help="residue-free majorant certificate")

@@ -1,39 +1,67 @@
-"""Integer kernels: prime sieve, residues and Kronecker symbols modulo many
-primes, coset marking, and level-label computation, all in numpy.
+"""Integer kernels: prime sieve, Kronecker symbols modulo many primes, coset
+marking, and level-label computation.
+
+The sieve and the Kronecker kernel run on the standard library (bytearray
+flags of the odd numbers in a window, array('q') primes), so the commands
+that need only prime norms never import numpy. The two kernels that
+enumerate O/Q, mark_class and level_labels, fill numpy arrays and import
+numpy when called.
 
 Each kernel is sequential and deterministic, so repeated runs give
 bit-identical output.
 """
 
+from array import array
+from itertools import compress
 from math import isqrt
-
-import numpy as np
 
 from .errors import PrimeTooLarge, SieveTooLarge
 
-# Largest sieve limit accepted: its flags take 128 MB. It is checked before
-# any allocation, and it keeps every sieved prime below the 2^31 that
-# kron_values requires.
+# Largest sieve limit accepted: the flags of every odd number up to it take
+# 64 MB. It is checked before any allocation, and it keeps every sieved
+# prime below the 2^31 that kron_values requires.
 SIEVE_MAX = 2**27
+# Default cap on |O/Q| for the commands that enumerate O/Q.
+DEFAULT_MAX_ENUM = 10**8
 
 
 def backend_name():
-    """Name of the kernel implementation (numpy is the only one)."""
+    """Name of the implementation of the O/Q kernels (numpy is the only one)."""
     return "numpy"
 
 
-def sieve(limit):
-    """Boolean prime flags for 0..limit; refuses limits above SIEVE_MAX."""
+def sieve(limit, above=0):
+    """Prime flags of the odd numbers in (above, limit]: a bytearray whose
+    entry i is 1 when o + 2i is prime, o the least odd number above
+    `above`. Refuses limits above SIEVE_MAX before it allocates.
+
+    The window is marked with the odd primes up to isqrt(limit), so a
+    window above the root costs its own length only.
+    """
     if limit < 0:
         raise ValueError("negative sieve limit")
     if limit > SIEVE_MAX:
         raise SieveTooLarge(f"sieve limit {limit} exceeds {SIEVE_MAX}")
-    flags = np.ones(limit + 1, dtype=np.bool_)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
+    odd = (max(above, 0) + 1) | 1
+    flags = bytearray([1]) * max(0, (limit - odd) // 2 + 1)
+    if odd == 1 and flags:
+        flags[0] = 0  # 1 is not prime
+    for p in primes(3, isqrt(limit)):
+        start = max(p * p, -(-odd // p) * p)  # p's first multiple in the window
+        if start % 2 == 0:
+            start += p  # the first odd one
+        i = (start - odd) // 2
+        flags[i::p] = bytes(len(range(i, len(flags), p)))
     return flags
+
+
+def primes(lo, hi):
+    """Ascending array('q') of the primes p with lo <= p <= hi, from one
+    sieve of the window; refuses hi above SIEVE_MAX before it allocates."""
+    out = array("q", [2] if lo <= 2 <= hi else [])
+    if hi >= max(lo, 3):
+        out.extend(compress(range(max(lo, 0) | 1, hi + 1, 2), sieve(hi, lo - 1)))
+    return out
 
 
 def kronecker_disc(disc, p):
@@ -48,42 +76,24 @@ def kronecker_disc(disc, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def mod_values(m, ps):
-    """m mod p for a Python int m >= 0 and each p of an int64 array of ps below 2^31."""
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    if len(ps) and int(ps.max()) >= 2**31:
-        raise PrimeTooLarge(f"prime {int(ps.max())} is not below the kernel limit 2^31")
-    # Every residue is below p < 2^31, so every product here fits in int64.
-    # m may not, so m mod p is built from the base-2^31 digits of m.
-    a = np.zeros_like(ps)
-    for shift in range(31 * (m.bit_length() // 31), -1, -31):
-        a <<= 31
-        a += (m >> shift) & (2**31 - 1)
-        a %= ps
-    return a
-
-
 def kron_values(disc, ps):
-    """Kronecker symbols (disc/p) for an int64 array of primes ps (int8: -1, 0, 1)."""
-    ps = np.ascontiguousarray(ps, dtype=np.int64)
-    a = mod_values(abs(int(disc)), ps)
-    if disc < 0:
-        np.negative(a, out=a)
-        a %= ps
-    # Euler's criterion a^((p-1)/2) mod p by square-and-multiply; squaring
-    # keeps a == 0 exactly where p divides disc
-    r = np.ones_like(ps)
-    e = (ps - 1) >> 1
-    while e.any():
-        odd = (e & 1).astype(np.bool_)
-        r[odd] = r[odd] * a[odd] % ps[odd]
-        a *= a
-        a %= ps
-        e >>= 1
-    out = np.where(r == 1, 1, -1).astype(np.int8)
-    out[a == 0] = 0
-    out[ps == 2] = kronecker_disc(disc, 2)
-    return out
+    """Kronecker symbols (disc/p) in an array('b') of -1, 0, 1, for a
+    discriminant disc (a nonzero int = 0 or 1 mod 4) and a sequence of
+    primes ps below 2^31.
+
+    For such a disc, p -> (disc/p) is a character modulo |disc|, so the
+    symbol is computed once per residue class of p mod |disc| and looked up
+    for every other p in that class.
+    """
+    if len(ps) and max(ps) >= 2**31:
+        raise PrimeTooLarge(f"prime {max(ps)} is not below the kernel limit 2^31")
+    m = abs(disc)
+    memo = {}  # residue class mod m -> symbol
+    symbols = [
+        memo[r] if (r := p % m) in memo else memo.setdefault(r, kronecker_disc(disc, p))
+        for p in ps
+    ]
+    return array("b", symbols)
 
 
 def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
@@ -92,6 +102,8 @@ def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
     The class rep (aa, ab) is reduced mod I = (ui, vi, wi) and Q = (uq, vq, wq);
     the points are a + k*(vi + wi*w) + m*ui.
     """
+    import numpy as np
+
     nk = wq // wi
     nm = uq // ui
     ms = np.arange(nm, dtype=np.int64) * ui
@@ -109,6 +121,8 @@ def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
 
 def level_labels(uq, wq, uj, vj, wj):
     """int64 array: index of (residue mod Q_j) for each residue x + y*w of O/Q."""
+    import numpy as np
+
     y = np.arange(wq, dtype=np.int64)
     yy = y % wj
     t = (y - yy) // wj

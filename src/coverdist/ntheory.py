@@ -10,8 +10,6 @@ counterexample.
 
 from math import gcd, isqrt, log2
 
-import numpy as np
-
 from . import kernels
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -169,7 +167,7 @@ def perfect_power(n):
     found = True
     while found:
         found = False
-        for p in np.flatnonzero(kernels.sieve(m.bit_length() // 19)).tolist():
+        for p in kernels.primes(2, m.bit_length() // 19):
             r = iroot(m, p)
             if r**p == m:
                 m, k, found = r, k * p, True

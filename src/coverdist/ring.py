@@ -13,19 +13,24 @@ Rational ideals are (m, 0, 1).
 
 How a rational prime p splits is read off (disc/p) in two places only:
 _ideals_above builds the primes above one p, and _split_primes sorts every
-p up to a bound with one sieve and one Kronecker pass.
+p of a window (above, y] with one sieve of the window and one Kronecker
+pass.
 
 Factoring a norm into rational primes, the one step that needs number
 theory beyond gcds, runs the routines of ntheory (primality, square roots
 mod p, integer roots, Pollard-Brent rho) under the budget rule of
 _factor_int_budget.
+
+Everything here is exact arithmetic on Python ints; prime lists are
+array('q'), from the stdlib kernels, and nothing imports numpy.
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import chain, compress
+from math import gcd, isqrt, prod
 from typing import NamedTuple
-
-import numpy as np
 
 from . import kernels
 from .errors import (
@@ -363,13 +368,18 @@ def _factor_int_budget(n):
     """
     out = {}
     limit = min(TRIAL_LIMIT, isqrt(n))
-    ps = np.flatnonzero(kernels.sieve(limit))
-    for p in ps[kernels.mod_values(n, ps) == 0].tolist():
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
+    ps = kernels.primes(2, limit)
+    for i in range(0, len(ps), 64):  # one gcd per block finds the blocks to divide by
+        block = ps[i : i + 64]
+        if gcd(n, prod(block)) == 1:
+            continue
+        for p in block:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out[p] = e
     if n < (limit + 1) ** 2:  # no prime factor up to limit, so n is 1 or prime
         if n > 1:
             out[n] = 1
@@ -455,24 +465,26 @@ def p_min(ideal):
 
 
 def _split_primes(field, y, above=0):
-    """(unram, ram, inert): ascending int64 arrays of the rational primes p
+    """(unram, ram, inert): ascending array('q') of the rational primes p
     with a prime above them of norm in (above, y]: unram the p in (above, y]
     with (disc/p) = 1, or all of them over Q; ram those with (disc/p) = 0;
     inert the p with (disc/p) = -1 and p^2 in (above, y]."""
     y, above = max(int(y), 1), max(int(above), 0)
-    flags = kernels.sieve(y)
-    ps = np.flatnonzero(flags[above + 1 :]).astype(np.int64, copy=False)
-    ps += above + 1
+    ps = kernels.primes(above + 1, y)
     if field.kind == "rational":
-        return ps, ps[:0], ps[:0]
+        return ps, array("q"), array("q")
     # an inert p has norm p^2, in (above, y] for p in (isqrt(above), isqrt(y)]
-    lo = isqrt(above) + 1
-    small = np.flatnonzero(flags[lo : isqrt(y) + 1]).astype(np.int64) + lo
-    del flags  # before the Kronecker step, which sets the peak
-    k = len(small)
-    ps = np.concatenate([small, ps])
-    syms = kernels.kron_values(field.discriminant, ps)
-    return ps[k:][syms[k:] == 1], ps[k:][syms[k:] == 0], small[syms[:k] == -1]
+    small = kernels.primes(isqrt(above) + 1, isqrt(y))
+    disc = field.discriminant
+    syms = kernels.kron_values(disc, ps)
+    unram, ram = compress(ps, _where(syms, 1)), compress(ps, _where(syms, 0))
+    inert = compress(small, _where(kernels.kron_values(disc, small), -1))
+    return array("q", unram), array("q", ram), array("q", inert)
+
+
+def _where(syms, k):
+    # compress selectors of the entries of the array('b') syms equal to k
+    return syms.tobytes().translate(bytes(i == k % 256 for i in range(256)))
 
 
 def primes_up_to_norm(field, y):
@@ -486,16 +498,25 @@ def primes_up_to_norm(field, y):
 
 
 def prime_norms_up_to(field, y, above=0):
-    """Ascending int64 array of prime norms in (above, y], with multiplicity.
+    """Ascending array('q') of prime norms in (above, y], with multiplicity.
 
     A split rational prime contributes its norm twice (two primes above);
     used by the bound machinery, which needs norms only. A search over
-    growing y appends the norms in (y_old, y] to those it has, and so runs
-    the Kronecker step once per prime.
+    growing y appends the norms in (y_old, y] to those it has, and so
+    sieves and runs the Kronecker step once per prime.
     """
     unram, ram, inert = _split_primes(field, y, above)
     if field.kind == "rational":
         return unram
-    norms = np.concatenate([unram, unram, ram, inert * inert])
-    norms.sort(kind="stable")
-    return norms
+    twice = array("q", bytes(16 * len(unram)))
+    twice[::2] = unram
+    twice[1::2] = unram
+    # the few ramified and inert norms go in by bisection
+    out, i = array("q"), 0
+    for n in sorted(chain(ram, (p * p for p in inert))):
+        j = bisect_right(twice, n)
+        out += twice[i:j]
+        out.append(n)
+        i = j
+    out += twice[i:]
+    return out

@@ -22,8 +22,7 @@ from .errors import (
     SoundnessError,
     UnitModulus,
 )
-
-DEFAULT_MAX_ENUM = 10**8
+from .kernels import DEFAULT_MAX_ENUM
 
 
 class CongruenceClass(NamedTuple):

@@ -7,9 +7,11 @@ per-label list walk, and analytic sums/products via scaled-integer directed
 arithmetic. The exceptions are code the package replaced, kept as it was
 to check its replacement: primes_up_to_norm_loop classifies each sieved
 prime again through ring.primes_above, effective_bound_exact runs the
-y search on exact numbers through bounds' own eta2 arithmetic, and
+y search on exact numbers through bounds' own eta2 arithmetic,
 build_problem_points builds the n-point label arrays and target masks of
-a covering system through the package's kernels.
+a covering system through the package's kernels, and sieve, mod_values,
+kron_values, trial_division and prime_norms_up_to are the numpy kernels
+(and the trial division on them) that the standard-library ones replaced.
 """
 
 from fractions import Fraction
@@ -301,14 +303,14 @@ def effective_bound_exact(field, s):
     full 64-norm blocks from one y to the next, and tested the exact
     eta2 < 1/2. The oracle for the float search."""
     y = max(bounds.Y_MIN, s**3)
-    norms = ring.prime_norms_up_to(field, y)
+    norms = prime_norms_up_to(field, y)
     carry = (1, 1, 0)
     for _ in range(bounds.MAX_Y_DOUBLINGS):
         psmall, carry = _p_small_carry(norms, carry)
         eta2 = round_up(s * s * round_up(Fraction(*psmall) * bounds._eta2_tail(y)))
         if eta2 < Fraction(1, 2):
             return y
-        norms = np.concatenate([norms, ring.prime_norms_up_to(field, 2 * y, y)])
+        norms = np.concatenate([norms, prime_norms_up_to(field, 2 * y, y)])
         y *= 2
     raise AssertionError(f"eta2 stayed >= 1/2 up to y = {y}")
 
@@ -530,13 +532,13 @@ def primes_up_to_norm_loop(field, y):
     y = int(y)
     if y < 2:
         return []
-    ps = np.flatnonzero(kernels.sieve(y))
+    ps = np.flatnonzero(sieve(y))
     out = []
     if field.kind == "rational":
         for p in ps.tolist():
             out.append(ring.PrimeIdeal(ring.Ideal(field, p, 0, 1), p, p, "rational"))
         return out
-    syms = kernels.kron_values(field.discriminant, ps.astype(np.int64))
+    syms = kron_values(field.discriminant, ps.astype(np.int64))
     for p, s in zip(ps.tolist(), syms.tolist()):
         if s == -1:
             if p * p <= y:
@@ -545,3 +547,88 @@ def primes_up_to_norm_loop(field, y):
             out.extend(ring.primes_above(field, p))
     out.sort(key=ring.prime_sort_key)
     return out
+
+
+# ------------------------------------------------------------ numpy kernels
+
+
+def sieve(limit):
+    """Boolean numpy prime flags for 0..limit."""
+    flags = np.ones(limit + 1, dtype=np.bool_)
+    flags[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+def mod_values(m, ps):
+    """m mod p for a Python int m >= 0 and each p of an int64 array of ps below 2^31."""
+    from coverdist.errors import PrimeTooLarge
+
+    ps = np.ascontiguousarray(ps, dtype=np.int64)
+    if len(ps) and int(ps.max()) >= 2**31:
+        raise PrimeTooLarge(f"prime {int(ps.max())} is not below the kernel limit 2^31")
+    # Every residue is below p < 2^31, so every product here fits in int64.
+    # m may not, so m mod p is built from the base-2^31 digits of m.
+    a = np.zeros_like(ps)
+    for shift in range(31 * (m.bit_length() // 31), -1, -31):
+        a <<= 31
+        a += (m >> shift) & (2**31 - 1)
+        a %= ps
+    return a
+
+
+def kron_values(disc, ps):
+    """Kronecker symbols (disc/p) for an int64 array of primes ps (int8: -1, 0, 1),
+    by Euler's criterion, vectorized over ps."""
+    ps = np.ascontiguousarray(ps, dtype=np.int64)
+    a = mod_values(abs(int(disc)), ps)
+    if disc < 0:
+        np.negative(a, out=a)
+        a %= ps
+    # a^((p-1)/2) mod p by square-and-multiply; squaring keeps a == 0
+    # exactly where p divides disc
+    r = np.ones_like(ps)
+    e = (ps - 1) >> 1
+    while e.any():
+        odd = (e & 1).astype(np.bool_)
+        r[odd] = r[odd] * a[odd] % ps[odd]
+        a *= a
+        a %= ps
+        e >>= 1
+    out = np.where(r == 1, 1, -1).astype(np.int8)
+    out[a == 0] = 0
+    out[ps == 2] = kernels.kronecker_disc(disc, 2)
+    return out
+
+
+def trial_division(n, limit):
+    """{p: e} over the primes p <= limit dividing n, found as the zeros of
+    the numpy mod_values of n, as ring._factor_int_budget found them."""
+    ps = np.flatnonzero(sieve(limit))
+    out = {}
+    for p in ps[mod_values(n, ps) == 0].tolist():
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
+    return out
+
+
+def prime_norms_up_to(field, y, above=0):
+    """Ascending int64 numpy array of the prime norms in (above, y], with
+    multiplicity, from one numpy sieve and one Kronecker pass."""
+    y, above = max(int(y), 1), max(int(above), 0)
+    flags = sieve(y)
+    ps = np.flatnonzero(flags[above + 1 :]).astype(np.int64) + above + 1
+    if field.kind == "rational":
+        return ps
+    lo = isqrt(above) + 1
+    small = np.flatnonzero(flags[lo : isqrt(y) + 1]).astype(np.int64) + lo
+    syms = kron_values(field.discriminant, ps)
+    inert = small[kron_values(field.discriminant, small) == -1]
+    norms = np.concatenate([ps[syms == 1], ps[syms == 1], ps[syms == 0], inert * inert])
+    norms.sort(kind="stable")
+    return norms

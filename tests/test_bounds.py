@@ -6,6 +6,7 @@ from math import inf, isqrt, log
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import oracles
@@ -49,6 +50,7 @@ from coverdist import (
 from coverdist import bounds
 from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small_fold
 from coverdist.rounding import ln_bounds, ln_hi
+from coverdist.serialize import frac_str
 
 F = Fraction
 HALF = F(1, 2)
@@ -445,7 +447,7 @@ def test_carried_p_small_matches_from_scratch(key):
     for ys in schedules:
         log_p, above = 0.0, 0
         for y in ys:
-            log_p += bounds._log_p_small(field, y, above)
+            log_p += bounds._log_p_small(prime_norms_up_to(field, y, above))
             above = y
             exact = _p_small(field, y)
             assert exact == oracles.p_small_fraction(prime_norms_up_to(field, y).tolist())
@@ -456,27 +458,40 @@ def test_carried_p_small_matches_from_scratch(key):
 
 @pytest.mark.parametrize("key", FIELD_KEYS)
 def test_float_search_picks_the_exact_y(key):
-    # the y search on floats against the exact search it replaced
+    # the y search on floats against the exact search it replaced; the
+    # norms it hands on are every prime norm <= y
     field = get_field(key)
     for s in range(1, 10):
-        assert bounds._search_y(field, s) == oracles.effective_bound_exact(field, s), s
+        y, norms = bounds._search_y(field, s)
+        assert y == oracles.effective_bound_exact(field, s), s
+        assert norms.tolist() == oracles.prime_norms_up_to(field, y).tolist(), s
 
 
 def test_forced_fallback_matches_pins(monkeypatch):
-    # with an infinite margin the exact eta2_major decides at every y; the
-    # search must still stop at each pinned y, with the pinned eta2 there
+    # with an infinite margin the exact eta2 decides at every y; the
+    # search must still stop at each pinned y, with the pinned eta2 there,
+    # and decide each y on every prime norm up to it
     calls = []
-    exact = bounds.eta2_major
+    exact = bounds._eta2
+    top = max(pin["y"] for pin in PINS["effective_bound"])
+    by_field = {}  # the numpy kernels' norms <= top, per field
 
-    def logged(field, s, y):
-        calls.append((y, exact(field, s, y)))
+    def logged(s, norms, y):
+        k = len(norms)
+        assert np.array_equal(np.frombuffer(norms, dtype=np.int64), full[:k])
+        assert norms[-1] <= y and (k == len(full) or full[k] > y)
+        calls.append((y, exact(s, norms, y)))
         return calls[-1][1]
 
     monkeypatch.setattr(bounds, "LOG_MARGIN", inf)
-    monkeypatch.setattr(bounds, "eta2_major", logged)
+    monkeypatch.setattr(bounds, "_eta2", logged)
     for pin in PINS["effective_bound"]:
         calls.clear()
-        y = bounds._search_y(get_field(pin["field"]), pin["s"])
+        field = get_field(pin["field"])
+        if pin["field"] not in by_field:
+            by_field[pin["field"]] = oracles.prime_norms_up_to(field, top)
+        full = by_field[pin["field"]]  # read by logged
+        y, _ = bounds._search_y(field, pin["s"])
         assert calls[-1] == (pin["y"], F(pin["eta2"])) and y == pin["y"]
         assert [c[0] for c in calls] == [max(512, pin["s"] ** 3) << k for k in range(len(calls))]
 
@@ -498,24 +513,30 @@ def test_m1_numerator_has_every_prime_norm_above_half(key):
 
 
 def test_m1_size_check_refuses_only_unprintable_rows():
-    # at the smallest digit limit the check fires from some q on; its first
-    # 20 refusals, where the bound is tightest, are rows that do not print
+    # at the smallest digit limit the check fires from some q on; every row
+    # it refuses up to 8000 is one that frac_str refuses too. It refuses
+    # every row that the bound it replaced refused (the count of those
+    # primes times their least bit length), and some that it did not.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         for key in ("rational", -1, 5):
             field = get_field(key)
-            refused = []
+            refused, gained = 0, 0
             for q in sorted(set(prime_norms_up_to(field, 8000).tolist())):
+                above = set(prime_norms_up_to(field, q - 1, max(q // 2, 4)).tolist())
+                count = sum(1 for p in above if isqrt(p) ** 2 != p)
+                old = 1000 * count * (q.bit_length() - 2) >= 3322 * 640
                 try:
                     _check_m1_printable(field, q)
                 except ResourceError:
-                    refused.append(q)
-                    with pytest.raises(ValueError):
-                        str(_m1_euler(field, 1, q).numerator)
-                if len(refused) == 20:
-                    break
-            assert len(refused) == 20, key
+                    refused += 1
+                    gained += not old
+                    with pytest.raises(ResourceError):
+                        frac_str(_m1_euler(field, 1, q))
+                    continue
+                assert not old, (key, q)
+            assert refused >= 100 and gained > 0, key
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -249,11 +250,14 @@ def test_bound_cli(capsys):
 
 
 def test_bound_cli_soundness_exit(capsys, monkeypatch):
-    from coverdist import bounds
+    from coverdist import bounds, ring
 
-    # a search that hands the exact stage y = Y_MIN, where eta2 at s = 1 is
-    # not below 1/2: the exact check refuses the certificate
-    monkeypatch.setattr(bounds, "_search_y", lambda field, s: bounds.Y_MIN)
+    # a search that hands the exact stage y = Y_MIN and its norms, where
+    # eta2 at s = 1 is not below 1/2: the exact check refuses the certificate
+    def search(field, s):
+        return bounds.Y_MIN, ring.prime_norms_up_to(field, bounds.Y_MIN)
+
+    monkeypatch.setattr(bounds, "_search_y", search)
     rc, out, err = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
     assert rc == 4
     assert out == ""
@@ -284,10 +288,10 @@ def test_bound_computes_once_verifies_once(capsys, monkeypatch):
     y = json.loads(out)["y"]
     tried = [bounds.Y_MIN << k for k in range((y // bounds.Y_MIN).bit_length())]
     assert len(tried) > 2
-    # the search sieves only the new norms at each y, in (y/2, y]; the
-    # exact stage sieves y once, from scratch
+    # the search windows, (0, y0], (y0, 2 y0], ..., are the only norms
+    # produced: the exact stage folds the norms the search kept
     search = [(tried[0], 0)] + [(b, a) for a, b in zip(tried, tried[1:])]
-    assert calls["prime_norms_up_to"] == search + [(y,)]
+    assert calls["prime_norms_up_to"] == search
     # one exact rankin fold and one full P_small fold, both over every norm <= y
     n = len(ring.prime_norms_up_to(ring.make_field("rational"), y))
     assert calls["_rankin_fold"] == [n]
@@ -585,6 +589,77 @@ for args in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
 assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_imports_only_where_o_mod_q_arrays_live():
+    # only the distortion engine and the covering-system layer import
+    # numpy at module level; every other module loads it inside the
+    # functions that build arrays over O/Q, if at all
+    src = Path(__import__("coverdist").__file__).parent
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"distortion.py", "system.py"}
+
+
+def test_bound_primes_ideal_tool_never_import_numpy():
+    # the prime-norm commands run on the standard library; certify, in the
+    # same fresh process afterwards, loads numpy and prints its golden
+    script = f"""
+import contextlib, io, sys
+from coverdist.cli import main
+runs = [
+    ["bound", "--field", "rational", "--s", "2"],
+    ["bound", "--field", "quadratic:-1", "--s", "1"],
+    ["primes", "--field", "quadratic:5", "--max-norm", "1000"],
+    ["primes", "--field", "rational", "--max-norm", "100"],
+    ["ideal-tool", "--field", "quadratic:-1", "--op", "factor",
+     "--ideal", "{(2**61 - 1) * 999983**2}"],
+    ["ideal-tool", "--field", "rational", "--op", "pmin", "--ideal", "{(2**89 - 1) ** 3 * 10**6}"],
+    ["ideal-tool", "--field", "quadratic:-5", "--op", "mul", "--ideal", "6", "--ideal2", "10"],
+]
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+assert "numpy" not in sys.modules, args
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["certify", "--input", {str(DATA / "classic.json")!r}]) == 0
+assert "numpy" in sys.modules
+print(out.getvalue(), end="")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "certify_classic_default.json").read_text()
+
+
+def test_package_exports_resolve():
+    # the package serves its names lazily; each resolves, in a fresh
+    # process, to the object of the module that defines it
+    script = """
+import importlib, coverdist
+for _ in range(2):  # served by __getattr__, then from the package namespace
+    for name in coverdist.__all__:
+        mod = importlib.import_module("coverdist." + coverdist._MODULE[name])
+        assert getattr(coverdist, name) is getattr(mod, name), name
+assert len(set(coverdist.__all__)) == len(coverdist.__all__) == 67
+try:
+    coverdist.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("no AttributeError")
+from coverdist import *
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,7 @@
 """coverdist.ntheory and ring._factor_int_budget against sympy as the oracle."""
 
 import random
-from math import prod
+from math import isqrt, prod
 
 import pytest
 import sympy
@@ -11,7 +11,7 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 import oracles
 from coverdist import NormTooLargeToFactor, ntheory
-from coverdist.ring import _factor_int_budget
+from coverdist.ring import TRIAL_LIMIT, _factor_int_budget
 
 PSI12 = 318665857834031151167461
 PSI13 = 3317044064679887385961981
@@ -194,3 +194,28 @@ def test_refuses_where_sympy_cached_a_composite():
     with pytest.raises(ValueError, match="not a prime factor"):
         oracles.factor_int_budget_sympy(n)
     assert verdict(_factor_int_budget, n) == "refused"
+
+
+# ------------------------------------------------- blocked trial division
+
+NEAR_TRIAL_LIMIT = [int(p) for p in sympy.primerange(TRIAL_LIMIT - 3000, TRIAL_LIMIT)]
+SMALL = [2, 3, 5, 7, 307, 311, 313]  # 311 ends the first 64-prime block, 313 starts the next
+COFACTORS = [1, 2**127 - 1, (2**521 - 1) ** 2, (2**607 - 1) ** 23]  # the last: 4,203 digits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(NEAR_TRIAL_LIMIT + SMALL), st.integers(1, 3), min_size=1, max_size=6
+    ),
+    st.sampled_from(COFACTORS),
+)
+def test_blocked_trial_division_matches_oracle(planted, cofactor):
+    # gcds over 64-prime blocks find the same primes up to TRIAL_LIMIT, with
+    # the same exponents, as the numpy residues of n modulo every prime did
+    n = prod(p**e for p, e in planted.items()) * cofactor
+    got = _factor_int_budget(n)
+    limit = min(TRIAL_LIMIT, isqrt(n))
+    assert {p: e for p, e in got.items() if p <= limit} == oracles.trial_division(n, limit)
+    assert prod(p**e for p, e in got.items()) == n
+    assert {p: e for p, e in got.items() if p <= TRIAL_LIMIT} == planted

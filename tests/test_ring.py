@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import FIELD_KEYS, get_field
@@ -42,7 +44,7 @@ from coverdist import (
 from coverdist import kernels
 from coverdist import ring as ring_module
 from coverdist.errors import PrimeTooLarge
-from coverdist.kernels import kron_values, mod_values, sieve
+from coverdist.kernels import kron_values, primes, sieve
 
 QF = [k for k in FIELD_KEYS if k != "rational"]
 
@@ -508,9 +510,16 @@ def test_prime_norms_multiset():
         assert norms_list == sorted(prime_norms_up_to(field, 500).tolist())
         # the norms in (above, y] are the tail of the norms <= y, in order
         for above, y in [(-7, 500), (1, 500), (3, 4), (4, 9), (24, 25), (250, 500), (500, 500)]:
-            full = prime_norms_up_to(field, y)
+            full = prime_norms_up_to(field, y).tolist()
             tail = prime_norms_up_to(field, y, above)
-            assert tail.tolist() == full[full > above].tolist(), (above, y)
+            assert tail.tolist() == [n for n in full if n > above], (above, y)
+        # windows over a schedule, as the y search takes them, concatenate to
+        # the full list, which is the numpy kernels' list
+        for ys in ([512 << k for k in range(6)], [3, 4, 9, 24, 25, 250, 500, 20000]):
+            windows = [prime_norms_up_to(field, b, a) for a, b in zip([0, *ys], ys)]
+            whole = [n for w in windows for n in w]
+            assert whole == prime_norms_up_to(field, ys[-1]).tolist(), ys
+            assert whole == oracles.prime_norms_up_to(field, ys[-1]).tolist(), ys
 
 
 def test_primes_up_to_norm_matches_loop_oracle(monkeypatch):
@@ -533,7 +542,7 @@ def test_primes_up_to_norm_matches_loop_oracle(monkeypatch):
         ring_module,
         "kernels",
         SimpleNamespace(
-            sieve=kernels.sieve,
+            primes=kernels.primes,
             kron_values=kernels.kron_values,
             kronecker_disc=counted("kronecker_disc", kernels.kronecker_disc),
         ),
@@ -561,25 +570,71 @@ def test_factor_rejects_huge_composite_norm():
         factor_ideal(ideal)
 
 
+def test_sieve_against_numpy_oracle():
+    # windows below, across and above the square root of their top, and
+    # windows that start or end on a prime or a prime square
+    for hi in [*range(12), 24, 25, 48, 49, 50, 121, 1000, 2**16 + 1, 10**6]:
+        want = oracles.sieve(hi)
+        for lo in sorted({-3, 0, 1, 2, 3, 4, 5, 8, 9, 11, hi // 3, hi // 2, hi - 1, hi, hi + 1}):
+            flags = sieve(hi, lo - 1)
+            odd = max(lo, 0) | 1
+            assert isinstance(flags, bytearray) and len(flags) == len(range(odd, hi + 1, 2))
+            assert list(flags) == want[odd : hi + 1 : 2].tolist(), (lo, hi)
+            got = primes(lo, hi)
+            assert got.typecode == "q"
+            assert got.tolist() == [p for p in np.flatnonzero(want) if lo <= p <= hi], (lo, hi)
+
+
 def test_kron_values_against_oracle():
-    ps = np.flatnonzero(sieve(2 * 10**5)).astype(np.int64)
+    ps = primes(2, 2 * 10**5)
     fields = [get_field(key) for key in QF]
-    # discriminants wider than int64 go through the digit-wise reduction
+    # discriminants wider than int64, and the rational "discriminant" 1
     fields += [make_field("quadratic", -(2**61 - 1)), make_field("quadratic", 2**89 - 1)]
+    fields += [make_field("rational")]
     for field in fields:
         disc = field.discriminant
         want = [oracles.kronecker(disc, p) for p in ps.tolist()]
         assert kron_values(disc, ps).tolist() == want
+        assert oracles.kron_values(disc, np.array(ps)).tolist() == want
+
+
+SMALL_PRIMES = primes(2, 3000).tolist()
+
+
+def _squarefree(d):
+    return d not in (0, 1) and all(d % (p * p) for p in SMALL_PRIMES[:30])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-(2**70), 2**70).filter(_squarefree),
+    st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=40),
+)
+@example(d=-1, ps=[2, 3, 5, 2, 3])  # disc -4: p = 2 divides disc
+@example(d=-3, ps=[2, 3, 5, 7, 3])  # disc -3, d = 1 mod 4: p = 3 divides disc
+@example(d=2, ps=[2, 7, 17, 23])  # disc 8, d = 2 mod 4
+@example(d=3, ps=[2, 3, 11, 13])  # disc 12, d = 3 mod 4
+@example(d=-(2**64) - 17, ps=[2, 3, 5, 7, 2999])  # |disc| > 2^63
+def test_kron_values_hypothesis(d, ps):
+    # d or 4d, the discriminant of Q(sqrt d), is the modulus of the
+    # character that kron_values evaluates once per residue class
+    disc = d if d % 4 == 1 else 4 * d
+    got = kron_values(disc, ps).tolist()
+    assert got == [oracles.kronecker(disc, p) for p in ps]
+    assert got == oracles.kron_values(disc, np.array(ps, dtype=np.int64)).tolist()
 
 
 def test_kernels_refuse_primes_from_2_31():
     ps = np.array([3, 2**31 + 11], dtype=np.int64)
-    for call in (lambda: mod_values(5, ps), lambda: kron_values(-4, ps)):
-        with pytest.raises(PrimeTooLarge) as info:
-            call()
-        assert isinstance(info.value, ResourceError) and info.value.exit_code == 3
-    assert mod_values(5, ps[:1]).tolist() == [2]
-    assert mod_values(2**31 + 10, np.array([2**31 - 1])).tolist() == [11]
+    with pytest.raises(PrimeTooLarge) as info:
+        kron_values(-4, ps.tolist())
+    assert isinstance(info.value, ResourceError) and info.value.exit_code == 3
+    assert kron_values(-4, [3, 2**31 - 1]).tolist() == [-1, -1]
+    # the numpy mod_values that trial division used is now the oracle
+    with pytest.raises(PrimeTooLarge):
+        oracles.mod_values(5, ps)
+    assert oracles.mod_values(5, ps[:1]).tolist() == [2]
+    assert oracles.mod_values(2**31 + 10, np.array([2**31 - 1])).tolist() == [11]
 
 
 def test_factor_inert_prime_beyond_kernel():

@@ -9,7 +9,8 @@ Per-level bounds (exact Fractions, no rounding):
 Analytic bounds (directed rounding, always from above):
   - rankin_W, eta1_major: the Rankin trick on moduli of norm > x,
   - mertens_sum_bound: Mertens sum majorant over prime norms,
-  - eta2_major: tail contribution of levels above the threshold y,
+  - eta2_major: tail contribution of levels above the threshold y, summed
+    over dyadic blocks whose y-free values are computed once per block end,
   - effective_bound: a float search picks y, then (y, x) with eta1 + eta2
     < 1 is computed once, exactly, over the prime norms the search already
     produced, and checked as verify_certificate does.
@@ -32,8 +33,11 @@ requirement is absorbed by the floor Y_MIN = 512.
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from heapq import merge
+from itertools import repeat
 from math import fsum, gcd, isqrt, log, log1p, prod
+from operator import add, sub
 from typing import NamedTuple
 
 from . import kernels, ring
@@ -43,6 +47,7 @@ from .errors import (
     MixedFields,
     ResourceError,
     SearchBudgetExceeded,
+    SieveTooLarge,
     SoundnessError,
     XNotPerfectSquare,
     YTooSmall,
@@ -128,18 +133,26 @@ def _check_m1_printable(field, q):
     # divide one only as p + 1 = n or q, an even prime norm and so 2 or 4.
     # Their product divides it too, so once that reaches 10^limit the row
     # has more than limit digits.
+    # Windows of (q/2, q) that double from 2^12 stop at the first product
+    # past the limit, so the refusal sieves a few thousand numbers, not q/2.
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
-    # a rational prime is a prime norm unless it is inert
-    unram, ram, _ = ring._split_primes(field, q - 1, max(q // 2, 4))
+    if q - 1 > kernels.SIEVE_MAX:  # as _m1_euler's sieve would refuse
+        raise SieveTooLarge(f"sieve limit {q - 1} exceeds {kernels.SIEVE_MAX}")
     top, num = 10**limit, 1
-    for p in merge(unram, ram):
-        num *= p
-        if num >= top:
-            raise ResourceError(
-                f"the m1 row at norm {q} has over {limit} digits, too large to print"
-            )
+    lo, width = max(q // 2, 4), 2**12
+    while lo < q - 1:
+        hi = min(lo + width, q - 1)
+        # a rational prime is a prime norm unless it is inert
+        unram, ram, _ = ring._split_primes(field, hi, lo)
+        for p in merge(unram, ram):
+            num *= p
+            if num >= top:
+                raise ResourceError(
+                    f"the m1 row at norm {q} has over {limit} digits, too large to print"
+                )
+        lo, width = hi, 2 * width
 
 
 def m1_bound(instance, j):
@@ -177,11 +190,14 @@ def rankin_W(field, y):
 
 def _rankin_fold(norms):
     # rankin_W over an ascending norms array; the accumulator is a reduced
-    # (num, den) pair, rounded up once per prime
+    # (num, den) pair, rounded up once per prime. Equal norms (the two
+    # primes above a split p) are adjacent and share one square root.
     num = den = 1
     shift = 1 << SQRT_BITS
+    last = n = 0
     for q in norms:
-        n = isqrt(q << (2 * SQRT_BITS))  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
+        if q != last:  # n/2^k <= sqrt(q), so n/(n-2^k) >= ...
+            last, n = q, isqrt(q << (2 * SQRT_BITS))
         a, b = n * num, (n - shift) * den
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
@@ -221,8 +237,8 @@ def _p_small_fold(norms):
     num = den = 1
     for i in range(0, len(norms), 64):
         block = norms[i : i + 64]
-        a = num * prod(q * (q + 1) for q in block)
-        b = den * prod((q - 1) ** 2 for q in block)
+        a = num * prod(block) * prod(map(add, block, repeat(1)))
+        b = den * prod(map(sub, block, repeat(1))) ** 2
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
     return Fraction(num, den)
@@ -269,7 +285,10 @@ def _eta2_tail(y):
     # g1(t) = (1+4t-t^2)/(1-t)^2 <= (1-t)^-6 (delta = 1/2 factors, doubled).
     # Sum over q in dyadic blocks (a, 2a], then close the tail at A with
     # (log q)^12 <= (log A)^12 sqrt(q)/sqrt(A) once log A >= LOG_CLOSE.
-    ly_lo, ly_hi = ln_bounds(y)
+    # The values of a block that do not involve y come from _dyadic_block,
+    # once per block end b: on the doubling schedule, y and the block ends
+    # 2y, 4y, ... of y are block ends of y/2 too.
+    ly_lo, ly_hi = _dyadic_block(y)[:2]
     lbmy = round_down(_mertens_prod_lo(ly_lo))
     m0 = isqrt(y) + 1
     # telescoping prod_{n >= m0} (1-1/n^2)^-1 = m0/(m0-1) covers every inert
@@ -280,12 +299,8 @@ def _eta2_tail(y):
     la_lo, la_hi = ly_lo, ly_hi
     while la_lo < LOG_CLOSE:
         b = 2 * a
-        lb_lo, lb_hi = ln_bounds(b)
-        # count of prime norms in (a, b]: <= 2 pi(b) rational-prime norms
-        # plus inert squares with p in (isqrt(a), isqrt(b)]
-        count = 2 * PI_UPPER_C * b / lb_lo + (isqrt(b) - isqrt(a))
-        sm = round_up(count / (a * a))
-        ratio = round_up(_mertens_prod_hi(lb_lo, lb_hi) / lbmy)
+        lb_lo, lb_hi, sm, prod_hi = _dyadic_block(b)
+        ratio = round_up(prod_hi / lbmy)
         rfac = round_up(ratio**12 * cin6)
         total = round_up(total + sm * rfac)
         a = b
@@ -299,6 +314,21 @@ def _eta2_tail(y):
     tails = 4 / sq_a + Fraction(1, 2 * isqrt(a) ** 2)
     closure = round_up(coef * ka * adj * tails)
     return total + closure
+
+
+@lru_cache(maxsize=256)
+def _dyadic_block(b):
+    # (lb_lo, lb_hi, sm, prod_hi) for the block (a, b], a = b/2 (b is even
+    # wherever sm is read): bounds on log b, sm >= (count of prime norms in
+    # (a, b]) / a^2, and the upper Mertens product at b. Immutable Fractions;
+    # a schedule has a few dozen b.
+    a = b // 2
+    lb_lo, lb_hi = ln_bounds(b)
+    # count of prime norms in (a, b]: <= 2 pi(b) rational-prime norms
+    # plus inert squares with p in (isqrt(a), isqrt(b)]
+    count = 2 * PI_UPPER_C * b / lb_lo + (isqrt(b) - isqrt(a))
+    sm = round_up(count / (a * a))
+    return lb_lo, lb_hi, sm, _mertens_prod_hi(lb_lo, lb_hi)
 
 
 class BoundCertificate(NamedTuple):

@@ -62,7 +62,7 @@ class DistortionProblem:
 
 
 class _Norm(NamedTuple):
-    sizes: list  # sizes[j][l] = points in level-j label l, int64
+    sizes: list  # sizes[j][l] = points in level-j label l, int64, read only
     parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
     target_bits: list  # target_bits[j-1][l]: level-j label l lies in B_j
     initial_codes: np.ndarray  # code of each level-0 label

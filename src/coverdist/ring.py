@@ -27,7 +27,6 @@ array('q'), from the stdlib kernels, and nothing imports numpy.
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -50,8 +49,7 @@ TRIAL_LIMIT = 10**6
 COMPOSITE_CUTOFF = 10**24
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     kind: str  # "rational" or "quadratic"
     d: int | None
     discriminant: int

@@ -164,7 +164,8 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     space: level-j label l is the HNF index of a residue mod Q_j, with
     parent its residue mod Q_{j-1}, n/|O/Q_j| points and a target bit."""
     n = _enum_size(instance.q, max_enum)  # refuse before any label array
-    sizes, parents = [np.array([n], dtype=np.int64)], [None]
+    # every label of level j has n/count points: one read-only int64, zero stride
+    sizes, parents = [np.broadcast_to(np.int64(n), 1)], [None]
     for j in range(1, instance.depth + 1):
         lo, hi = instance.levels[j - 1], instance.levels[j]
         parent = kernels.level_labels(hi.u, hi.w, lo.u, lo.v, lo.w)
@@ -174,7 +175,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
         if not ok or (np.bincount(parent, minlength=above) != count // above).any():
             raise SoundnessError(f"level {j} labels do not map O/Q_{j} onto O/Q_{j - 1}")
         parents.append(parent)
-        sizes.append(np.full(count, n // count, dtype=np.int64))
+        sizes.append(np.broadcast_to(np.int64(n // count), count))
     target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
     initial_codes = np.zeros(1, dtype=np.int64)
     return distortion._Norm(sizes, parents, target_bits, initial_codes, (Fraction(1, n),), None)

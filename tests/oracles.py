@@ -7,11 +7,14 @@ per-label list walk, and analytic sums/products via scaled-integer directed
 arithmetic. The exceptions are code the package replaced, kept as it was
 to check its replacement: primes_up_to_norm_loop classifies each sieved
 prime again through ring.primes_above, effective_bound_exact runs the
-y search on exact numbers through bounds' own eta2 arithmetic,
+y search on exact numbers through eta2_tail below,
 build_problem_points builds the n-point label arrays and target masks of
 a covering system through the package's kernels, and sieve, mod_values,
 kron_values, trial_division and prime_norms_up_to are the numpy kernels
-(and the trial division on them) that the standard-library ones replaced.
+(and the trial division on them) that the standard-library ones replaced,
+and rankin_fold, p_small_fold and eta2_tail are bounds' exact folds and
+tail as they were before each computed its norm-only or block-only
+values once.
 """
 
 from fractions import Fraction
@@ -22,7 +25,16 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from coverdist import DistortionProblem, bounds, kernels, ring
-from coverdist.rounding import round_up, round_up_pair
+from coverdist.rounding import (
+    EGAMMA_EXP_HI,
+    PI_UPPER_C,
+    ceil_to_grid,
+    ln_bounds,
+    round_down,
+    round_up,
+    round_up_pair,
+    sqrt_lo,
+)
 
 SCALE_BITS = 96
 SCALE = 1 << SCALE_BITS
@@ -297,6 +309,62 @@ def p_small_fraction(norms):
     return round_up_fraction(acc * Fraction(num, den))
 
 
+def rankin_fold(norms):
+    """bounds._rankin_fold with one square root per norm, split norms
+    included: the oracle for the fold that shares it within a run."""
+    num = den = 1
+    shift = 1 << bounds.SQRT_BITS
+    for q in norms:
+        n = isqrt(q << (2 * bounds.SQRT_BITS))
+        a, b = n * num, (n - shift) * den
+        g = gcd(a, b)
+        num, den = round_up_pair(a // g, b // g)
+    return ceil_to_grid(Fraction(num, den), Fraction(1, 1000))
+
+
+def p_small_fold(norms):
+    """bounds._p_small_fold with per-norm products q(q+1) and (q-1)^2."""
+    num = den = 1
+    for i in range(0, len(norms), 64):
+        block = norms[i : i + 64]
+        a = num * prod(q * (q + 1) for q in block)
+        b = den * prod((q - 1) ** 2 for q in block)
+        g = gcd(a, b)
+        num, den = round_up_pair(a // g, b // g)
+    return Fraction(num, den)
+
+
+def eta2_tail(y):
+    """bounds._eta2_tail computing every dyadic block's values at each y:
+    the oracle for the tail that computes them once per block end."""
+    ly_lo, ly_hi = ln_bounds(y)
+    lbmy = round_down(bounds._mertens_prod_lo(ly_lo))
+    m0 = isqrt(y) + 1
+    cin6 = round_up(Fraction(m0, m0 - 1) ** 6)
+    total = Fraction(0)
+    a = y
+    la_lo, la_hi = ly_lo, ly_hi
+    while la_lo < bounds.LOG_CLOSE:
+        b = 2 * a
+        lb_lo, lb_hi = ln_bounds(b)
+        count = 2 * PI_UPPER_C * b / lb_lo + (isqrt(b) - isqrt(a))
+        sm = round_up(count / (a * a))
+        ratio = round_up(bounds._mertens_prod_hi(lb_lo, lb_hi) / lbmy)
+        rfac = round_up(ratio**12 * cin6)
+        total = round_up(total + sm * rfac)
+        a = b
+        la_lo, la_hi = lb_lo, lb_hi
+    sq_a = sqrt_lo(a)
+    ka = round_up(la_hi**12 / sq_a)
+    coef = round_up(
+        cin6 * (EGAMMA_EXP_HI * (1 + 1 / (2 * la_lo * la_lo)) / lbmy) ** 12
+    )
+    adj = Fraction(a, a - 1) ** 2
+    tails = 4 / sq_a + Fraction(1, 2 * isqrt(a) ** 2)
+    closure = round_up(coef * ka * adj * tails)
+    return total + closure
+
+
 def effective_bound_exact(field, s):
     """The y that bounds.effective_bound chose when its search was exact:
     at each y it folded the eta2 product over the norms <= y, carrying the
@@ -307,7 +375,7 @@ def effective_bound_exact(field, s):
     carry = (1, 1, 0)
     for _ in range(bounds.MAX_Y_DOUBLINGS):
         psmall, carry = _p_small_carry(norms, carry)
-        eta2 = round_up(s * s * round_up(Fraction(*psmall) * bounds._eta2_tail(y)))
+        eta2 = round_up(s * s * round_up(Fraction(*psmall) * eta2_tail(y)))
         if eta2 < Fraction(1, 2):
             return y
         norms = np.concatenate([norms, prime_norms_up_to(field, 2 * y, y)])

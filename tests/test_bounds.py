@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from array import array
 from fractions import Fraction
 from math import inf, isqrt, log
 from pathlib import Path
@@ -47,7 +48,7 @@ from coverdist import (
     validate,
     verify_certificate,
 )
-from coverdist import bounds
+from coverdist import bounds, kernels, ring
 from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small_fold
 from coverdist.rounding import ln_bounds, ln_hi
 from coverdist.serialize import frac_str
@@ -338,6 +339,45 @@ def test_eta2_quadratic_fields():
         assert 0 < v < 1
 
 
+def test_eta2_tail_matches_oracle_cold_and_warm():
+    # the tail takes each dyadic block's y-free values from a cache keyed by
+    # the block end; on doubling schedules from 512 and from s^3 (odd or not
+    # a power of two), run ascending and descending from an empty cache, it
+    # equals the tail that computes every block at each y
+    schedules = [[512 << k for k in range(15)]]
+    schedules += [[s**3 << k for k in range(8)] for s in range(9, 21)]
+    for ys in schedules:
+        for order in (ys, ys[::-1]):
+            bounds._dyadic_block.cache_clear()
+            for y in order:
+                assert bounds._eta2_tail(y) == oracles.eta2_tail(y), y
+            assert bounds._dyadic_block.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_folds_match_oracles(key):
+    # one square root per run of equal norms and the P_small block products
+    # built from whole-block products, against the per-norm folds
+    field = get_field(key)
+    for k in range(12, 20):
+        norms = prime_norms_up_to(field, 1 << k)
+        assert bounds._rankin_fold(norms) == oracles.rankin_fold(norms), k
+        assert _p_small_fold(norms) == oracles.p_small_fold(norms), k
+
+
+def test_folds_on_runs_of_equal_norms():
+    # runs of 1 to 5 equal norms, inert squares among them, and one run of
+    # 100 that spans a 64-norm block edge
+    rng = random.Random(14)
+    runs = [(p, rng.choice((1, 1, 2, 3, 5))) for p in kernels.primes(2, 3000)]
+    runs += [(p * p, 2) for p in (59, 61)] + [(3001, 100), (3011, 3)]
+    norms = array("q", [n for n, k in sorted(runs) for _ in range(k)])
+    assert len(norms) > 640
+    for part in (norms, norms[:64], norms[5:300], norms[-130:]):
+        assert bounds._rankin_fold(part) == oracles.rankin_fold(part)
+        assert _p_small_fold(part) == oracles.p_small_fold(part)
+
+
 # -------------------------------------------------------- effective bounds
 
 
@@ -539,6 +579,29 @@ def test_m1_size_check_refuses_only_unprintable_rows():
             assert refused >= 100 and gained > 0, key
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_m1_refusal_sieves_a_bounded_window(monkeypatch):
+    # the first prime above 2^25 is refused at the default digit limit after
+    # fewer than 2^16 numbers of (q/2, q), not the 2^24 of the whole window,
+    # in windows that follow each other from q/2 on
+    q = 33554467
+    windows = []
+    split = ring._split_primes
+
+    def counted(field, y, above=0):
+        windows.append((above, y))
+        return split(field, y, above)
+
+    monkeypatch.setattr(ring, "_split_primes", counted)
+    for key in ("rational", -1, -3):
+        windows.clear()
+        with pytest.raises(ResourceError, match="too large to print"):
+            _check_m1_printable(get_field(key), q)
+        ends = [q // 2] + [y for _, y in windows]
+        assert windows == list(zip(ends, ends[1:])), key
+        assert [y - a for a, y in windows] == [2**12 << k for k in range(len(windows))]
+        assert ends[-1] - ends[0] < 2**16, key
 
 
 def _rat_ideals(ns):

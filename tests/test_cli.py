@@ -613,8 +613,9 @@ def test_numpy_imports_only_where_o_mod_q_arrays_live():
 
 
 def test_bound_primes_ideal_tool_never_import_numpy():
-    # the prime-norm commands run on the standard library; certify, in the
-    # same fresh process afterwards, loads numpy and prints its golden
+    # the prime-norm commands run on the standard library, without numpy or
+    # dataclasses (which loads inspect and ast); certify, in the same fresh
+    # process afterwards, loads numpy and prints its golden
     script = f"""
 import contextlib, io, sys
 from coverdist.cli import main
@@ -632,6 +633,7 @@ for args in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(args) == 0, args
 assert "numpy" not in sys.modules, args
+assert "dataclasses" not in sys.modules, args
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["certify", "--input", {str(DATA / "classic.json")!r}]) == 0

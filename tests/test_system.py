@@ -346,6 +346,12 @@ def test_build_problem_memory():
         arrays = [prob.sizes[j]] + ([prob.parents[j], prob.target_bits[j - 1]] if j else [])
         assert all(len(a) < n for a in arrays), j
     assert len(prob.parents[-1]) == len(prob.target_bits[-1]) == n
+    # every level's sizes are one read-only int64 seen at stride 0, equal to
+    # the oracle's point counts
+    want = distortion._normalize(oracles.build_problem_points(inst))
+    for got, ref in zip(prob.sizes, want.sizes, strict=True):
+        assert got.strides == (0,) and not got.flags.writeable
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 # ------------------------------------------------------------------- policy

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from coverdist.cli import main
+from coverdist.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,20 +37,97 @@ def call_main(capsys, args):
 
 # ------------------------------------------------------------------ goldens
 
-GOLDEN_CASES = [
-    ("check_classic.json", ["check", "--input", str(DATA / "classic.json")]),
-    ("check_near.json", ["check", "--input", str(DATA / "near.json")]),
+# Every pinned run, as (stem, argv): stdout is pinned in stem.json with the
+# default --format json, and in stem.txt with --format text.
+PINNED_RUNS = [
+    ("check_classic", ["check", "--input", str(DATA / "classic.json")]),
+    ("check_near", ["check", "--input", str(DATA / "near.json")]),
     (
-        "certify_near_threshold10.json",
+        "certify_near_threshold10",
         ["certify", "--input", str(DATA / "near.json"), "--delta", "threshold:10"],
     ),
+    ("certify_classic_default", ["certify", "--input", str(DATA / "classic.json")]),
     (
-        "certify_classic_default.json",
-        ["certify", "--input", str(DATA / "classic.json")],
+        "certify_single2_explicit0",
+        ["certify", "--input", str(DATA / "single2.json"), "--delta", "explicit:0"],
     ),
     (
-        "certify_single2_explicit0.json",
-        ["certify", "--input", str(DATA / "single2.json"), "--delta", "explicit:0"],
+        "moments_near_explicit_half",
+        ["moments", "--input", str(DATA / "near.json"), "--delta", "explicit:1/2"],
+    ),
+    ("moments_classic_default", ["moments", "--input", str(DATA / "classic.json")]),
+    ("certify_moduli_1113", ["certify-moduli", "--input", str(DATA / "moduli1113.json")]),
+    (
+        "certify_moduli_1113_s3_threshold5",
+        [
+            "certify-moduli",
+            "--input",
+            str(DATA / "moduli1113.json"),
+            "--s",
+            "3",
+            "--delta",
+            "threshold:5",
+        ],
+    ),
+    ("bound_rational_s1", ["bound", "--field", "rational", "--s", "1"]),
+    ("bound_gauss_s2", ["bound", "--field", "quadratic:-1", "--s", "2"]),
+    ("primes_m5_12", ["primes", "--field", "quadratic:-5", "--max-norm", "12"]),
+    ("primes_rational_1", ["primes", "--field", "rational", "--max-norm", "1"]),
+]
+_IDEAL_OPS = [
+    ("norm", "quadratic:-5", '{"gens": [2, [1, 1]]}', None),
+    ("factor", "quadratic:-1", "12", None),
+    ("distinguishable", "quadratic:-1", "15", None),
+    ("pmin", "quadratic:-1", "15", None),
+    ("mul", "quadratic:-5", "6", "10"),
+    ("intersect", "quadratic:-5", '{"gens": [2, [1, 1]]}', "3"),
+    ("divides", "quadratic:-3", "2", "6"),
+]
+for op, field, ideal, ideal2 in _IDEAL_OPS:
+    PINNED_RUNS.append(
+        (
+            f"ideal_tool_{op}",
+            ["ideal-tool", "--field", field, "--op", op, "--ideal", ideal]
+            + ([] if ideal2 is None else ["--ideal2", ideal2]),
+        )
+    )
+GOLDEN_CASES = [(stem + ".json", args) for stem, args in PINNED_RUNS] + [
+    (stem + ".txt", args + ["--format", "text"]) for stem, args in PINNED_RUNS
+]
+COMMANDS = ["check", "certify", "moments", "certify-moduli", "bound", "primes", "ideal-tool"]
+HELP_CASES = [("help.txt", [])] + [(f"help_{name}.txt", [name]) for name in COMMANDS]
+# (stderr golden, argv, exit code); $TMP is the test's temporary directory,
+# which holds bad.json and nothing else
+ERROR_CASES = [
+    ("err_missing_input.json", ["check"], 2),
+    ("err_bad_op.json", ["ideal-tool", "--field", "rational", "--op", "gcd", "--ideal", "6"], 2),
+    (
+        "err_bad_inline_json.json",
+        ["ideal-tool", "--field", "rational", "--op", "mul", "--ideal", "6", "--ideal2", "{x"],
+        2,
+    ),
+    (
+        "err_missing_ideal2.json",
+        ["ideal-tool", "--field", "rational", "--op", "mul", "--ideal", "6"],
+        2,
+    ),
+    ("err_unreadable_input.json", ["certify", "--input", "$TMP/missing.json"], 2),
+    ("err_bad_input_json.json", ["certify-moduli", "--input", "$TMP/bad.json"], 2),
+    (
+        "err_unwritable_output.json",
+        ["primes", "--field", "rational", "--max-norm", "10", "--output", "$TMP/no/out.json"],
+        2,
+    ),
+    (
+        "err_max_enum_not_int.json",
+        ["certify", "--input", str(DATA / "classic.json"), "--max-enum", "abc"],
+        2,
+    ),
+    ("err_max_enum_2.json", ["check", "--input", str(DATA / "classic.json"), "--max-enum", "2"], 3),
+    (
+        "err_delta_unprintable.json",
+        ["moments", "--input", str(DATA / "classic.json"), "--delta", "explicit:1e-100000"],
+        3,
     ),
 ]
 
@@ -65,6 +143,39 @@ def test_golden_repeatable():
     name, args = GOLDEN_CASES[3]
     runs = {run_cli(args)[1] for _ in range(3)}
     assert runs == {(GOLDEN / name).read_text()}
+
+
+@pytest.mark.parametrize("golden,args", HELP_CASES)
+def test_help_golden(capsys, monkeypatch, golden, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden,args,code", ERROR_CASES)
+def test_error_golden(capsys, tmp_path, golden, args, code):
+    (tmp_path / "bad.json").write_text("{nope")
+    args = [a.replace("$TMP", str(tmp_path)) for a in args]
+    rc, out, err = call_main(capsys, args)
+    assert (rc, out) == (code, "")
+    assert err == (GOLDEN / golden).read_text().replace("$TMP", str(tmp_path))
+
+
+def test_every_command_is_pinned():
+    # a subcommand cannot land without a JSON golden, a text golden and a
+    # --help golden
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == COMMANDS
+    pinned = set()
+    for _, args in GOLDEN_CASES:
+        fmt = args[args.index("--format") + 1] if "--format" in args else "json"
+        pinned.add((args[0], fmt))
+    assert pinned == {(c, fmt) for c in COMMANDS for fmt in ("json", "text")}
+    ops = sub.choices["ideal-tool"]._option_string_actions["--op"].choices
+    assert [op for op, *_ in _IDEAL_OPS] == list(ops)
 
 
 # ------------------------------------------------------------- check/certify
@@ -137,13 +248,14 @@ def test_moments(capsys):
 
 
 def test_output_file(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    rc, out, err = call_main(
-        capsys,
-        ["check", "--input", str(DATA / "classic.json"), "--output", str(target)],
-    )
-    assert rc == 0 and out == ""
-    assert target.read_text() == (GOLDEN / "check_classic.json").read_text()
+    # --output of each subcommand, in both formats, holds its stdout golden
+    # byte for byte
+    for golden, args in GOLDEN_CASES:
+        target = tmp_path / golden
+        rc, out, err = call_main(capsys, args + ["--output", str(target)])
+        assert (rc, out, err) == (0, "", ""), golden
+        assert target.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+    assert {args[0] for _, args in GOLDEN_CASES} == set(COMMANDS)
 
 
 def test_output_unwritable_is_json_error(tmp_path, capsys):

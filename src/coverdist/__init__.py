@@ -4,7 +4,7 @@ effective minimum-norm bounds.
 
 The names below are imported from their modules on first use (PEP 562),
 so that a command that needs only prime norms never loads numpy, which
-distortion and system import.
+distortion imports.
 """
 
 from importlib import import_module

@@ -17,8 +17,8 @@ Analytic bounds (directed rounding, always from above):
 
 The analytic layer is exact integer and rational arithmetic over prime
 norms (array('q') from ring) plus float log sums, all on the standard
-library; only class_measure_bound, which measures a class on O/Q, and
-certify_moduli, which factors its moduli through system, load numpy.
+library; only class_measure_bound, which measures a class on O/Q, loads
+numpy. certify_moduli factors its moduli through system without it.
 
 The explicit inequalities used are classical (Rosser and Schoenfeld,
 "Approximate formulas for some functions of prime numbers", 1962):
@@ -102,13 +102,12 @@ def class_measure_bound(instance, result, a, ideal, j):
         raise InputError(f"level {j} out of range")
     import numpy as np
 
-    from . import distortion
+    from . import distortion, system
 
     state = result.states[j]
     q = instance.q
     mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
-    ar = ring.reduce(a, ideal)
-    kernels.mark_class(mask, ar[0], ar[1], ideal.u, ideal.v, ideal.w, q.u, q.v, q.w)
+    system._class_mask(system.CongruenceClass(ring.reduce(a, ideal), ideal), q, mask)
     exact = distortion.mask_mass(state, mask)
     bound = Fraction(1, ring.ideal_norm(ideal))
     for (prime, _), delta in zip(instance.primes[:j], state.deltas):

@@ -49,9 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DeltaOutOfRange, InputError, SoundnessError
-
-HALF = Fraction(1, 2)
+from .errors import InputError, SoundnessError
+from .system import _check_delta
 
 
 @dataclass
@@ -213,13 +212,6 @@ def _normalize(problem):
 def initial_state(problem):
     norm = problem if isinstance(problem, _Norm) else _normalize(problem)
     return DistortionState(norm, 0, norm.initial_codes, norm.initial_table, ())
-
-
-def _check_delta(delta):
-    delta = Fraction(delta)
-    if not 0 <= delta <= HALF:
-        raise DeltaOutOfRange(f"delta {delta} outside [0, 1/2]")
-    return delta
 
 
 def _alpha_ids(state, j):

@@ -171,10 +171,6 @@ def prime_json(prime):
     return out
 
 
-def field_json(field):
-    return field.label()
-
-
 def dumps_stable(obj):
     try:
         return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"

@@ -4,15 +4,17 @@ factor_moduli, shared by validate and bounds.certify_moduli, factors every
 modulus, requires each to be distinguishable (unique prime of maximal
 norm), computes Q = intersection of the moduli and orders the primes of Q
 by ascending norm (ties by HNF) to fix the levels of the distortion run.
+
+numpy and the distortion engine load only inside covers, target_mask and
+build_problem, the functions that build arrays over O/Q, so that
+certify-moduli factors and resolves its deltas without them.
 """
 
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from . import distortion, kernels, ring
+from . import kernels, ring
 from .errors import (
     DeltaOutOfRange,
     EnumerationTooLarge,
@@ -131,6 +133,8 @@ def _enum_size(q, max_enum):
 
 def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     """("covers", None) or ("uncovered", witness element), by enumeration."""
+    import numpy as np
+
     q = instance.q
     mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
     for cls in instance.classes:
@@ -148,6 +152,8 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
 def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
     """B_j over O/Q_j: the residues mod Q_j covered by the classes whose
     P_min is the j-th prime. Their moduli divide Q_j."""
+    import numpy as np
+
     if not 1 <= j <= instance.depth:
         raise InputError(f"level {j} out of range")
     _enum_size(instance.q, max_enum)
@@ -163,6 +169,10 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     """The inverse system O/Q_0 <- O/Q_1 <- ... <- O/Q_J = O/Q in label
     space: level-j label l is the HNF index of a residue mod Q_j, with
     parent its residue mod Q_{j-1}, n/|O/Q_j| points and a target bit."""
+    import numpy as np
+
+    from .distortion import _Norm
+
     n = _enum_size(instance.q, max_enum)  # refuse before any label array
     # every label of level j has n/count points: one read-only int64, zero stride
     sizes, parents = [np.broadcast_to(np.int64(n), 1)], [None]
@@ -178,7 +188,15 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
         sizes.append(np.broadcast_to(np.int64(n // count), count))
     target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
     initial_codes = np.zeros(1, dtype=np.int64)
-    return distortion._Norm(sizes, parents, target_bits, initial_codes, (Fraction(1, n),), None)
+    return _Norm(sizes, parents, target_bits, initial_codes, (Fraction(1, n),), None)
+
+
+def _check_delta(delta):
+    """delta as a Fraction; DeltaOutOfRange unless 0 <= delta <= 1/2."""
+    delta = Fraction(delta)
+    if not 0 <= delta <= Fraction(1, 2):
+        raise DeltaOutOfRange(f"delta {delta} outside [0, 1/2]")
+    return delta
 
 
 def resolve_policy_for_primes(primes, s, policy):
@@ -206,7 +224,7 @@ def resolve_policy_for_primes(primes, s, policy):
             raise InputError(
                 f"expected {len(primes)} deltas (one per prime of Q), got {len(deltas)}"
             )
-        return [distortion._check_delta(x) for x in deltas]
+        return [_check_delta(x) for x in deltas]
     raise InputError(f"unknown delta policy {kind!r}")
 
 

@@ -707,9 +707,9 @@ assert "sympy" not in sys.modules, sorted(m for m in sys.modules if "sympy" in m
 
 
 def test_numpy_imports_only_where_o_mod_q_arrays_live():
-    # only the distortion engine and the covering-system layer import
-    # numpy at module level; every other module loads it inside the
-    # functions that build arrays over O/Q, if at all
+    # only the distortion engine imports numpy at module level; every other
+    # module loads it inside the functions that build arrays over O/Q, if at
+    # all
     src = Path(__import__("coverdist").__file__).parent
     importers = set()
     for path in src.glob("*.py"):
@@ -721,13 +721,13 @@ def test_numpy_imports_only_where_o_mod_q_arrays_live():
                 names = [node.module]
             if any(n == "numpy" or n.startswith("numpy.") for n in names):
                 importers.add(path.name)
-    assert importers == {"distortion.py", "system.py"}
+    assert importers == {"distortion.py"}
 
 
 def test_bound_primes_ideal_tool_never_import_numpy():
-    # the prime-norm commands run on the standard library, without numpy or
-    # dataclasses (which loads inspect and ast); certify, in the same fresh
-    # process afterwards, loads numpy and prints its golden
+    # the prime-norm commands and certify-moduli run on the standard library,
+    # without numpy or dataclasses (which loads inspect and ast); certify, in
+    # the same fresh process afterwards, loads numpy and prints its golden
     script = f"""
 import contextlib, io, sys
 from coverdist.cli import main
@@ -740,6 +740,8 @@ runs = [
      "--ideal", "{(2**61 - 1) * 999983**2}"],
     ["ideal-tool", "--field", "rational", "--op", "pmin", "--ideal", "{(2**89 - 1) ** 3 * 10**6}"],
     ["ideal-tool", "--field", "quadratic:-5", "--op", "mul", "--ideal", "6", "--ideal2", "10"],
+    ["certify-moduli", "--input", {str(DATA / "moduli1113.json")!r}],
+    ["certify-moduli", "--input", {str(DATA / "moduli1113.json")!r}, "--delta", "explicit:0,1/3"],
 ]
 for args in runs:
     with contextlib.redirect_stdout(io.StringIO()):

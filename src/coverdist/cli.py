@@ -228,7 +228,8 @@ def cmd_primes(args):
     return doc, lines or [""]
 
 
-# op -> (operand count, result as JSON), in the order --op lists them
+# op -> (operand count, result as JSON), in the order --op lists them; each
+# looks its ring function up at call time, so a wrapper installed on ring sees it
 _IDEAL_OPS = {
     "norm": (1, lambda a: ring.ideal_norm(a)),
     "factor": (

@@ -257,7 +257,7 @@ def cmd_ideal_tool(args):
         ideals.append(serialize.parse_ideal(field, _load_json("--ideal2", args.ideal2)))
         doc["ideal2"] = serialize.ideal_json(ideals[1])
     doc["result"] = op(*ideals)
-    return doc, [json.dumps(doc["result"])]
+    return doc, [serialize.dumps_line(doc["result"])]
 
 
 # argparse options of more than one command, as (flag, add_argument keywords)

@@ -1,11 +1,12 @@
 """The distortion construction: a sequence of exact rational measures on a
 finite set S that drains mass away from prescribed target sets.
 
-A problem is a finite set S and an inverse system of label spaces
-L_0 <- ... <- L_J (each label a fiber of S, each level refining the one
-before) with targets B_1..B_J, B_j a set of level-j labels. For a covering
-system L_j is O/Q_j and S = L_J = O/Q. A DistortionProblem gives the same
-over points, as label arrays levels[0..J] and masks targets[0..J-1].
+A DistortionProblem is an inverse system of label spaces L_0 <- ... <- L_J
+with targets B_1..B_J, B_j a set of level-j labels. Each level-j label has
+a parent label at level j-1 and a size, its number of points of S. Point
+index i means level-J label i. For a covering system
+system.build_problem gives L_j = O/Q_j with one point per level-J label,
+so point i is residue_at(i, Q).
 
 Step j distorts the current measure using the conditional density of B_j
 on each level-(j-1) fiber: with alpha that density and delta = delta_j,
@@ -43,7 +44,6 @@ Checks, on by default, each paying Fraction work once per distinct key:
   - in certify the uncovered mass is at least 1 - eta.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -53,24 +53,16 @@ from .errors import InputError, SoundnessError
 from .system import _check_delta
 
 
-@dataclass
-class DistortionProblem:
-    levels: list = None  # J+1 integer label arrays over S
-    targets: list = None  # J boolean arrays over S
-    initial_mass: list | None = None  # per-point Fractions; uniform if None
-
-
-class _Norm(NamedTuple):
+class DistortionProblem(NamedTuple):
     sizes: list  # sizes[j][l] = points in level-j label l, int64, read only
     parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
     target_bits: list  # target_bits[j-1][l]: level-j label l lies in B_j
     initial_codes: np.ndarray  # code of each level-0 label
     initial_table: tuple  # distinct initial point masses
-    points: np.ndarray | None  # level-J label of each point; None: point i is label i
 
 
 class DistortionState(NamedTuple):
-    norm: _Norm
+    problem: DistortionProblem
     level: int
     codes: np.ndarray  # int64 per level-`level` label, an index into table
     table: tuple  # distinct Fractions: mass of EACH point in a fiber
@@ -84,7 +76,7 @@ class DistortionState(NamedTuple):
         return out
 
     def total_mass(self):
-        return _grouped_sum(self.codes, self.norm.sizes[self.level], self.table)
+        return _grouped_sum(self.codes, self.problem.sizes[self.level], self.table)
 
 
 class MomentReport(NamedTuple):
@@ -97,7 +89,7 @@ class MomentReport(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    norm: _Norm
+    problem: DistortionProblem
     states: list
     reports: list
     eta: Fraction
@@ -109,7 +101,7 @@ class CertifyResult(NamedTuple):
     eta: Fraction
     reports: list
     uncovered_mass: Fraction | None
-    witness_index: int | None  # first uncovered point: residue_at(index, q) for build_problem
+    witness_index: int | None  # first uncovered point (level-J label); residue_at(index, q)
     result: RunResult
 
 
@@ -132,86 +124,16 @@ def _grouped_sum(ids, counts, values):
     return total
 
 
-def _point_labels(norm, k):
-    """The level-k label of each point."""
-    lab = np.arange(len(norm.sizes[-1])) if norm.points is None else norm.points
-    for i in range(len(norm.parents) - 1, k, -1):
-        lab = norm.parents[i][lab]
+def _point_labels(problem, k):
+    """The level-k label of each point index, that is of each level-J label."""
+    lab = np.arange(len(problem.sizes[-1]))
+    for i in range(len(problem.parents) - 1, k, -1):
+        lab = problem.parents[i][lab]
     return lab
 
 
-def _normalize(problem):
-    """Check a DistortionProblem over points and convert it to label space."""
-    if not problem.levels:
-        raise InputError("need at least the level-0 labels")
-    levels, reps = [], []
-    n = None
-    for j, raw in enumerate(problem.levels):
-        arr = np.asarray(raw, dtype=np.int64)
-        if arr.ndim != 1 or (n is not None and len(arr) != n):
-            raise InputError(f"level {j} labels malformed")
-        n = len(arr)
-        if n == 0:
-            raise InputError("empty point set")
-        if arr.min() < 0:
-            raise InputError(f"level {j} labels must be nonnegative")
-        # relabel densely (stable: by ascending original label), with the
-        # first point of each label
-        _, first, dense = np.unique(arr, return_index=True, return_inverse=True)
-        levels.append(dense.astype(np.int64, copy=False))
-        reps.append(first)
-    sizes = [np.bincount(arr) for arr in levels]
-
-    parents = [None]
-    for j in range(1, len(levels)):
-        parent = levels[j - 1][reps[j]]
-        if not np.array_equal(parent[levels[j]], levels[j - 1]):
-            bad = int(np.flatnonzero(parent[levels[j]] != levels[j - 1])[0])
-            rep = int(reps[j][levels[j][bad]])
-            raise InputError(
-                f"level {j} does not refine level {j - 1}: points {rep} and {bad} "
-                f"share a level-{j} fiber but not a level-{j - 1} fiber"
-            )
-        parents.append(parent)
-
-    targets = [np.asarray(t, dtype=np.bool_) for t in problem.targets or []]
-    if len(targets) != len(levels) - 1:
-        raise InputError(
-            f"{len(targets)} targets for {len(levels) - 1} distortion levels"
-        )
-    target_bits = []
-    for j, t in enumerate(targets, start=1):
-        if t.shape != (n,):
-            raise InputError(f"target {j} malformed")
-        bits = t[reps[j]]
-        if not np.array_equal(bits[levels[j]], t):
-            raise InputError(f"target {j} is not a union of level-{j} fibers")
-        target_bits.append(bits)
-
-    if problem.initial_mass is None:
-        initial_codes = np.zeros(len(sizes[0]), dtype=np.int64)
-        initial_table = (Fraction(1, n),)
-    else:
-        if len(problem.initial_mass) != n:
-            raise InputError("initial mass list has wrong length")
-        to_fraction = np.frompyfunc(Fraction, 1, 1)
-        masses = to_fraction(np.array(problem.initial_mass, dtype=object))
-        table, point_codes = np.unique(masses, return_inverse=True)  # ascending
-        if table[0] < 0:
-            raise InputError("negative initial mass")
-        initial_codes = point_codes[reps[0]].astype(np.int64)
-        if not np.array_equal(initial_codes[levels[0]], point_codes):
-            raise InputError("initial mass not constant on level-0 fibers")
-        initial_table = tuple(table.tolist())
-        if _grouped_sum(initial_codes, sizes[0], initial_table) != 1:
-            raise InputError("initial mass does not sum to 1")
-
-    return _Norm(sizes, parents, target_bits, initial_codes, initial_table, levels[-1])
-
-
 def initial_state(problem):
-    norm = problem if isinstance(problem, _Norm) else _normalize(problem)
-    return DistortionState(norm, 0, norm.initial_codes, norm.initial_table, ())
+    return DistortionState(problem, 0, problem.initial_codes, problem.initial_table, ())
 
 
 def _alpha_ids(state, j):
@@ -221,12 +143,12 @@ def _alpha_ids(state, j):
     alphas[ids[l]] = inter[l] / size[l], with one id per distinct
     (inter, size) pair.
     """
-    norm = state.norm
-    if j != state.level + 1 or j > len(norm.target_bits):
+    problem = state.problem
+    if j != state.level + 1 or j > len(problem.target_bits):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    sz, bits = norm.sizes[j - 1], norm.target_bits[j - 1]
+    sz, bits = problem.sizes[j - 1], problem.target_bits[j - 1]
     inter = np.zeros(len(sz), dtype=np.int64)  # target points per parent
-    np.add.at(inter, norm.parents[j][bits], norm.sizes[j][bits])
+    np.add.at(inter, problem.parents[j][bits], problem.sizes[j][bits])
     radix = int(sz.max()) + 1
     pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
     alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
@@ -236,7 +158,7 @@ def _alpha_ids(state, j):
 def alpha(state, j):
     """Per-point alpha_j values (constant on level-(j-1) fibers)."""
     alphas, ids, _ = _alpha_ids(state, j)
-    return _lookup(alphas, ids[_point_labels(state.norm, j - 1)]).tolist()
+    return _lookup(alphas, ids[_point_labels(state.problem, j - 1)]).tolist()
 
 
 def moments(state, j):
@@ -265,14 +187,14 @@ def _factor(a, b, delta):
 def step(state, j, delta, checks=True):
     """Apply distortion step j with the given delta; returns the new state."""
     delta = _check_delta(delta)
-    norm = state.norm
+    problem = state.problem
     alphas, ids, _ = _alpha_ids(state, j)
-    parent = norm.parents[j]
+    parent = problem.parents[j]
     na = len(alphas)
     assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
     # the new mass of a level-j label depends only on (parent code, parent
     # alpha id, target bit): one mixed-radix key each
-    keys = (state.codes[parent] * na + ids[parent]) * 2 + norm.target_bits[j - 1]
+    keys = (state.codes[parent] * na + ids[parent]) * 2 + problem.target_bits[j - 1]
     uniq, inv = np.unique(keys, return_inverse=True)
     interned = {}
     remap = []
@@ -285,14 +207,14 @@ def step(state, j, delta, checks=True):
         remap.append(interned.setdefault(v, len(interned)))
     codes = np.asarray(remap, dtype=np.int64)[inv]
     deltas = state.deltas + (delta,)
-    new_state = DistortionState(norm, j, codes, tuple(interned), deltas)
+    new_state = DistortionState(problem, j, codes, tuple(interned), deltas)
     if checks:
         _verify_step(state, new_state, j)
     return new_state
 
 
 def _verify_step(old, new, j):
-    norm = old.norm
+    problem = old.problem
     nc = len(new.table)
     if new.codes.min() < 0 or new.codes.max() >= nc:
         raise SoundnessError(f"step {j}: code outside the value table")
@@ -300,10 +222,10 @@ def _verify_step(old, new, j):
         raise SoundnessError(f"step {j}: total mass drifted")
     # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
     # a cell is (parent fiber, child code) with its point count
-    szp = norm.sizes[j - 1]
-    cells, inv = np.unique(norm.parents[j] * nc + new.codes, return_inverse=True)
+    szp = problem.sizes[j - 1]
+    cells, inv = np.unique(problem.parents[j] * nc + new.codes, return_inverse=True)
     cell_size = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(cell_size, inv, norm.sizes[j])
+    np.add.at(cell_size, inv, problem.sizes[j])
     cell_parent, cell_code = np.divmod(cells, nc)
     # cells are sorted by parent and every parent has at least one
     bounds = np.searchsorted(cell_parent, np.arange(len(szp) + 1))
@@ -331,34 +253,33 @@ def _verify_step(old, new, j):
 
 def target_mass(state, j):
     """Mass of B_j under the state's measure (any level >= j)."""
-    bits = state.norm.target_bits[j - 1]
+    bits = state.problem.target_bits[j - 1]
     for i in range(j + 1, state.level + 1):  # B_j over the state's labels
-        bits = bits[state.norm.parents[i]]
+        bits = bits[state.problem.parents[i]]
     return _label_mass(state, bits)
 
 
 def _label_mass(state, bits):
     """Mass of the labels of the state's level where bits is set."""
-    sizes = state.norm.sizes[state.level]
+    sizes = state.problem.sizes[state.level]
     return _grouped_sum(state.codes[bits], sizes[bits], state.table)
 
 
 def mask_mass(state, mask):
-    """Mass of the points where mask is set."""
-    lab = _point_labels(state.norm, state.level)
+    """Mass of the level-J labels where mask is set, each with its points."""
+    lab = _point_labels(state.problem, state.level)
     if np.shape(mask) != lab.shape:
         raise InputError(f"mask of shape {np.shape(mask)} for {len(lab)} points")
-    return _grouped_sum(state.codes[lab[mask]], 1, state.table)
+    return _grouped_sum(state.codes[lab[mask]], state.problem.sizes[-1][mask], state.table)
 
 
 def run(problem, deltas, checks=True):
     """Run every step; returns states, per-step moment reports, and eta."""
-    norm = problem if isinstance(problem, _Norm) else _normalize(problem)
-    levels = len(norm.target_bits)
+    levels = len(problem.target_bits)
     deltas = [_check_delta(x) for x in deltas]
     if len(deltas) != levels:
         raise InputError(f"expected {levels} deltas, got {len(deltas)}")
-    states = [initial_state(norm)]
+    states = [initial_state(problem)]
     reports = []
     eta = Fraction(0)
     for j in range(1, levels + 1):
@@ -382,26 +303,24 @@ def run(problem, deltas, checks=True):
         for rep, fm in zip(reports, final_masses):
             if fm != rep.target_mass:
                 raise SoundnessError(f"target {rep.j} mass not stable after its step")
-    return RunResult(norm, states, reports, eta, final_masses)
+    return RunResult(problem, states, reports, eta, final_masses)
 
 
 def certify(problem, deltas):
     """Non-coverage certificate when eta < 1, else inconclusive; checks always on."""
     result = run(problem, deltas)
-    norm = result.norm
     eta = result.eta
     if eta >= 1:
         return CertifyResult("inconclusive", eta, result.reports, None, None, result)
-    union = norm.target_bits[0]  # B_1 | ... | B_j over the level-j labels
-    for parent, bits in zip(norm.parents[2:], norm.target_bits[1:]):
+    union = problem.target_bits[0]  # B_1 | ... | B_j over the level-j labels
+    for parent, bits in zip(problem.parents[2:], problem.target_bits[1:]):
         union = union[parent] | bits
     uncovered = 1 - _label_mass(result.states[-1], union)
     if uncovered < 1 - eta:
         raise SoundnessError("uncovered mass below its certified floor")
     if uncovered <= 0:
         raise SoundnessError("eta < 1 but no uncovered mass")
-    outside = ~union if norm.points is None else ~union[norm.points]
-    idx = int(np.flatnonzero(outside)[0])
+    idx = int(np.flatnonzero(~union)[0])
     return CertifyResult(
         "certified-noncover", eta, result.reports, uncovered, idx, result
     )

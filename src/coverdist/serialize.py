@@ -171,8 +171,17 @@ def prime_json(prime):
     return out
 
 
-def dumps_stable(obj):
+def _dumps(obj, **kwargs):
     try:
-        return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
+        return json.dumps(obj, ensure_ascii=True, **kwargs)
     except ValueError:  # an int beyond Python's int-to-str digit limit
         raise ResourceError("an output integer is too large to print in decimal") from None
+
+
+def dumps_stable(obj):
+    return _dumps(obj, indent=2) + "\n"
+
+
+def dumps_line(obj):
+    """obj as one line of JSON, refused like dumps_stable."""
+    return _dumps(obj)

@@ -171,7 +171,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     parent its residue mod Q_{j-1}, n/|O/Q_j| points and a target bit."""
     import numpy as np
 
-    from .distortion import _Norm
+    from .distortion import DistortionProblem
 
     n = _enum_size(instance.q, max_enum)  # refuse before any label array
     # every label of level j has n/count points: one read-only int64, zero stride
@@ -188,7 +188,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
         sizes.append(np.broadcast_to(np.int64(n // count), count))
     target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
     initial_codes = np.zeros(1, dtype=np.int64)
-    return _Norm(sizes, parents, target_bits, initial_codes, (Fraction(1, n),), None)
+    return DistortionProblem(sizes, parents, target_bits, initial_codes, (Fraction(1, n),))
 
 
 def _check_delta(delta):

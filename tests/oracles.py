@@ -9,14 +9,17 @@ to check its replacement: primes_up_to_norm_loop classifies each sieved
 prime again through ring.primes_above, effective_bound_exact runs the
 y search on exact numbers through eta2_tail below,
 build_problem_points builds the n-point label arrays and target masks of
-a covering system through the package's kernels, and sieve, mod_values,
-kron_values, trial_division and prime_norms_up_to are the numpy kernels
-(and the trial division on them) that the standard-library ones replaced,
-and rankin_fold, p_small_fold and eta2_tail are bounds' exact folds and
-tail as they were before each computed its norm-only or block-only
-values once.
+a covering system through the package's kernels, to_labels is the
+package's former converter of such a PointProblem to a label-space
+DistortionProblem, with its checks, numbering labels by first point,
+sieve, mod_values, kron_values, trial_division and prime_norms_up_to are
+the numpy kernels (and the trial division on them) that the
+standard-library ones replaced, and rankin_fold, p_small_fold and
+eta2_tail are bounds' exact folds and tail as they were before each
+computed its norm-only or block-only values once.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -24,7 +27,7 @@ import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from coverdist import DistortionProblem, bounds, kernels, ring
+from coverdist import DistortionProblem, InputError, bounds, kernels, ring
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     PI_UPPER_C,
@@ -114,6 +117,100 @@ def residues(ideal):
 # ---------------------------------------------------------------- distortion
 
 
+@dataclass
+class PointProblem:
+    """A distortion problem over n points: J+1 label arrays and J target
+    masks, each with one entry per point."""
+
+    levels: list = None  # J+1 integer label arrays over the points
+    targets: list = None  # J boolean arrays over the points
+    initial_mass: list | None = None  # per-point Fractions; uniform if None
+
+
+def _dense(labels):
+    """The labels numbered 0, 1, ... in order of their first point."""
+    ids = {}
+    return [ids.setdefault(l, len(ids)) for l in np.asarray(labels).tolist()]
+
+
+def to_labels(problem):
+    """Check a PointProblem and convert it to label space.
+
+    Returns (DistortionProblem, points), points[i] the level-J label that
+    holds point i. Each level's labels are numbered densely by their first
+    point, so the first uncovered level-J label holds the first uncovered
+    point.
+    """
+    if not problem.levels:
+        raise InputError("need at least the level-0 labels")
+    levels, reps = [], []
+    n = None
+    for j, raw in enumerate(problem.levels):
+        arr = np.asarray(raw, dtype=np.int64)
+        if arr.ndim != 1 or (n is not None and len(arr) != n):
+            raise InputError(f"level {j} labels malformed")
+        n = len(arr)
+        if n == 0:
+            raise InputError("empty point set")
+        if arr.min() < 0:
+            raise InputError(f"level {j} labels must be nonnegative")
+        # relabel densely by first point, with the first point of each label
+        _, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        levels.append(rank[inverse].astype(np.int64))
+        reps.append(first[order])
+    sizes = [np.bincount(arr) for arr in levels]
+
+    parents = [None]
+    for j in range(1, len(levels)):
+        parent = levels[j - 1][reps[j]]
+        if not np.array_equal(parent[levels[j]], levels[j - 1]):
+            bad = int(np.flatnonzero(parent[levels[j]] != levels[j - 1])[0])
+            rep = int(reps[j][levels[j][bad]])
+            raise InputError(
+                f"level {j} does not refine level {j - 1}: points {rep} and {bad} "
+                f"share a level-{j} fiber but not a level-{j - 1} fiber"
+            )
+        parents.append(parent)
+
+    targets = [np.asarray(t, dtype=np.bool_) for t in problem.targets or []]
+    if len(targets) != len(levels) - 1:
+        raise InputError(
+            f"{len(targets)} targets for {len(levels) - 1} distortion levels"
+        )
+    target_bits = []
+    for j, t in enumerate(targets, start=1):
+        if t.shape != (n,):
+            raise InputError(f"target {j} malformed")
+        bits = t[reps[j]]
+        if not np.array_equal(bits[levels[j]], t):
+            raise InputError(f"target {j} is not a union of level-{j} fibers")
+        target_bits.append(bits)
+
+    if problem.initial_mass is None:
+        initial_codes = np.zeros(len(sizes[0]), dtype=np.int64)
+        initial_table = (Fraction(1, n),)
+    else:
+        if len(problem.initial_mass) != n:
+            raise InputError("initial mass list has wrong length")
+        to_fraction = np.frompyfunc(Fraction, 1, 1)
+        masses = to_fraction(np.array(problem.initial_mass, dtype=object))
+        table, point_codes = np.unique(masses, return_inverse=True)  # ascending
+        if table[0] < 0:
+            raise InputError("negative initial mass")
+        initial_codes = point_codes[reps[0]].astype(np.int64)
+        if not np.array_equal(initial_codes[levels[0]], point_codes):
+            raise InputError("initial mass not constant on level-0 fibers")
+        initial_table = tuple(table.tolist())
+        if sum(initial_table[c] * int(s) for c, s in zip(initial_codes, sizes[0])) != 1:
+            raise InputError("initial mass does not sum to 1")
+
+    problem = DistortionProblem(sizes, parents, target_bits, initial_codes, initial_table)
+    return problem, levels[-1]
+
+
 def build_problem_points(instance):
     """system.build_problem as it was: J+1 label arrays and J target masks,
     each over the n points of O/Q (point i is residue_at(i, q))."""
@@ -127,15 +224,14 @@ def build_problem_points(instance):
                 (aa, ab), m = cls.residue, cls.modulus
                 kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
         targets.append(mask)
-    return DistortionProblem(levels=levels, targets=targets)
+    return PointProblem(levels=levels, targets=targets)
 
 
 def point_masses(state, problem):
     """Per-point masses of a codebook state: table[codes[label of the point]],
-    with the points and labels of the n-point problem, numbered densely."""
-    levels = np.asarray(problem.levels[state.level])
-    labels = np.unique(levels, return_inverse=True)[1]
-    return [state.table[c] for c in state.codes[labels].tolist()]
+    with the points and labels of the PointProblem, numbered by first point."""
+    codes = state.codes.tolist()
+    return [state.table[codes[l]] for l in _dense(problem.levels[state.level])]
 
 
 def run_oracle(n, levels, targets, deltas, initial=None):
@@ -181,19 +277,14 @@ def run_oracle(n, levels, targets, deltas, initial=None):
 def run_per_label(problem, deltas):
     """Per-label reference of distortion.run: one Fraction per fiber label.
 
-    Labels of each level are numbered densely by ascending original label.
+    Labels of each level are numbered densely by their first point.
     Returns (values, reports, eta, final_masses): values[j][l] is the mass
     of each point of level-j label l after j steps, reports[j-1] is
     (m1, m2, contribution, target_mass) of step j, and final_masses[j-1]
     is the mass of B_j after the last step. Mass conservation of every
     fiber is asserted after each step.
     """
-    import numpy as np
-
-    labs = [
-        np.unique(np.asarray(lv, dtype=np.int64), return_inverse=True)[1].tolist()
-        for lv in problem.levels
-    ]
+    labs = [_dense(lv) for lv in problem.levels]
     tgts = [np.asarray(t, dtype=bool).tolist() for t in problem.targets]
     n = len(labs[0])
     sizes = []

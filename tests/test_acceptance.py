@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from coverdist import (
     class_measure_bound,
     covers,
     effective_bound,
+    elem_norm,
     eta1_major,
     eta2_major,
     factor_ideal,
@@ -49,6 +50,7 @@ from coverdist import (
     residue_at,
     resolve_delta_policy,
     run,
+    validate,
     verify_certificate,
 )
 from coverdist.rounding import MERTENS_B_LO, PRIME_RECIP_SQ_HI
@@ -190,6 +192,37 @@ def test_certificates_sound_against_brute_force(corpus, problems, point_problems
                 for residue, ideal in inst.classes:
                     assert not in_class(witness, residue, ideal)
     assert certified > 100  # the corpus genuinely exercises the certificate path
+
+
+def test_certificates_invariant_under_affine_maps(corpus):
+    """x -> c x + t, with c a unit mod Q, permutes O/Q and every O/Q_j and
+    maps each class a + I onto c a + t + I. So the transformed system has
+    the same measures: under the default policy its verdict, eta, every
+    moment report and its uncovered mass equal the original's, and its
+    witness lies in no transformed class."""
+    rng = random.Random(188412)
+    certified = 0
+    for inst in corpus:
+        field, q, n = inst.field, inst.q, ideal_norm(inst.q)
+        c = residue_at(rng.randrange(n), q)
+        while gcd(elem_norm(field, c), n) != 1:
+            c = residue_at(rng.randrange(n), q)
+        t = residue_at(rng.randrange(n), q)
+        moved = []
+        for a, ideal in inst.classes:
+            ca = oracles.elem_mul_oracle(field.trace, field.nm, c, a)
+            moved.append(((ca[0] + t[0], ca[1] + t[1]), ideal))
+        image = validate(field, moved)
+        assert image.q == q and image.s == inst.s
+        want = certify(build_problem(inst), resolve_delta_policy(inst, None))
+        got = certify(build_problem(image), resolve_delta_policy(image, None))
+        assert got[:4] == want[:4]  # verdict, eta, reports, uncovered mass
+        if got.verdict == "certified-noncover":
+            certified += 1
+            witness = residue_at(got.witness_index, q)
+            for residue, ideal in image.classes:
+                assert not in_class(witness, residue, ideal)
+    assert certified > 100
 
 
 def test_pinned_certificates(near_cover, classic_cover):

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from coverdist.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 
 def run_cli(args, stdin_data=None):
@@ -129,6 +131,14 @@ ERROR_CASES = [
         ["moments", "--input", str(DATA / "classic.json"), "--delta", "explicit:1e-100000"],
         3,
     ),
+]
+# a norm of 4,400 digits, past the int-to-str limit, in either format
+_UNPRINTABLE_NORM = [
+    "ideal-tool", "--field", "quadratic:-1", "--op", "norm", "--ideal", "7" * 2200
+]
+ERROR_CASES += [
+    ("err_ideal_tool_unprintable.json", _UNPRINTABLE_NORM + ["--format", fmt], 3)
+    for fmt in ("json", "text")
 ]
 
 
@@ -727,7 +737,8 @@ def test_numpy_imports_only_where_o_mod_q_arrays_live():
 def test_bound_primes_ideal_tool_never_import_numpy():
     # the prime-norm commands and certify-moduli run on the standard library,
     # without numpy or dataclasses (which loads inspect and ast); certify, in
-    # the same fresh process afterwards, loads numpy and prints its golden
+    # the same fresh process afterwards, loads numpy but not dataclasses and
+    # prints its golden
     script = f"""
 import contextlib, io, sys
 from coverdist.cli import main
@@ -752,6 +763,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["certify", "--input", {str(DATA / "classic.json")!r}]) == 0
 assert "numpy" in sys.modules
+assert "dataclasses" not in sys.modules
 print(out.getvalue(), end="")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -934,6 +946,7 @@ def _fuzz_argv(command, doc, fmt, output, tmp):
 @example(("certify-moduli", "explicit:0", None), {"moduli": [3000017]}, "json", None)
 @example(("certify-moduli", "explicit:0", None), {"moduli": [100003]}, "json", None)
 @example(("certify-moduli", None, None), {"moduli": [100003]}, "json", None)
+@example(("ideal-tool", "quadratic:-1", "norm"), {"moduli": [int("7" * 2200)]}, "text", None)
 def test_cli_fuzz(command, doc, fmt, output):
     # any input ends in exit 0, 2 or 3, in bounded time, with exactly one
     # JSON error object on stderr when it fails and nothing there otherwise
@@ -955,12 +968,20 @@ def test_cli_fuzz(command, doc, fmt, output):
 
 
 def test_console_script_installed():
-    rc, out, err = run_cli(["check", "--input", str(DATA / "classic.json")])
+    # the installed script when it is on PATH, else the module:function
+    # target that pyproject.toml declares for it
+    args = ["check", "--input", str(DATA / "classic.json")]
+    rc, out, err = run_cli(args)
     assert rc == 0
-    proc = subprocess.run(
-        ["coverdist", "check", "--input", str(DATA / "classic.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    if shutil.which("coverdist"):
+        command = ["coverdist"]
+    else:
+        import tomllib
+
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        module, func = pyproject["project"]["scripts"]["coverdist"].split(":")
+        script = f"import sys; from {module} import {func}; sys.exit({func}())"
+        command = [sys.executable, "-c", script]
+    proc = subprocess.run(command + args, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out

@@ -13,7 +13,6 @@ import oracles
 from conftest import half_policy, zero_policy
 from coverdist import (
     DeltaOutOfRange,
-    DistortionProblem,
     InputError,
     SoundnessError,
     alpha,
@@ -259,7 +258,7 @@ def label_chains(draw):
     if total == 0:
         weight = dict.fromkeys(weight, 1)
         total = n
-    prob = DistortionProblem(
+    prob = oracles.PointProblem(
         levels=[np.array(lv) for lv in levels],
         targets=[np.array(t) for t in targets],
         initial_mass=[F(weight[l], total) for l in levels[0]],
@@ -276,7 +275,7 @@ def label_chains(draw):
 @given(label_chains())
 def test_random_chains_match_per_label_oracle(case):
     prob, deltas = case
-    res = run(prob, deltas)
+    res = run(oracles.to_labels(prob)[0], deltas)
     values, reports, eta, final = oracles.run_per_label(prob, deltas)
     assert [list(s.values) for s in res.states] == values
     assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports] == reports
@@ -313,8 +312,8 @@ def test_verify_step_catches_tampered_codes(six_system):
 def _swap_labels(rng, new):
     """Codes of new with two labels of equal size, different parents and
     different values swapped, or None if there are none."""
-    norm, j = new.norm, new.level
-    parent, sizes, codes = norm.parents[j], norm.sizes[j], new.codes
+    prob, j = new.problem, new.level
+    parent, sizes, codes = prob.parents[j], prob.sizes[j], new.codes
     l1 = rng.randrange(len(codes))
     other = (parent != parent[l1]) & (sizes == sizes[l1]) & (codes != codes[l1])
     if not other.any():
@@ -328,10 +327,10 @@ def _swap_labels(rng, new):
 def _fibers_by_shape(new):
     """Children of each parent, sorted by size, and the parents grouped by
     the sizes of their children."""
-    norm, j = new.norm, new.level
-    sizes = norm.sizes[j].tolist()
+    prob, j = new.problem, new.level
+    sizes = prob.sizes[j].tolist()
     children = {}
-    for l, p in enumerate(norm.parents[j].tolist()):
+    for l, p in enumerate(prob.parents[j].tolist()):
         children.setdefault(p, []).append(l)
     shapes = {}
     for p, labs in children.items():
@@ -490,12 +489,20 @@ def test_mask_mass_refuses_wrong_shape(near_cover, six_system):
     for mask in (np.ones(4, dtype=bool), np.ones((2, 3), dtype=bool), True):
         with pytest.raises(InputError, match="mask of shape"):
             mask_mass(st, mask)
-    # a converted chain counts its points, not its labels
-    chain = DistortionProblem(levels=[[0, 0, 0], [0, 0, 1]], targets=[[True, True, False]])
+    # a converted chain of 3 points has 2 level-1 labels, and mask_mass
+    # weighs each label by its points: label 0 holds points 0 and 1
+    chain, points = oracles.to_labels(
+        oracles.PointProblem(levels=[[0, 0, 0], [0, 0, 1]], targets=[[True, True, False]])
+    )
+    assert points.tolist() == [0, 0, 1]
     st = initial_state(chain)
-    assert mask_mass(st, [True, False, True]) == F(2, 3)
+    assert mask_mass(st, [True, False]) == F(2, 3)
+    # points {0, 2} carry 2/3: each its label's mass over the label's size
+    sizes = chain.sizes[-1]
+    each = [mask_mass(st, np.arange(2) == l) / int(sizes[l]) for l in points.tolist()]
+    assert each[0] + each[2] == F(2, 3)
     with pytest.raises(InputError, match="mask of shape"):
-        mask_mass(st, [True, False])
+        mask_mass(st, [True, False, True])
 
 
 # --------------------------------------------------------- custom problems
@@ -507,12 +514,12 @@ def test_custom_problem_nonuniform_initial():
         np.array([0, 1, 2, 3]),
     ]
     targets = [np.array([True, False, False, False])]
-    prob = DistortionProblem(
+    prob = oracles.PointProblem(
         levels=levels,
         targets=targets,
         initial_mass=[F(1, 8), F(1, 8), F(3, 8), F(3, 8)],
     )
-    res = run(prob, [HALF])
+    res = run(oracles.to_labels(prob)[0], [HALF])
     # fiber {0,1} has alpha 1/2: point 0 -> 0, point 1 -> doubled
     assert oracles.point_masses(res.states[-1], prob) == [F(0), F(1, 4), F(3, 8), F(3, 8)]
     assert res.reports[0].m1 == F(1, 8)
@@ -523,39 +530,39 @@ def test_custom_problem_nonuniform_initial():
 def test_custom_problem_initial_must_respect_fibers():
     levels = [np.array([0, 0, 0, 0]), np.array([0, 1, 0, 1])]
     targets = [np.array([True, False, True, False])]
-    prob = DistortionProblem(
+    prob = oracles.PointProblem(
         levels=levels,
         targets=targets,
         initial_mass=[F(1, 2), F(1, 6), F(1, 6), F(1, 6)],
     )
-    with pytest.raises(InputError):
-        run(prob, [F(0)])
+    with pytest.raises(InputError, match="not constant"):
+        oracles.to_labels(prob)
 
 
 def test_custom_problem_initial_must_sum_to_one():
     levels = [np.array([0, 0]), np.array([0, 1])]
     targets = [np.array([True, False])]
-    prob = DistortionProblem(
+    prob = oracles.PointProblem(
         levels=levels, targets=targets, initial_mass=[F(1, 3), F(1, 3)]
     )
-    with pytest.raises(InputError):
-        run(prob, [F(0)])
+    with pytest.raises(InputError, match="sum to 1"):
+        oracles.to_labels(prob)
 
 
 def test_levels_must_refine():
     levels = [np.array([0, 0, 1, 1]), np.array([0, 1, 1, 2])]
     targets = [np.array([True, False, False, False])]
-    prob = DistortionProblem(levels=levels, targets=targets)
+    prob = oracles.PointProblem(levels=levels, targets=targets)
     with pytest.raises(InputError, match="refine"):
-        run(prob, [F(0)])
+        oracles.to_labels(prob)
 
 
 def test_targets_must_be_measurable():
     levels = [np.array([0, 0, 0, 0]), np.array([0, 0, 1, 1])]
     targets = [np.array([True, False, False, False])]
-    prob = DistortionProblem(levels=levels, targets=targets)
+    prob = oracles.PointProblem(levels=levels, targets=targets)
     with pytest.raises(InputError, match="fiber"):
-        run(prob, [F(0)])
+        oracles.to_labels(prob)
 
 
 def test_delta_validation(near_cover):
@@ -577,13 +584,18 @@ def test_sparse_labels_certify_as_dense(six_system, near_cover, gauss_cover):
         prob = oracles.build_problem_points(inst)
         top = [np.where(lv == lv.max(), 2**40, lv) for lv in prob.levels]
         for levels in (prob.levels, [2 * lv for lv in prob.levels], top):
-            got = certify(DistortionProblem(levels=levels, targets=prob.targets), deltas)
+            problem, _ = oracles.to_labels(oracles.PointProblem(levels, prob.targets))
+            got = certify(problem, deltas)
             assert got[:5] == want[:5]
-        # points in reverse order: the witness is still the first uncovered point
+        # points in reverse order: the witness is still the first uncovered
+        # point, the first point of the witness label
         targets = [t[::-1] for t in prob.targets]
-        got = certify(DistortionProblem([lv[::-1] for lv in prob.levels], targets), deltas)
+        reverse = oracles.PointProblem([lv[::-1] for lv in prob.levels], targets)
+        problem, points = oracles.to_labels(reverse)
+        got = certify(problem, deltas)
         assert got[:4] == want[:4]
-        assert got.witness_index == np.flatnonzero(~np.logical_or.reduce(targets))[0]
+        first = np.flatnonzero(~np.logical_or.reduce(targets))[0]
+        assert np.flatnonzero(points == got.witness_index)[0] == first
 
 
 def test_malformed_labels_rejected():
@@ -597,4 +609,4 @@ def test_malformed_labels_rejected():
     ]
     for levels, message in cases:
         with pytest.raises(InputError, match=message):
-            run(DistortionProblem(levels=levels, targets=targets), [HALF])
+            oracles.to_labels(oracles.PointProblem(levels=levels, targets=targets))

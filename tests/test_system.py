@@ -35,7 +35,7 @@ from coverdist import (
     unit_ideal,
     validate,
 )
-from coverdist import distortion, kernels
+from coverdist import kernels
 from coverdist.cli import main
 
 HALF = Fraction(1, 2)
@@ -263,7 +263,7 @@ def test_build_problem_points(gauss_cover):
     prob = build_problem(gauss_cover)
     q = gauss_cover.q
     pts = oracles.residues(q)
-    assert prob.points is None and prob.sizes[-1].tolist() == [1] * len(pts)
+    assert prob.sizes[-1].tolist() == [1] * len(pts)
     assert [residue_at(i, q) for i in range(len(pts))] == pts
     assert [t.sum() for t in prob.target_bits] == [3]
 
@@ -284,19 +284,20 @@ def _split_pair_instance(key):
 
 
 def test_build_problem_matches_point_oracle(corpus):
-    """The label-space problem equals what _normalize derives from the
-    n-point label arrays and target masks of the oracle builder, on every
-    field, with prime powers and split primes of equal norm among them."""
+    """The label-space problem equals what oracles.to_labels derives from
+    the n-point label arrays and target masks of the oracle builder, on
+    every field, with prime powers and split primes of equal norm among
+    them."""
     extra = [_split_pair_instance(k) for k in FIELD_KEYS if k != "rational"]
     seen = set()
     for inst in corpus + extra:
         got = build_problem(inst)
-        want = distortion._normalize(oracles.build_problem_points(inst))
+        want, points = oracles.to_labels(oracles.build_problem_points(inst))
         for field in ("sizes", "parents", "target_bits"):
             for a, b in zip(getattr(got, field), getattr(want, field)):
                 assert (a is b is None) or np.array_equal(a, b), field
         assert [a.dtype for a in got.sizes] == [b.dtype for b in want.sizes]
-        assert np.array_equal(want.points, np.arange(ideal_norm(inst.q)))
+        assert np.array_equal(points, np.arange(ideal_norm(inst.q)))
         assert np.array_equal(got.initial_codes, want.initial_codes)
         assert got.initial_table == want.initial_table
         norms = [p.norm for p, _ in inst.primes]
@@ -348,7 +349,7 @@ def test_build_problem_memory():
     assert len(prob.parents[-1]) == len(prob.target_bits[-1]) == n
     # every level's sizes are one read-only int64 seen at stride 0, equal to
     # the oracle's point counts
-    want = distortion._normalize(oracles.build_problem_points(inst))
+    want, _ = oracles.to_labels(oracles.build_problem_points(inst))
     for got, ref in zip(prob.sizes, want.sizes, strict=True):
         assert got.strides == (0,) and not got.flags.writeable
         assert got.dtype == ref.dtype and np.array_equal(got, ref)

@@ -34,11 +34,11 @@ int64 counts); Fraction arithmetic runs once per distinct key.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
-  - after every step each level-(j-1) fiber keeps its mass. The new
-    codes are grouped into (parent fiber, child code) cells with their
-    point counts; parents with the same own (code, size) and the same
-    cells share a signature, and the sum of table[code] * count over the
-    cells is compared with the parent's mass once per distinct signature;
+  - after every step each level-(j-1) fiber keeps its mass. Its labels
+    fall into two cells by target bit, and all labels of a cell must
+    share one code; parents with the same (code, size, cell codes, cell
+    point counts) row are checked once, each cell's table[code] * count
+    summed and compared with the parent's mass;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) equals P_j(B_j) right after step j;
   - in certify the uncovered mass is at least 1 - eta.
@@ -220,34 +220,23 @@ def _verify_step(old, new, j):
         raise SoundnessError(f"step {j}: code outside the value table")
     if new.total_mass() != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
-    # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
-    # a cell is (parent fiber, child code) with its point count
-    szp = problem.sizes[j - 1]
-    cells, inv = np.unique(problem.parents[j] * nc + new.codes, return_inverse=True)
-    cell_size = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(cell_size, inv, problem.sizes[j])
-    cell_parent, cell_code = np.divmod(cells, nc)
-    # cells are sorted by parent and every parent has at least one
-    bounds = np.searchsorted(cell_parent, np.arange(len(szp) + 1))
-    rank = np.arange(len(cells)) - bounds[cell_parent]
-    # signature of a parent: its own (code, size), then its cells' (code,
-    # count) pairs in code order, refined one rank at a time
-    _, sig = np.unique(old.codes * (int(szp.max()) + 1) + szp, return_inverse=True)
-    _, pair = np.unique(
-        cell_code * (int(cell_size.max()) + 1) + cell_size, return_inverse=True
+    # a step codes a level-j label by its cell (parent fiber, target bit)
+    # alone, so every level-(j-1) fiber's mass is the sum over its two cells
+    cell = problem.parents[j] * 2 + problem.target_bits[j - 1]
+    code = np.zeros(2 * len(old.codes), dtype=np.int64)  # an empty cell: code 0, 0 points
+    code[cell] = new.codes
+    if (code[cell] != new.codes).any():
+        raise SoundnessError(f"step {j}: fiber mass split within a target-bit cell")
+    count = np.zeros(len(code), dtype=np.int64)
+    np.add.at(count, cell, problem.sizes[j])
+    # one row per parent; the mass identity runs once per distinct row
+    rows = np.stack(
+        [old.codes, problem.sizes[j - 1], code[0::2], code[1::2], count[0::2], count[1::2]]
     )
-    for r in range(int(rank.max()) + 1):
-        at = rank == r
-        ext = np.zeros(len(szp), dtype=np.int64)  # 0: no cell of this rank
-        ext[cell_parent[at]] = pair[at] + 1
-        _, sig = np.unique(sig * (len(cells) + 1) + ext, return_inverse=True)
-    _, firsts = np.unique(sig, return_index=True)
-    for p in firsts.tolist():
-        lo, hi = int(bounds[p]), int(bounds[p + 1])
-        got = Fraction(0)
-        for c, s in zip(cell_code[lo:hi].tolist(), cell_size[lo:hi].tolist()):
-            got += new.table[c] * s
-        if got != old.table[old.codes[p]] * int(szp[p]):
+    rows = rows[:, np.lexsort(rows)]
+    firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
+    for oc, size, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
+        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * size:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
@@ -267,9 +256,11 @@ def _label_mass(state, bits):
 
 def mask_mass(state, mask):
     """Mass of the level-J labels where mask is set, each with its points."""
-    lab = _point_labels(state.problem, state.level)
-    if np.shape(mask) != lab.shape:
-        raise InputError(f"mask of shape {np.shape(mask)} for {len(lab)} points")
+    lab, mask = _point_labels(state.problem, state.level), np.asarray(mask)
+    if mask.shape != lab.shape:
+        raise InputError(f"mask of shape {mask.shape} for {len(lab)} points")
+    if mask.dtype != np.bool_:
+        raise InputError(f"mask of dtype {mask.dtype}, not bool")
     return _grouped_sum(state.codes[lab[mask]], state.problem.sizes[-1][mask], state.table)
 
 
@@ -318,8 +309,6 @@ def certify(problem, deltas):
     uncovered = 1 - _label_mass(result.states[-1], union)
     if uncovered < 1 - eta:
         raise SoundnessError("uncovered mass below its certified floor")
-    if uncovered <= 0:
-        raise SoundnessError("eta < 1 but no uncovered mass")
     idx = int(np.flatnonzero(~union)[0])
     return CertifyResult(
         "certified-noncover", eta, result.reports, uncovered, idx, result

@@ -143,10 +143,15 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     if len(missing) == 0:
         return ("covers", None)
     witness = ring.residue_at(int(missing[0]), q)
+    check_witness(instance, witness)
+    return ("uncovered", witness)
+
+
+def check_witness(instance, witness):
+    """SoundnessError if the element witness lies in a class of the instance."""
     for cls in instance.classes:
         if ring.in_class(witness, cls.residue, cls.modulus):
             raise SoundnessError("uncovered witness lies in a class")
-    return ("uncovered", witness)
 
 
 def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):

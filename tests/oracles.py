@@ -12,8 +12,10 @@ build_problem_points builds the n-point label arrays and target masks of
 a covering system through the package's kernels, to_labels is the
 package's former converter of such a PointProblem to a label-space
 DistortionProblem, with its checks, numbering labels by first point,
-sieve, mod_values, kron_values, trial_division and prime_norms_up_to are
-the numpy kernels (and the trial division on them) that the
+verify_step_signatures is distortion's former step check, which grouped
+each fiber's labels by code rather than by target bit, sieve,
+mod_values, kron_values, trial_division and prime_norms_up_to are the
+numpy kernels (and the trial division on them) that the
 standard-library ones replaced, and rankin_fold, p_small_fold and
 eta2_tail are bounds' exact folds and tail as they were before each
 computed its norm-only or block-only values once.
@@ -27,7 +29,7 @@ import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from coverdist import DistortionProblem, InputError, bounds, kernels, ring
+from coverdist import DistortionProblem, InputError, SoundnessError, bounds, kernels, ring
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     PI_UPPER_C,
@@ -225,6 +227,47 @@ def build_problem_points(instance):
                 kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
         targets.append(mask)
     return PointProblem(levels=levels, targets=targets)
+
+
+def verify_step_signatures(old, new, j):
+    """distortion._verify_step as it was: fiber mass checked on (parent
+    fiber, child code) cells, one Fraction sum per distinct parent
+    signature, each signature refined by one sort per cell rank."""
+    problem = old.problem
+    nc = len(new.table)
+    if new.codes.min() < 0 or new.codes.max() >= nc:
+        raise SoundnessError(f"step {j}: code outside the value table")
+    if new.total_mass() != 1:
+        raise SoundnessError(f"step {j}: total mass drifted")
+    # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
+    # a cell is (parent fiber, child code) with its point count
+    szp = problem.sizes[j - 1]
+    cells, inv = np.unique(problem.parents[j] * nc + new.codes, return_inverse=True)
+    cell_size = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(cell_size, inv, problem.sizes[j])
+    cell_parent, cell_code = np.divmod(cells, nc)
+    # cells are sorted by parent and every parent has at least one
+    bounds = np.searchsorted(cell_parent, np.arange(len(szp) + 1))
+    rank = np.arange(len(cells)) - bounds[cell_parent]
+    # signature of a parent: its own (code, size), then its cells' (code,
+    # count) pairs in code order, refined one rank at a time
+    _, sig = np.unique(old.codes * (int(szp.max()) + 1) + szp, return_inverse=True)
+    _, pair = np.unique(
+        cell_code * (int(cell_size.max()) + 1) + cell_size, return_inverse=True
+    )
+    for r in range(int(rank.max()) + 1):
+        at = rank == r
+        ext = np.zeros(len(szp), dtype=np.int64)  # 0: no cell of this rank
+        ext[cell_parent[at]] = pair[at] + 1
+        _, sig = np.unique(sig * (len(cells) + 1) + ext, return_inverse=True)
+    _, firsts = np.unique(sig, return_index=True)
+    for p in firsts.tolist():
+        lo, hi = int(bounds[p]), int(bounds[p + 1])
+        got = Fraction(0)
+        for c, s in zip(cell_code[lo:hi].tolist(), cell_size[lo:hi].tolist()):
+            got += new.table[c] * s
+        if got != old.table[old.codes[p]] * int(szp[p]):
+            raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
 def point_masses(state, problem):

@@ -3,17 +3,22 @@ import ast
 import contextlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from coverdist import ring, serialize, system
 from coverdist.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +58,7 @@ PINNED_RUNS = [
         "certify_single2_explicit0",
         ["certify", "--input", str(DATA / "single2.json"), "--delta", "explicit:0"],
     ),
+    ("certify_gauss_default", ["certify", "--input", str(DATA / "gauss.json")]),
     (
         "moments_near_explicit_half",
         ["moments", "--input", str(DATA / "near.json"), "--delta", "explicit:1/2"],
@@ -242,6 +248,97 @@ def test_certify_text_format(capsys):
     assert rc == 0
     assert "eta: 169/144" in out
     assert "verdict: inconclusive" in out
+
+
+def _claim(monkeypatch, **fields):
+    """Make distortion.certify return its result with fields replaced."""
+    from coverdist import distortion
+
+    orig = distortion.certify
+    monkeypatch.setattr(distortion, "certify", lambda *a: orig(*a)._replace(**fields))
+
+
+def test_certify_checks_its_witness(capsys, monkeypatch):
+    # near.json misses only 3 mod 4: index 0 is the residue 0, in 0 mod 2
+    _claim(monkeypatch, witness_index=0)
+    _json_error(*call_main(capsys, ["certify", "--input", str(DATA / "near.json")]), 4,
+                "SoundnessError")
+
+
+def test_certify_refuses_noncover_claim_on_a_cover(capsys, monkeypatch):
+    _claim(monkeypatch, verdict="certified-noncover", uncovered_mass=Fraction(1, 12),
+           witness_index=11)
+    _json_error(*call_main(capsys, ["certify", "--input", str(DATA / "classic.json")]), 4,
+                "SoundnessError")
+
+
+def test_certify_runs_no_enumeration(capsys, monkeypatch):
+    from coverdist import system
+
+    def never(*args, **kwargs):
+        raise AssertionError("certify enumerated the coverage")
+
+    monkeypatch.setattr(system, "covers", never)
+    cases = [(g, args) for g, args in GOLDEN_CASES if args[0] == "certify"]
+    assert len(cases) == 8
+    for golden, args in cases:
+        rc, out, err = call_main(capsys, args)
+        assert (rc, err) == (0, "") and out == (GOLDEN / golden).read_text(), golden
+
+
+@pytest.mark.parametrize("name,n", [("classic.json", 12), ("near.json", 4), ("gauss.json", 4)])
+def test_certify_max_enum_edge(capsys, name, n):
+    args = ["certify", "--input", str(DATA / name), "--max-enum"]
+    _json_error(*call_main(capsys, args + [str(n - 1)]), 3, "EnumerationTooLarge")
+    rc, out, err = call_main(capsys, args + [str(n)])
+    assert (rc, err) == (0, "") and json.loads(out)["norm_q"] == n
+
+
+def _moved_doc(instance, c=(1, 0), t=(0, 0)):
+    """The instance document with every class a + I moved to c a + t + I."""
+    field = instance.field
+    classes = []
+    for a, ideal in instance.classes:
+        ca = oracles.elem_mul_oracle(field.trace, field.nm, c, a)
+        residue = serialize.element_json(field, (ca[0] + t[0], ca[1] + t[1]))
+        classes.append({"residue": residue, "modulus": serialize.ideal_json(ideal)})
+    return {"field": field.label(), "classes": classes}
+
+
+def _certify_doc(capsys, doc, path):
+    path.write_text(json.dumps(doc))
+    rc, out, err = call_main(capsys, ["certify", "--input", str(path)])
+    assert (rc, err) == (0, "")
+    return json.loads(out)
+
+
+def test_certify_cli_invariant_under_affine_maps(capsys, tmp_path, corpus):
+    """x -> c x + t, with c a unit mod Q, permutes O/Q and each O/Q_j. So
+    certify on the moved classes prints the same deltas, levels, eta,
+    verdict and uncovered mass, and its witness lies in no moved class
+    (checked by a Cramer solve)."""
+    rng = random.Random(188413)
+    names = ("classic.json", "near.json", "gauss.json", "single2.json")
+    docs = [json.loads((DATA / name).read_text()) for name in names]
+    docs += [_moved_doc(inst) for inst in rng.sample(corpus, 20)]
+    keys = ("deltas", "levels", "eta", "verdict", "uncovered_mass")
+    certified = 0
+    for doc in docs:
+        inst = system.validate(*serialize.parse_instance(doc))
+        field, q, n = inst.field, inst.q, ring.ideal_norm(inst.q)
+        c = ring.residue_at(rng.randrange(n), q)
+        while gcd(ring.elem_norm(field, c), n) != 1:
+            c = ring.residue_at(rng.randrange(n), q)
+        image = _moved_doc(inst, c, ring.residue_at(rng.randrange(n), q))
+        want = _certify_doc(capsys, doc, tmp_path / "want.json")
+        got = _certify_doc(capsys, image, tmp_path / "got.json")
+        assert [got.get(k) for k in keys] == [want.get(k) for k in keys]
+        if got["verdict"] == "certified-noncover":
+            certified += 1
+            x = serialize.parse_element(field, got["witness"])
+            for (r0, r1), m in serialize.parse_instance(image)[1]:
+                assert not oracles.cramer_member((x[0] - r0, x[1] - r1), m.u, m.v, m.w)
+    assert certified > 15
 
 
 def test_moments(capsys):

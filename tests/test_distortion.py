@@ -13,6 +13,7 @@ import oracles
 from conftest import half_policy, zero_policy
 from coverdist import (
     DeltaOutOfRange,
+    DistortionProblem,
     InputError,
     SoundnessError,
     alpha,
@@ -353,28 +354,95 @@ def _swap_fibers(rng, old, new, children, groups):
     return out
 
 
+def _recode(rng, new):
+    """Codes of new with one label given another code of the table, or None
+    if the table has one value."""
+    if len(new.table) < 2:
+        return None
+    out = new.codes.copy()
+    l = rng.randrange(len(out))
+    out[l] = rng.choice([c for c in range(len(new.table)) if c != out[l]])
+    return out
+
+
+def _double_entry(rng, new):
+    """The table of new with the nonzero value of a random label doubled,
+    or None if that value is 0."""
+    c = int(new.codes[rng.randrange(len(new.codes))])
+    if not new.table[c]:
+        return None
+    table = list(new.table)
+    table[c] *= 2
+    return tuple(table)
+
+
+def _split_siblings(rng, new):
+    """Codes of new with a label that shares its (fiber, target bit) cell
+    swapped with a label of equal size and another code in the same fiber:
+    the fiber keeps its mass and its (code, count) cells, but the cell
+    holds two codes. None if the draw finds none."""
+    prob, j = new.problem, new.level
+    parent, sizes, codes = prob.parents[j], prob.sizes[j], new.codes
+    cell = parent * 2 + prob.target_bits[j - 1]
+    l1 = rng.randrange(len(codes))
+    other = (parent == parent[l1]) & (sizes == sizes[l1]) & (codes != codes[l1])
+    if np.count_nonzero(cell == cell[l1]) < 2 or not other.any():
+        return None
+    l2 = rng.choice(np.flatnonzero(other).tolist())
+    out = codes.copy()
+    out[[l1, l2]] = codes[[l2, l1]]
+    return out
+
+
+def _raised(check, old, new):
+    """The message of the SoundnessError check raises on the step, or None."""
+    try:
+        check(old, new, new.level)
+    except SoundnessError as e:
+        return str(e)
+    return None
+
+
 def test_verify_step_catches_swaps_on_corpus(corpus):
-    """Random swaps that keep the total mass but move mass between fibers.
-    Parents that share a signature are checked once, so a swap into a
-    parent that is not the first of its signature must still be caught."""
+    """Every step of 40 deep instances, under threshold 1 and the default
+    policy. The check and the signature oracle it replaced both accept each
+    step as run, and the check raises on every tampering the oracle raises
+    on: swaps that keep the total mass but move mass between fibers (each
+    caught as fiber mass), one re-coded label and one doubled table entry.
+    A split (fiber, target bit) cell keeps every fiber's mass, so the
+    oracle accepts it; the check does not."""
     rng = random.Random(26)
-    caught = 0
+    caught = dict.fromkeys(["label", "fiber", "recode", "table", "split"], 0)
     deep = [i for i in corpus if i.depth >= 2 and ideal_norm(i.q) >= 100]
     for inst in deep[:40]:
         prob = build_problem(inst)
-        old, new = _last_step(prob, resolve_delta_policy(inst, ("threshold", 1)))
-        children, groups = _fibers_by_shape(new)
-        for _ in range(10):
-            for codes in (
-                _swap_labels(rng, new),
-                _swap_fibers(rng, old, new, children, groups),
-            ):
-                if codes is None:
-                    continue
-                with pytest.raises(SoundnessError, match="fiber mass"):
-                    distortion._verify_step(old, new._replace(codes=codes), new.level)
-                caught += 1
-    assert caught > 400
+        for policy in (("threshold", 1), None):
+            states = run(prob, resolve_delta_policy(inst, policy)).states
+            for old, new in zip(states, states[1:]):
+                assert _raised(oracles.verify_step_signatures, old, new) is None
+                assert _raised(distortion._verify_step, old, new) is None
+                children, groups = _fibers_by_shape(new)
+                for _ in range(4):
+                    table = _double_entry(rng, new)
+                    for kind, bad in (
+                        ("label", _swap_labels(rng, new)),
+                        ("fiber", _swap_fibers(rng, old, new, children, groups)),
+                        ("recode", _recode(rng, new)),
+                        ("table", table),
+                        ("split", _split_siblings(rng, new)),
+                    ):
+                        if bad is None:
+                            continue
+                        field = "table" if kind == "table" else "codes"
+                        bad = new._replace(**{field: bad})
+                        want = _raised(oracles.verify_step_signatures, old, bad)
+                        got = _raised(distortion._verify_step, old, bad)
+                        assert got is not None
+                        assert (want is None) == (kind == "split")
+                        if kind in ("label", "fiber", "split"):
+                            assert "fiber mass" in got
+                        caught[kind] += 1
+    assert caught["label"] + caught["fiber"] > 400 and min(caught.values()) > 100, caught
 
 
 def test_verify_step_catches_tampered_table(six_system):
@@ -384,6 +452,37 @@ def test_verify_step_catches_tampered_table(six_system):
     table[c] = table[c] * 2
     with pytest.raises(SoundnessError):
         distortion._verify_step(old, new._replace(table=tuple(table)), 2)
+
+
+def _two_steps(sizes1, codes1, table1, parents2, bits2, codes2, table2):
+    """(old, new) level-1 and level-2 states of a hand-built problem whose
+    level-2 labels each hold one point."""
+    n = sum(sizes1)
+    sizes = [np.array([n]), np.array(sizes1), np.ones(len(parents2), dtype=np.int64)]
+    parents = [None, np.zeros(len(sizes1), dtype=np.int64), np.array(parents2)]
+    bits = [np.zeros(len(sizes1), dtype=bool), np.array(bits2)]
+    prob = DistortionProblem(sizes, parents, bits, np.zeros(1, dtype=np.int64), (F(1, n),))
+    old = distortion.DistortionState(prob, 1, np.array(codes1), tuple(table1), (F(0),))
+    new = distortion.DistortionState(prob, 2, np.array(codes2), tuple(table2), (F(0), F(0)))
+    return old, new
+
+
+def test_verify_step_checks_every_distinct_row():
+    # each case keeps the total mass and gives every (fiber, target bit)
+    # cell one code, but moves mass between fibers. The wrong fibers' rows
+    # match a right fiber's row in all but the fiber's own code, or all but
+    # its cell point counts, so each must be checked on its own.
+    own_code = _two_steps([1, 1, 1], [0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
+                          [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
+    counts = _two_steps([2, 2, 3, 3], [0, 0, 1, 1], [F(1, 8), F(1, 12)],
+                        [0, 0, 1, 1, 2, 2, 2, 3, 3, 3],
+                        [False, True, True, True, False, True, True, True, True, True],
+                        [0, 1, 1, 1, 0, 2, 2, 2, 2, 2], [F(3, 28), F(1, 7), F(1, 14)])
+    for old, new in (own_code, counts):
+        assert new.total_mass() == 1
+        for check in (distortion._verify_step, oracles.verify_step_signatures):
+            with pytest.raises(SoundnessError, match="fiber mass"):
+                check(old, new, 2)
 
 
 def test_broken_factor_fails_run_and_cli(monkeypatch, capsys, near_cover):
@@ -503,6 +602,15 @@ def test_mask_mass_refuses_wrong_shape(near_cover, six_system):
     assert each[0] + each[2] == F(2, 3)
     with pytest.raises(InputError, match="mask of shape"):
         mask_mass(st, [True, False, True])
+
+
+def test_mask_mass_refuses_integer_masks(near_cover):
+    # an integer mask of the right shape would index positions, not select
+    st = initial_state(build_problem(near_cover))
+    for mask in (np.zeros(4, dtype=int), [0, 0, 0, 0], np.ones(4, dtype=int), [0.0] * 4):
+        with pytest.raises(InputError, match="not bool"):
+            mask_mass(st, mask)
+    assert mask_mass(st, [False] * 4) == 0 and mask_mass(st, [True] * 4) == 1
 
 
 # --------------------------------------------------------- custom problems

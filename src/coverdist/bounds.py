@@ -11,14 +11,14 @@ Analytic bounds (directed rounding, always from above):
   - mertens_sum_bound: Mertens sum majorant over prime norms,
   - eta2_major: tail contribution of levels above the threshold y, summed
     over dyadic blocks whose y-free values are computed once per block end,
-  - effective_bound: a float search picks y, then (y, x) with eta1 + eta2
-    < 1 is computed once, exactly, over the prime norms the search already
-    produced, and checked as verify_certificate does.
+  - effective_bound: one exact search picks y and its eta2, then w and x
+    with eta1 + eta2 < 1 follow once, over the prime norms the search
+    already produced, and are checked as verify_certificate does.
 
 The analytic layer is exact integer and rational arithmetic over prime
-norms (array('q') from ring) plus float log sums, all on the standard
-library; only class_measure_bound, which measures a class on O/Q, loads
-numpy. certify_moduli factors its moduli through system without it.
+norms (array('q') from ring), all on the standard library; only
+class_measure_bound, which measures a class on O/Q, loads numpy.
+certify_moduli factors its moduli through system without it.
 
 The explicit inequalities used are classical (Rosser and Schoenfeld,
 "Approximate formulas for some functions of prime numbers", 1962):
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
 from itertools import repeat
-from math import fsum, gcd, isqrt, log, log1p, prod
+from math import gcd, isqrt, prod
 from operator import add, sub
 from typing import NamedTuple
 
@@ -72,7 +72,6 @@ Y_MIN = 512
 LOG_CLOSE = 24  # close the tail once log A >= 24, where (log q)^12/sqrt(q) decays
 SQRT_BITS = 48
 MAX_Y_DOUBLINGS = 40
-LOG_MARGIN = 1e-6  # the y search decides eta2 < 1/2 exactly this close to it
 
 
 # ---------------------------------------------------------- per-level bounds
@@ -230,10 +229,10 @@ def mertens_sum_bound(field, z):
     return round_up(2 * r + PRIME_RECIP_SQ_HI)
 
 
-def _p_small_fold(norms):
+def _p_small_fold(norms, start=Fraction(1)):
     # certified-up product of q(q+1)/(q-1)^2 (delta = 0) over ascending prime
-    # norms q, rounded up once per 64 norms
-    num = den = 1
+    # norms q onto start, rounded up once per 64 norms
+    num, den = start.numerator, start.denominator
     for i in range(0, len(norms), 64):
         block = norms[i : i + 64]
         a = num * prod(block) * prod(map(add, block, repeat(1)))
@@ -241,11 +240,6 @@ def _p_small_fold(norms):
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
     return Fraction(num, den)
-
-
-def _log_p_small(norms):
-    # float sum of log q(q+1)/(q-1)^2 = log1p((3q-1)/(q-1)^2) over norms
-    return fsum(log1p((3 * q - 1) / (q - 1) ** 2) for q in norms)
 
 
 def _mertens_prod_hi(lz_lo, lz_hi):
@@ -268,12 +262,12 @@ def eta2_major(field, s, y):
     y = int(y)
     if y < Y_MIN:
         raise YTooSmall(f"y = {y} is below the supported floor {Y_MIN}")
-    return _eta2(s, ring.prime_norms_up_to(field, y), y)
+    return _eta2(s, _p_small_fold(ring.prime_norms_up_to(field, y)), y)
 
 
-def _eta2(s, norms, y):
-    # eta2_major given the prime norms <= y
-    return round_up(s * s * round_up(_p_small_fold(norms) * _eta2_tail(y)))
+def _eta2(s, p_small, y):
+    # eta2_major given P_small, the _p_small_fold of the prime norms <= y
+    return round_up(s * s * round_up(p_small * _eta2_tail(y)))
 
 
 def _eta2_tail(y):
@@ -341,23 +335,20 @@ class BoundCertificate(NamedTuple):
 
 
 def _search_y(field, s):
-    # (y, the prime norms <= y) for the first y from max(Y_MIN, s^3) on
-    # with eta2_major < 1/2. A priori, gap is within 1e-7 of log 2 eta2:
-    # n < 2^24 norms below the sieve cap, terms summing to < 21 (2 sum over
-    # p <= 2^27), each within 4 ulps, so any summing order errs
-    # < (n+3) 2^-53 21 < 4e-8; other logs < 1e-12; round-ups, 2^-95 per
-    # 64-norm block and per outer round_up, < 2^-75. Within LOG_MARGIN of
-    # 0, the exact eta2 decides.
-    y, above, log_p = max(Y_MIN, s**3), 0, 0.0
+    # (y, the prime norms <= y, eta2_major there) for the first y from
+    # max(Y_MIN, s^3) on with eta2_major < 1/2. The norms <= y are a prefix
+    # of those <= 2y, so the P_small fold over their full 64-norm blocks is
+    # carried from one y to the next; only the trailing < 64 norms are
+    # folded per y, onto the carry, which gives _p_small_fold(norms).
+    y, above, full, carry = max(Y_MIN, s**3), 0, 0, Fraction(1)
     norms = array("q")
     for _ in range(MAX_Y_DOUBLINGS):
-        new = ring.prime_norms_up_to(field, y, above)
-        norms += new
-        log_p += _log_p_small(new)
-        tail = _eta2_tail(y)
-        gap = log_p + log(2 * s * s * tail.numerator) - log(tail.denominator)
-        if gap < -LOG_MARGIN or gap <= LOG_MARGIN and _eta2(s, norms, y) < HALF:
-            return y, norms
+        norms += ring.prime_norms_up_to(field, y, above)
+        end = len(norms) - len(norms) % 64
+        carry, full = _p_small_fold(norms[full:end], carry), end
+        eta2 = _eta2(s, _p_small_fold(norms[end:], carry), y)
+        if eta2 < HALF:
+            return y, norms, eta2
         above, y = y, 2 * y
     raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
 
@@ -365,7 +356,7 @@ def _search_y(field, s):
 def _w_and_eta2(field, s, y):
     # (rankin_W(field, y), eta2_major(field, s, y)) from one sieve
     norms = ring.prime_norms_up_to(field, y)
-    return _rankin_fold(norms), _eta2(s, norms, y)
+    return _rankin_fold(norms), _eta2(s, _p_small_fold(norms), y)
 
 
 def _failed_check(cert, exact=None):
@@ -395,15 +386,15 @@ def effective_bound(field, s):
     eta1 + eta2 < 1; any covering system over the field with multiplicity
     <= s and distinguishable moduli must then use a modulus of norm <= x.
 
-    A float search picks y, then w and eta2 are computed once, exactly,
-    over the prime norms <= y that the search produced. A failed
+    One exact search picks y and computes eta2 there; w is then folded
+    once over the prime norms <= y that the search produced. A failed
     verify_certificate check or eta2 >= 1/2 raises SoundnessError."""
     if s < 1:
         raise InputError("s must be >= 1")
-    y, norms = _search_y(field, s)
-    w, eta2 = _rankin_fold(norms), _eta2(s, norms, y)
+    y, norms, eta2 = _search_y(field, s)
     if not eta2 < HALF:
         raise SoundnessError(f"exact eta2 is not below 1/2 at y = {y}")
+    w = _rankin_fold(norms)
     r = 2
     while w * s >= (1 - eta2) * r:  # ends: eta2 < 1/2, so r <= 4ws
         r *= 2

@@ -500,10 +500,10 @@ def eta2_tail(y):
 
 
 def effective_bound_exact(field, s):
-    """The y that bounds.effective_bound chose when its search was exact:
-    at each y it folded the eta2 product over the norms <= y, carrying the
-    full 64-norm blocks from one y to the next, and tested the exact
-    eta2 < 1/2. The oracle for the float search."""
+    """The y that bounds.effective_bound chooses, on numpy arrays: at each
+    y it folds the eta2 product over the norms <= y, carrying the full
+    64-norm blocks from one y to the next, and tests the exact
+    eta2 < 1/2. The oracle for the search."""
     y = max(bounds.Y_MIN, s**3)
     norms = prime_norms_up_to(field, y)
     carry = (1, 1, 0)

@@ -47,6 +47,7 @@ from coverdist import (
     primes_above,
     primes_up_to_norm,
     rankin_W,
+    reduce,
     residue_at,
     resolve_delta_policy,
     run,
@@ -194,26 +195,36 @@ def test_certificates_sound_against_brute_force(corpus, problems, point_problems
     assert certified > 100  # the corpus genuinely exercises the certificate path
 
 
-def test_certificates_invariant_under_affine_maps(corpus):
-    """x -> c x + t, with c a unit mod Q, permutes O/Q and every O/Q_j and
-    maps each class a + I onto c a + t + I. So the transformed system has
-    the same measures: under the default policy its verdict, eta, every
-    moment report and its uncovered mass equal the original's, and its
-    witness lies in no transformed class."""
+def _affine_images(corpus):
+    # per instance (inst, move, image): move is x -> c x + t, with c a unit
+    # mod Q and t a residue drawn from one seeded stream, and image is the
+    # system of the moved classes
     rng = random.Random(188412)
-    certified = 0
     for inst in corpus:
         field, q, n = inst.field, inst.q, ideal_norm(inst.q)
         c = residue_at(rng.randrange(n), q)
         while gcd(elem_norm(field, c), n) != 1:
             c = residue_at(rng.randrange(n), q)
         t = residue_at(rng.randrange(n), q)
-        moved = []
-        for a, ideal in inst.classes:
-            ca = oracles.elem_mul_oracle(field.trace, field.nm, c, a)
-            moved.append(((ca[0] + t[0], ca[1] + t[1]), ideal))
-        image = validate(field, moved)
+
+        def move(x, field=field, c=c, t=t):
+            cx = oracles.elem_mul_oracle(field.trace, field.nm, c, x)
+            return (cx[0] + t[0], cx[1] + t[1])
+
+        image = validate(field, [(move(a), ideal) for a, ideal in inst.classes])
         assert image.q == q and image.s == inst.s
+        yield inst, move, image
+
+
+def test_certificates_invariant_under_affine_maps(corpus):
+    """x -> c x + t, with c a unit mod Q, permutes O/Q and every O/Q_j and
+    maps each class a + I onto c a + t + I. So the transformed system has
+    the same measures: under the default policy its verdict, eta, every
+    moment report and its uncovered mass equal the original's, and its
+    witness lies in no transformed class."""
+    certified = 0
+    for inst, _, image in _affine_images(corpus):
+        q = inst.q
         want = certify(build_problem(inst), resolve_delta_policy(inst, None))
         got = certify(build_problem(image), resolve_delta_policy(image, None))
         assert got[:4] == want[:4]  # verdict, eta, reports, uncovered mass
@@ -223,6 +234,33 @@ def test_certificates_invariant_under_affine_maps(corpus):
             for residue, ideal in image.classes:
                 assert not in_class(witness, residue, ideal)
     assert certified > 100
+
+
+def test_majorants_invariant_under_affine_maps(corpus):
+    """Under the same maps x -> c x + t: alpha_upper_bound of the moved
+    system at c x + t equals the original's at x (three x per level), and
+    class_measure_bound of the moved system on c a + t + I, with its own
+    run, equals the original's on a + I, for I dividing Q (each Q_j and
+    each modulus) and every level 0 <= j <= J."""
+    rng = random.Random(188413)
+    alphas = measures = 0
+    for inst, move, image in _affine_images(corpus):
+        q, n = inst.q, ideal_norm(inst.q)
+        for j in range(1, inst.depth + 1):
+            for x in (residue_at(rng.randrange(n), q) for _ in range(3)):
+                got = alpha_upper_bound(image, reduce(move(x), q), j)
+                assert got == alpha_upper_bound(inst, x, j)
+                alphas += 1
+        want_run = run(build_problem(inst), resolve_delta_policy(inst, None))
+        got_run = run(build_problem(image), resolve_delta_policy(image, None))
+        ideals = set(inst.levels) | {ideal for _, ideal in inst.classes}
+        for ideal in sorted(ideals):
+            a = residue_at(rng.randrange(n), q)
+            for j in range(inst.depth + 1):
+                got = class_measure_bound(image, got_run, move(a), ideal, j)
+                assert got == class_measure_bound(inst, want_run, a, ideal, j)
+                measures += 1
+    assert alphas > 2000 and measures > 4000
 
 
 def test_pinned_certificates(near_cover, classic_cover):

@@ -3,7 +3,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction
-from math import inf, isqrt, log
+from math import isqrt
 from pathlib import Path
 
 import mpmath
@@ -474,10 +474,11 @@ def test_analytic_layer_matches_fraction_oracle(key):
 
 @pytest.mark.parametrize("key", FIELD_KEYS)
 def test_carried_p_small_matches_from_scratch(key):
-    # the search carries a float log P_small from one y to the next, adding
-    # the terms over (previous y, y]; on the doubling schedules from 512 and
-    # 729 and across full-block edges, with a repeated y, log of the exact
-    # _p_small must lie in the enclosure of half-width LOG_MARGIN around it
+    # the search carries the P_small fold over full 64-norm blocks from one
+    # y to the next, appending the norms in (previous y, y], and folds the
+    # trailing norms onto the carry at each y; on the doubling schedules
+    # from 512 and 729 and across full-block edges, with a repeated y, that
+    # equals the fold from scratch and the Fraction oracle
     field = get_field(key)
     schedules = [
         [512 << k for k in range(7)],
@@ -485,45 +486,47 @@ def test_carried_p_small_matches_from_scratch(key):
         [512, 709, 709, 719, 1000, 1418, 1438, 4096],
     ]
     for ys in schedules:
-        log_p, above = 0.0, 0
+        norms, above, full, carry = array("q"), 0, 0, F(1)
         for y in ys:
-            log_p += bounds._log_p_small(prime_norms_up_to(field, y, above))
+            norms += prime_norms_up_to(field, y, above)
             above = y
-            exact = _p_small(field, y)
-            assert exact == oracles.p_small_fraction(prime_norms_up_to(field, y).tolist())
-            err = log_p - (log(exact.numerator) - log(exact.denominator))
-            # well inside: the a priori error bound is 1e-7
-            assert abs(err) < bounds.LOG_MARGIN / 1000, y
+            end = len(norms) - len(norms) % 64
+            carry, full = _p_small_fold(norms[full:end], carry), end
+            got = _p_small_fold(norms[end:], carry)
+            assert got == _p_small(field, y), y
+            assert got == oracles.p_small_fraction(prime_norms_up_to(field, y).tolist()), y
 
 
 @pytest.mark.parametrize("key", FIELD_KEYS)
 def test_float_search_picks_the_exact_y(key):
-    # the y search on floats against the exact search it replaced; the
-    # norms it hands on are every prime norm <= y
+    # the y search against the exact search of the oracle; the norms it
+    # hands on are every prime norm <= y, and the eta2 it decided on is
+    # eta2_major there. (The name is from the float search this search
+    # replaced; it is kept so the six parametrized ids stay stable.)
     field = get_field(key)
     for s in range(1, 10):
-        y, norms = bounds._search_y(field, s)
+        y, norms, eta2 = bounds._search_y(field, s)
         assert y == oracles.effective_bound_exact(field, s), s
         assert norms.tolist() == oracles.prime_norms_up_to(field, y).tolist(), s
+        assert eta2 == eta2_major(field, s, y), s
 
 
-def test_forced_fallback_matches_pins(monkeypatch):
-    # with an infinite margin the exact eta2 decides at every y; the
-    # search must still stop at each pinned y, with the pinned eta2 there,
-    # and decide each y on every prime norm up to it
+def test_search_eta2_calls_match_pins(monkeypatch):
+    # the search decides each y on the exact eta2; it must try the doubling
+    # schedule, stop at each pinned y with the pinned eta2 there, and decide
+    # each y on P_small over every prime norm up to it
     calls = []
     exact = bounds._eta2
     top = max(pin["y"] for pin in PINS["effective_bound"])
     by_field = {}  # the numpy kernels' norms <= top, per field
 
-    def logged(s, norms, y):
-        k = len(norms)
-        assert np.array_equal(np.frombuffer(norms, dtype=np.int64), full[:k])
-        assert norms[-1] <= y and (k == len(full) or full[k] > y)
-        calls.append((y, exact(s, norms, y)))
+    def logged(s, p_small, y):
+        assert y <= top
+        k = int(np.searchsorted(full, y, side="right"))
+        assert p_small == _p_small_fold(full[:k].tolist()), y
+        calls.append((y, exact(s, p_small, y)))
         return calls[-1][1]
 
-    monkeypatch.setattr(bounds, "LOG_MARGIN", inf)
     monkeypatch.setattr(bounds, "_eta2", logged)
     for pin in PINS["effective_bound"]:
         calls.clear()
@@ -531,8 +534,8 @@ def test_forced_fallback_matches_pins(monkeypatch):
         if pin["field"] not in by_field:
             by_field[pin["field"]] = oracles.prime_norms_up_to(field, top)
         full = by_field[pin["field"]]  # read by logged
-        y, _ = bounds._search_y(field, pin["s"])
-        assert calls[-1] == (pin["y"], F(pin["eta2"])) and y == pin["y"]
+        y, _, eta2 = bounds._search_y(field, pin["s"])
+        assert calls[-1] == (pin["y"], F(pin["eta2"])) and (y, eta2) == calls[-1]
         assert [c[0] for c in calls] == [max(512, pin["s"] ** 3) << k for k in range(len(calls))]
 
 

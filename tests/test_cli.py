@@ -478,10 +478,11 @@ def test_bound_cli(capsys):
 def test_bound_cli_soundness_exit(capsys, monkeypatch):
     from coverdist import bounds, ring
 
-    # a search that hands the exact stage y = Y_MIN and its norms, where
-    # eta2 at s = 1 is not below 1/2: the exact check refuses the certificate
+    # a search that stops at y = Y_MIN with its norms and its exact eta2,
+    # which at s = 1 is not below 1/2: the guard refuses the certificate
     def search(field, s):
-        return bounds.Y_MIN, ring.prime_norms_up_to(field, bounds.Y_MIN)
+        y = bounds.Y_MIN
+        return y, ring.prime_norms_up_to(field, y), bounds.eta2_major(field, s, y)
 
     monkeypatch.setattr(bounds, "_search_y", search)
     rc, out, err = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
@@ -508,20 +509,29 @@ def test_bound_computes_once_verifies_once(capsys, monkeypatch):
 
     logged(ring, "prime_norms_up_to", lambda a: calls["prime_norms_up_to"].append(a[1:]))
     for name in ("_rankin_fold", "_p_small_fold"):
-        logged(bounds, name, lambda a, log=calls[name]: log.append(len(a[0])))
+        logged(bounds, name, lambda a, log=calls[name]: log.append(a[0].tolist()))
     rc, out, _ = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
     assert rc == 0
     y = json.loads(out)["y"]
     tried = [bounds.Y_MIN << k for k in range((y // bounds.Y_MIN).bit_length())]
     assert len(tried) > 2
     # the search windows, (0, y0], (y0, 2 y0], ..., are the only norms
-    # produced: the exact stage folds the norms the search kept
+    # produced: rankin_W folds the norms the search kept
     search = [(tried[0], 0)] + [(b, a) for a, b in zip(tried, tried[1:])]
     assert calls["prime_norms_up_to"] == search
-    # one exact rankin fold and one full P_small fold, both over every norm <= y
-    n = len(ring.prime_norms_up_to(ring.make_field("rational"), y))
-    assert calls["_rankin_fold"] == [n]
-    assert calls["_p_small_fold"] == [n]
+    norms = ring.prime_norms_up_to(ring.make_field("rational"), y).tolist()
+    n = len(norms)
+    # per y, one fold of the new full 64-norm blocks onto the carry, then one
+    # of the < 64 trailing norms; the full-block folds take each norm <= y
+    # in a full block once, in order, and with the last tail every norm <= y
+    full, tails = calls["_p_small_fold"][::2], calls["_p_small_fold"][1::2]
+    assert len(full) == len(tails) == len(tried)
+    assert all(len(f) % 64 == 0 for f in full)
+    assert all(len(t) < 64 for t in tails)
+    assert sum(full, []) == norms[: n - n % 64]
+    assert sum(full, []) + tails[-1] == norms
+    # one exact rankin fold, over every norm <= y
+    assert calls["_rankin_fold"] == [norms]
 
 
 def test_primes_cli(capsys):
@@ -721,13 +731,13 @@ def test_exit_code_enum_budget(capsys):
     assert json.loads(err)["error"] == "EnumerationTooLarge"
 
 
-def test_exit_code_sieve_budget(tmp_path, capsys):
+def test_exit_code_sieve_budget(tmp_path, capsys, monkeypatch):
     # refused before the sieve allocates its flags
-    from coverdist.kernels import SIEVE_MAX
+    from coverdist import kernels
 
-    for field, limit in [("rational", SIEVE_MAX + 1), ("quadratic:-1", SIEVE_MAX + 1)]:
+    for field in ("rational", "quadratic:-1"):
         rc, out, err = call_main(
-            capsys, ["primes", "--field", field, "--max-norm", str(limit)]
+            capsys, ["primes", "--field", field, "--max-norm", str(kernels.SIEVE_MAX + 1)]
         )
         assert rc == 3 and out == ""
         assert json.loads(err)["error"] == "SieveTooLarge"
@@ -741,6 +751,17 @@ def test_exit_code_sieve_budget(tmp_path, capsys):
     )
     assert rc == 3 and out == ""
     assert json.loads(err)["error"] == "SieveTooLarge"
+    # bound: y starts at s^3 = 216000000, above the cap, so no sieve runs
+    rc, out, err = call_main(capsys, ["bound", "--field", "quadratic:-1", "--s", "600"])
+    assert rc == 3 and out == ""
+    assert json.loads(err)["error"] == "SieveTooLarge"
+    # refused within the search, after the carry has run at y = 512 ... 4096
+    monkeypatch.setattr(kernels, "SIEVE_MAX", 2**12)
+    rc, out, err = call_main(capsys, ["bound", "--field", "rational", "--s", "1"])
+    assert rc == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "SieveTooLarge"
+    assert doc["message"] == "sieve limit 8192 exceeds 4096"
 
 
 def test_primes_huge_limit_no_traceback():

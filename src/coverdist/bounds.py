@@ -46,7 +46,6 @@ from .errors import (
     InputError,
     MixedFields,
     ResourceError,
-    SearchBudgetExceeded,
     SieveTooLarge,
     SoundnessError,
     XNotPerfectSquare,
@@ -71,7 +70,6 @@ HALF = Fraction(1, 2)
 Y_MIN = 512
 LOG_CLOSE = 24  # close the tail once log A >= 24, where (log q)^12/sqrt(q) decays
 SQRT_BITS = 48
-MAX_Y_DOUBLINGS = 40
 
 
 # ---------------------------------------------------------- per-level bounds
@@ -101,12 +99,12 @@ def class_measure_bound(instance, result, a, ideal, j):
         raise InputError(f"level {j} out of range")
     import numpy as np
 
-    from . import distortion, system
+    from . import distortion
 
     state = result.states[j]
     q = instance.q
     mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
-    system._class_mask(system.CongruenceClass(ring.reduce(a, ideal), ideal), q, mask)
+    kernels.mark_class(mask, ring.reduce(a, ideal), ideal, q)
     exact = distortion.mask_mass(state, mask)
     bound = Fraction(1, ring.ideal_norm(ideal))
     for (prime, _), delta in zip(instance.primes[:j], state.deltas):
@@ -339,10 +337,11 @@ def _search_y(field, s):
     # max(Y_MIN, s^3) on with eta2_major < 1/2. The norms <= y are a prefix
     # of those <= 2y, so the P_small fold over their full 64-norm blocks is
     # carried from one y to the next; only the trailing < 64 norms are
-    # folded per y, onto the carry, which gives _p_small_fold(norms).
+    # folded per y, onto the carry, which gives _p_small_fold(norms). The
+    # loop needs no budget of its own: the sieve refuses y > SIEVE_MAX.
     y, above, full, carry = max(Y_MIN, s**3), 0, 0, Fraction(1)
     norms = array("q")
-    for _ in range(MAX_Y_DOUBLINGS):
+    while True:
         norms += ring.prime_norms_up_to(field, y, above)
         end = len(norms) - len(norms) % 64
         carry, full = _p_small_fold(norms[full:end], carry), end
@@ -350,7 +349,6 @@ def _search_y(field, s):
         if eta2 < HALF:
             return y, norms, eta2
         above, y = y, 2 * y
-    raise SearchBudgetExceeded(f"eta2 stayed >= 1/2 up to y = {y}")
 
 
 def _w_and_eta2(field, s, y):

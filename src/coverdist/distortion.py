@@ -29,8 +29,9 @@ with one entry per level-j label, and `table`, a tuple of the distinct
 Fraction values: every point of label l has mass table[codes[l]]. A
 step's factor depends only on the parent fiber's alpha, the target bit
 and delta, so the table stays small while the labels grow to |S|.
-Per-label work is integer numpy (np.unique on int64 keys, np.add.at on
-int64 counts); Fraction arithmetic runs once per distinct key.
+Per-label work is integer numpy (np.add.at on int64 counts, gathers
+through remap arrays); sorts run only over the level-(j-1) fibers, and
+Fraction arithmetic runs once per distinct key.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
@@ -136,12 +137,10 @@ def initial_state(problem):
     return DistortionState(problem, 0, problem.initial_codes, problem.initial_table, ())
 
 
-def _alpha_ids(state, j):
-    """Conditional density of B_j on the level-(j-1) fibers, as a codebook.
-
-    Returns (alphas, ids, inter): level-(j-1) label l has alpha
-    alphas[ids[l]] = inter[l] / size[l], with one id per distinct
-    (inter, size) pair.
+def _fibers(state, j):
+    """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, inter, keys,
+    group). Label l has inter[l] target points and alpha inter[l] / size[l]
+    in alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending.
     """
     problem = state.problem
     if j != state.level + 1 or j > len(problem.target_bits):
@@ -152,25 +151,24 @@ def _alpha_ids(state, j):
     radix = int(sz.max()) + 1
     pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
     alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
-    return alphas, ids, inter
+    keys, group = np.unique(state.codes * len(alphas) + ids, return_inverse=True)
+    return alphas, inter, keys, group
 
 
 def alpha(state, j):
     """Per-point alpha_j values (constant on level-(j-1) fibers)."""
-    alphas, ids, _ = _alpha_ids(state, j)
+    alphas, _, keys, group = _fibers(state, j)
+    ids = (keys % len(alphas))[group]
     return _lookup(alphas, ids[_point_labels(state.problem, j - 1)]).tolist()
 
 
 def moments(state, j):
     """(M1, M2): first and second moments of alpha_j under the current measure."""
-    alphas, ids, inter = _alpha_ids(state, j)
+    alphas, inter, keys, group = _fibers(state, j)
     table, na = state.table, len(alphas)
     m1 = _grouped_sum(state.codes, inter, table)
     # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
-    pairs, pair_ids = np.unique(state.codes * na + ids, return_inverse=True)
-    m2 = _grouped_sum(
-        pair_ids, inter, [table[k // na] * alphas[k % na] for k in pairs.tolist()]
-    )
+    m2 = _grouped_sum(group, inter, [table[k // na] * alphas[k % na] for k in keys.tolist()])
     return m1, m2
 
 
@@ -188,24 +186,20 @@ def step(state, j, delta, checks=True):
     """Apply distortion step j with the given delta; returns the new state."""
     delta = _check_delta(delta)
     problem = state.problem
-    alphas, ids, _ = _alpha_ids(state, j)
-    parent = problem.parents[j]
-    na = len(alphas)
-    assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
-    # the new mass of a level-j label depends only on (parent code, parent
-    # alpha id, target bit): one mixed-radix key each
-    keys = (state.codes[parent] * na + ids[parent]) * 2 + problem.target_bits[j - 1]
-    uniq, inv = np.unique(keys, return_inverse=True)
+    alphas, _, keys, group = _fibers(state, j)
+    na, keys = len(alphas), keys.tolist()
+    # a level-j label's new mass depends only on its cell (parent group,
+    # target bit); one value per occupied cell, interned in ascending order
+    cell = group[problem.parents[j]] * 2 + problem.target_bits[j - 1]
+    remap = np.zeros(2 * len(keys), dtype=np.int64)
     interned = {}
-    remap = []
-    for key in uniq.tolist():
-        rest, bit = divmod(key, 2)
-        code, a = divmod(rest, na)
+    for c in np.flatnonzero(np.bincount(cell, minlength=len(remap))).tolist():
+        code, a = divmod(keys[c // 2], na)
         v = state.table[code]
         if v:
-            v = v * _factor(alphas[a], bit, delta)
-        remap.append(interned.setdefault(v, len(interned)))
-    codes = np.asarray(remap, dtype=np.int64)[inv]
+            v = v * _factor(alphas[a], c % 2, delta)
+        remap[c] = interned.setdefault(v, len(interned))
+    codes = remap[cell]
     deltas = state.deltas + (delta,)
     new_state = DistortionState(problem, j, codes, tuple(interned), deltas)
     if checks:

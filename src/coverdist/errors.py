@@ -1,7 +1,7 @@
 """Exception hierarchy with CLI exit codes.
 
-Exit code convention: 2 for invalid input, 3 for a resource or search-budget
-refusal, 4 for an internal soundness cross-check failure.
+Exit code convention: 2 for invalid input, 3 for a refusal over a resource
+budget, 4 for an internal soundness cross-check failure.
 """
 
 
@@ -91,13 +91,5 @@ class NormTooLargeToFactor(ResourceError):
     pass
 
 
-class SearchBudgetExceeded(ResourceError):
-    pass
-
-
 class SieveTooLarge(ResourceError):
-    pass
-
-
-class PrimeTooLarge(ResourceError):
     pass

@@ -15,11 +15,10 @@ from array import array
 from itertools import compress
 from math import isqrt
 
-from .errors import PrimeTooLarge, SieveTooLarge
+from .errors import SieveTooLarge
 
 # Largest sieve limit accepted: the flags of every odd number up to it take
-# 64 MB. It is checked before any allocation, and it keeps every sieved
-# prime below the 2^31 that kron_values requires.
+# 64 MB. It is checked before any allocation.
 SIEVE_MAX = 2**27
 # Default cap on |O/Q| for the commands that enumerate O/Q.
 DEFAULT_MAX_ENUM = 10**8
@@ -79,14 +78,12 @@ def kronecker_disc(disc, p):
 def kron_values(disc, ps):
     """Kronecker symbols (disc/p) in an array('b') of -1, 0, 1, for a
     discriminant disc (a nonzero int = 0 or 1 mod 4) and a sequence of
-    primes ps below 2^31.
+    primes ps, of any size: the arithmetic runs on Python ints.
 
     For such a disc, p -> (disc/p) is a character modulo |disc|, so the
     symbol is computed once per residue class of p mod |disc| and looked up
     for every other p in that class.
     """
-    if len(ps) and max(ps) >= 2**31:
-        raise PrimeTooLarge(f"prime {max(ps)} is not below the kernel limit 2^31")
     m = abs(disc)
     memo = {}  # residue class mod m -> symbol
     symbols = [
@@ -96,14 +93,17 @@ def kron_values(disc, ps):
     return array("b", symbols)
 
 
-def mark_class(mask, aa, ab, ui, vi, wi, uq, vq, wq):
-    """Set mask[y*uq + x] for every residue x + y*w of (aa, ab) + I in O/Q.
+def mark_class(mask, residue, modulus, q):
+    """Set mask[y*uq + x] for every residue x + y*w of residue + I in O/Q,
+    for the HNF ideals I = modulus = (ui, vi, wi) and Q = q = (uq, vq, wq).
 
-    The class rep (aa, ab) is reduced mod I = (ui, vi, wi) and Q = (uq, vq, wq);
-    the points are a + k*(vi + wi*w) + m*ui.
+    The class rep (aa, ab) = residue is reduced mod I; the points are
+    a + k*(vi + wi*w) + m*ui.
     """
     import numpy as np
 
+    (aa, ab), ui, vi, wi = residue, modulus.u, modulus.v, modulus.w
+    uq, vq, wq = q.u, q.v, q.w
     nk = wq // wi
     nm = uq // ui
     ms = np.arange(nm, dtype=np.int64) * ui

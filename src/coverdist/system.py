@@ -115,12 +115,6 @@ def validate(field, raw_classes):
     )
 
 
-def _class_mask(cls, q, mask):
-    """Mark the residues of O/Q in the class residue + modulus on the mask."""
-    (aa, ab), m = cls.residue, cls.modulus
-    kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
-
-
 def _enum_size(q, max_enum):
     """|O/Q|, the residue count; EnumerationTooLarge if it exceeds max_enum."""
     n = ring.ideal_norm(q)
@@ -138,7 +132,7 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     q = instance.q
     mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
     for cls in instance.classes:
-        _class_mask(cls, q, mask)
+        kernels.mark_class(mask, cls.residue, cls.modulus, q)
     missing = np.flatnonzero(~mask)
     if len(missing) == 0:
         return ("covers", None)
@@ -166,7 +160,7 @@ def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
     mask = np.zeros(ring.ideal_norm(qj), dtype=np.bool_)
     for cls, data in zip(instance.classes, instance.class_data):
         if data.level == j:
-            _class_mask(cls, qj, mask)
+            kernels.mark_class(mask, cls.residue, cls.modulus, qj)
     return mask
 
 

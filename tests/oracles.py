@@ -13,7 +13,9 @@ a covering system through the package's kernels, to_labels is the
 package's former converter of such a PointProblem to a label-space
 DistortionProblem, with its checks, numbering labels by first point,
 verify_step_signatures is distortion's former step check, which grouped
-each fiber's labels by code rather than by target bit, sieve,
+each fiber's labels by code rather than by target bit, step_label_keys
+is distortion's former step, which sorted one (code, alpha, target bit)
+key per level-j label, sieve,
 mod_values, kron_values, trial_division and prime_norms_up_to are the
 numpy kernels (and the trial division on them) that the
 standard-library ones replaced, and rankin_fold, p_small_fold and
@@ -30,6 +32,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from coverdist import DistortionProblem, InputError, SoundnessError, bounds, kernels, ring
+from coverdist import distortion
 from coverdist.rounding import (
     EGAMMA_EXP_HI,
     PI_UPPER_C,
@@ -223,8 +226,7 @@ def build_problem_points(instance):
         mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
         for cls, data in zip(instance.classes, instance.class_data):
             if data.level == j:
-                (aa, ab), m = cls.residue, cls.modulus
-                kernels.mark_class(mask, aa, ab, m.u, m.v, m.w, q.u, q.v, q.w)
+                kernels.mark_class(mask, cls.residue, cls.modulus, q)
         targets.append(mask)
     return PointProblem(levels=levels, targets=targets)
 
@@ -268,6 +270,51 @@ def verify_step_signatures(old, new, j):
             got += new.table[c] * s
         if got != old.table[old.codes[p]] * int(szp[p]):
             raise SoundnessError(f"step {j}: fiber mass not conserved")
+
+
+def _alpha_ids(state, j):
+    """distortion's former alpha codebook: (alphas, ids, inter), level-(j-1)
+    label l having alpha alphas[ids[l]] = inter[l] / size[l], one id per
+    distinct (inter, size) pair."""
+    problem = state.problem
+    if j != state.level + 1 or j > len(problem.target_bits):
+        raise InputError(f"cannot take step {j} from level {state.level}")
+    sz, bits = problem.sizes[j - 1], problem.target_bits[j - 1]
+    inter = np.zeros(len(sz), dtype=np.int64)  # target points per parent
+    np.add.at(inter, problem.parents[j][bits], problem.sizes[j][bits])
+    radix = int(sz.max()) + 1
+    pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
+    alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
+    return alphas, ids, inter
+
+
+def step_label_keys(state, j, delta, checks=True):
+    """distortion.step as it was: one mixed-radix (parent code, parent alpha
+    id, target bit) key per level-j label, sorted with np.unique, and one
+    value interned per distinct key in ascending key order."""
+    delta = distortion._check_delta(delta)
+    problem = state.problem
+    alphas, ids, _ = _alpha_ids(state, j)
+    parent = problem.parents[j]
+    na = len(alphas)
+    assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
+    keys = (state.codes[parent] * na + ids[parent]) * 2 + problem.target_bits[j - 1]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    interned = {}
+    remap = []
+    for key in uniq.tolist():
+        rest, bit = divmod(key, 2)
+        code, a = divmod(rest, na)
+        v = state.table[code]
+        if v:
+            v = v * distortion._factor(alphas[a], bit, delta)
+        remap.append(interned.setdefault(v, len(interned)))
+    codes = np.asarray(remap, dtype=np.int64)[inv]
+    deltas = state.deltas + (delta,)
+    new_state = distortion.DistortionState(problem, j, codes, tuple(interned), deltas)
+    if checks:
+        distortion._verify_step(state, new_state, j)
+    return new_state
 
 
 def point_masses(state, problem):
@@ -507,14 +554,13 @@ def effective_bound_exact(field, s):
     y = max(bounds.Y_MIN, s**3)
     norms = prime_norms_up_to(field, y)
     carry = (1, 1, 0)
-    for _ in range(bounds.MAX_Y_DOUBLINGS):
+    while True:  # as in bounds._search_y, with no budget of its own
         psmall, carry = _p_small_carry(norms, carry)
         eta2 = round_up(s * s * round_up(Fraction(*psmall) * eta2_tail(y)))
         if eta2 < Fraction(1, 2):
             return y
         norms = np.concatenate([norms, prime_norms_up_to(field, 2 * y, y)])
         y *= 2
-    raise AssertionError(f"eta2 stayed >= 1/2 up to y = {y}")
 
 
 def _p_small_carry(norms, carry):
@@ -766,11 +812,9 @@ def sieve(limit):
 
 def mod_values(m, ps):
     """m mod p for a Python int m >= 0 and each p of an int64 array of ps below 2^31."""
-    from coverdist.errors import PrimeTooLarge
-
     ps = np.ascontiguousarray(ps, dtype=np.int64)
     if len(ps) and int(ps.max()) >= 2**31:
-        raise PrimeTooLarge(f"prime {int(ps.max())} is not below the kernel limit 2^31")
+        raise ValueError(f"prime {int(ps.max())} is not below the kernel limit 2^31")
     # Every residue is below p < 2^31, so every product here fits in int64.
     # m may not, so m mod p is built from the base-2^31 digits of m.
     a = np.zeros_like(ps)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import json
 from pathlib import Path
@@ -282,6 +283,64 @@ def test_random_chains_match_per_label_oracle(case):
     assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports] == reports
     assert res.eta == eta
     assert res.final_target_masses == final
+
+
+def _assert_matches_label_keys(prob, deltas):
+    # run with step and with the label-key step it replaced: the same codes
+    # and table at every level, so the same reports
+    res = run(prob, deltas)
+    with mock.patch.object(distortion, "step", oracles.step_label_keys):
+        want = run(prob, deltas)
+    for got, ref in zip(res.states, want.states, strict=True):
+        assert got.codes.dtype == ref.codes.dtype == np.int64
+        assert np.array_equal(got.codes, ref.codes)
+        assert got.table == ref.table
+    assert res.reports == want.reports
+    assert res.final_target_masses == want.final_target_masses
+
+
+def test_step_matches_label_keys_on_corpus(corpus):
+    """Every step of the whole corpus under the default policy, threshold 1
+    and explicit 1/2 and 1/3 equals oracles.step_label_keys."""
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in (
+            None,
+            ("threshold", 1),
+            ("explicit", [HALF] * inst.depth),
+            ("explicit", [F(1, 3)] * inst.depth),
+        ):
+            _assert_matches_label_keys(prob, resolve_delta_policy(inst, policy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_chains())
+def test_random_chains_match_label_keys(case):
+    prob, deltas = case
+    _assert_matches_label_keys(oracles.to_labels(prob)[0], deltas)
+
+
+def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
+    """The last step of the deepest corpus instance hands np.unique nothing
+    longer than the level-(J-1) labels: it groups the parent fibers and
+    gathers the level-J codes from their cells, with no per-label sort."""
+    inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
+    prob = build_problem(inst)
+    depth = len(prob.target_bits)
+    deltas = resolve_delta_policy(inst, ("threshold", 1))
+    old = run(prob, deltas).states[depth - 1]
+    lengths, unique = [], np.unique
+
+    def recording(ar, *args, **kwargs):
+        lengths.append(np.size(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording)
+    new = step(old, depth, deltas[-1])
+    monkeypatch.undo()
+    assert lengths and max(lengths) <= len(prob.sizes[depth - 1]) < len(prob.sizes[depth])
+    want = oracles.step_label_keys(old, depth, deltas[-1])
+    assert np.array_equal(new.codes, want.codes) and new.table == want.table
 
 
 # ------------------------------------------------------------ tampering

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, kernels, ring, serialize
+from . import kernels, ring, serialize
 from .errors import CoverdistError, InputError
 
 
@@ -160,6 +160,8 @@ def cmd_moments(args):
 
 
 def cmd_certify_moduli(args):
+    from . import bounds
+
     field, moduli, s_doc = serialize.parse_moduli(_load_json(args.input))
     s = args.s if args.s is not None else s_doc
     cert = bounds.certify_moduli(field, moduli, s, serialize.parse_delta_policy(args.delta))
@@ -187,6 +189,8 @@ def cmd_certify_moduli(args):
 
 
 def cmd_bound(args):
+    from . import bounds
+
     field = serialize.parse_field(args.field)
     cert = bounds.effective_bound(field, args.s)
     doc = {

@@ -24,14 +24,16 @@ This multiplies pointwise, preserves the mass of every level-(j-1) fiber
 where M1, M2 are the first and second moments of alpha under P_{j-1}.
 All masses are Fractions; nothing is approximated.
 
-The measure is a codebook. A level-j state holds `codes`, an int64 array
-with one entry per level-j label, and `table`, a tuple of the distinct
+The measure is a codebook. A level-j state holds `codes`, an integer array
+with one code per level-j label, and `table`, a tuple of the distinct
 Fraction values: every point of label l has mass table[codes[l]]. A
 step's factor depends only on the parent fiber's alpha, the target bit
 and delta, so the table stays small while the labels grow to |S|.
 Per-label work is integer numpy (np.add.at on int64 counts, gathers
 through remap arrays); sorts run only over the level-(j-1) fibers, and
-Fraction arithmetic runs once per distinct key.
+Fraction arithmetic runs once per distinct key. Label-sized index arrays
+(parents, codes, step cells) take kernels.index_dtype, int32 below 2^31
+entries; sizes, counts and (code, alpha id) keys stay int64.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
@@ -50,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .errors import InputError, SoundnessError
 from .system import _check_delta
 
@@ -65,7 +68,7 @@ class DistortionProblem(NamedTuple):
 class DistortionState(NamedTuple):
     problem: DistortionProblem
     level: int
-    codes: np.ndarray  # int64 per level-`level` label, an index into table
+    codes: np.ndarray  # one index into table per level-`level` label
     table: tuple  # distinct Fractions: mass of EACH point in a fiber
     deltas: tuple
 
@@ -127,7 +130,8 @@ def _grouped_sum(ids, counts, values):
 
 def _point_labels(problem, k):
     """The level-k label of each point index, that is of each level-J label."""
-    lab = np.arange(len(problem.sizes[-1]))
+    n = len(problem.sizes[-1])
+    lab = np.arange(n, dtype=kernels.index_dtype(n))
     for i in range(len(problem.parents) - 1, k, -1):
         lab = problem.parents[i][lab]
     return lab
@@ -140,7 +144,8 @@ def initial_state(problem):
 def _fibers(state, j):
     """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, inter, keys,
     group). Label l has inter[l] target points and alpha inter[l] / size[l]
-    in alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending.
+    in alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
+    int64. group has the index_dtype of the 2 * len(keys) step cells.
     """
     problem = state.problem
     if j != state.level + 1 or j > len(problem.target_bits):
@@ -151,8 +156,10 @@ def _fibers(state, j):
     radix = int(sz.max()) + 1
     pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
     alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
-    keys, group = np.unique(state.codes * len(alphas) + ids, return_inverse=True)
-    return alphas, inter, keys, group
+    # int64 keys: an int32 code times a Python int stays int32 and would wrap
+    keys = state.codes.astype(np.int64) * len(alphas) + ids
+    keys, group = np.unique(keys, return_inverse=True)
+    return alphas, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
 
 
 def alpha(state, j):
@@ -164,7 +171,11 @@ def alpha(state, j):
 
 def moments(state, j):
     """(M1, M2): first and second moments of alpha_j under the current measure."""
-    alphas, inter, keys, group = _fibers(state, j)
+    return _moments(state, _fibers(state, j))
+
+
+def _moments(state, fibers):
+    alphas, inter, keys, group = fibers
     table, na = state.table, len(alphas)
     m1 = _grouped_sum(state.codes, inter, table)
     # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
@@ -184,14 +195,18 @@ def _factor(a, b, delta):
 
 def step(state, j, delta, checks=True):
     """Apply distortion step j with the given delta; returns the new state."""
+    return _step(state, j, delta, _fibers(state, j), checks)
+
+
+def _step(state, j, delta, fibers, checks):
     delta = _check_delta(delta)
     problem = state.problem
-    alphas, _, keys, group = _fibers(state, j)
+    alphas, _, keys, group = fibers
     na, keys = len(alphas), keys.tolist()
     # a level-j label's new mass depends only on its cell (parent group,
     # target bit); one value per occupied cell, interned in ascending order
     cell = group[problem.parents[j]] * 2 + problem.target_bits[j - 1]
-    remap = np.zeros(2 * len(keys), dtype=np.int64)
+    remap = np.zeros(2 * len(keys), dtype=group.dtype)
     interned = {}
     for c in np.flatnonzero(np.bincount(cell, minlength=len(remap))).tolist():
         code, a = divmod(keys[c // 2], na)
@@ -200,6 +215,7 @@ def step(state, j, delta, checks=True):
             v = v * _factor(alphas[a], c % 2, delta)
         remap[c] = interned.setdefault(v, len(interned))
     codes = remap[cell]
+    del cell  # freed before the checks, which build their own cells
     deltas = state.deltas + (delta,)
     new_state = DistortionState(problem, j, codes, tuple(interned), deltas)
     if checks:
@@ -216,8 +232,9 @@ def _verify_step(old, new, j):
         raise SoundnessError(f"step {j}: total mass drifted")
     # a step codes a level-j label by its cell (parent fiber, target bit)
     # alone, so every level-(j-1) fiber's mass is the sum over its two cells
-    cell = problem.parents[j] * 2 + problem.target_bits[j - 1]
-    code = np.zeros(2 * len(old.codes), dtype=np.int64)  # an empty cell: code 0, 0 points
+    dtype = kernels.index_dtype(2 * len(old.codes))
+    cell = problem.parents[j].astype(dtype) * 2 + problem.target_bits[j - 1]
+    code = np.zeros(2 * len(old.codes), dtype=new.codes.dtype)  # an empty cell: code 0, 0 points
     code[cell] = new.codes
     if (code[cell] != new.codes).any():
         raise SoundnessError(f"step {j}: fiber mass split within a target-bit cell")
@@ -269,13 +286,14 @@ def run(problem, deltas, checks=True):
     eta = Fraction(0)
     for j in range(1, levels + 1):
         st = states[-1]
-        m1, m2 = moments(st, j)
+        fibers = _fibers(st, j)  # one grouping of the level-(j-1) fibers per level
+        m1, m2 = _moments(st, fibers)
         delta = deltas[j - 1]
         if delta:
             contribution = min(m1, m2 / (4 * delta * (1 - delta)))
         else:
             contribution = m1
-        new = step(st, j, delta, checks=checks)
+        new = _step(st, j, delta, fibers, checks)
         pjbj = target_mass(new, j)
         if checks and pjbj > contribution:
             raise SoundnessError(f"step {j}: target mass exceeds its moment bound")

@@ -1,11 +1,12 @@
 """Integer kernels: prime sieve, Kronecker symbols modulo many primes, coset
-marking, and level-label computation.
+marking, level-label computation, and the dtype of label arrays.
 
 The sieve and the Kronecker kernel run on the standard library (bytearray
 flags of the odd numbers in a window, array('q') primes), so the commands
 that need only prime norms never import numpy. The two kernels that
 enumerate O/Q, mark_class and level_labels, fill numpy arrays and import
-numpy when called.
+numpy when called. Label arrays over O/Q are int32 when |O/Q| <= 2^31
+(index_dtype), which DEFAULT_MAX_ENUM guarantees, and int64 above.
 
 Each kernel is sequential and deterministic, so repeated runs give
 bit-identical output.
@@ -22,6 +23,14 @@ from .errors import SieveTooLarge
 SIEVE_MAX = 2**27
 # Default cap on |O/Q| for the commands that enumerate O/Q.
 DEFAULT_MAX_ENUM = 10**8
+
+
+def index_dtype(n):
+    """numpy dtype of an array of indices below n: int32 when they all fit
+    it (n <= 2^31), else int64."""
+    import numpy as np
+
+    return np.int32 if n <= 2**31 else np.int64
 
 
 def backend_name():
@@ -120,12 +129,16 @@ def mark_class(mask, residue, modulus, q):
 
 
 def level_labels(uq, wq, uj, vj, wj):
-    """int64 array: index of (residue mod Q_j) for each residue x + y*w of O/Q."""
+    """Index of (residue mod Q_j) for each residue x + y*w of O/Q, in the
+    index_dtype of |O/Q| = uq*wq. Q_j divides Q, so uj divides uq and every
+    intermediate lies in (-uj, uq*wq)."""
     import numpy as np
 
+    dtype = index_dtype(uq * wq)
     y = np.arange(wq, dtype=np.int64)
     yy = y % wj
-    t = (y - yy) // wj
-    x = np.arange(uq, dtype=np.int64)
-    xx = (x[None, :] - (t * vj)[:, None]) % uj
-    return (yy[:, None] * uj + xx).ravel()
+    shift = ((y - yy) // wj * vj % uj).astype(dtype)  # t*vj mod uj, t = y // wj
+    xx = np.arange(uq, dtype=dtype)[None, :] - shift[:, None]
+    xx %= uj
+    xx += (yy * uj).astype(dtype)[:, None]
+    return xx.ravel()

@@ -181,12 +181,16 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
         count, above = ring.ideal_norm(hi), len(sizes[-1])
         # in range, and count / above children per parent (so count labels)
         ok = parent.min() >= 0 and parent.max() < above
-        if not ok or (np.bincount(parent, minlength=above) != count // above).any():
+        if ok:
+            children = np.zeros(above, dtype=np.int64)
+            np.add.at(children, parent, 1)  # np.bincount would copy int32 labels to int64
+            ok = (children == count // above).all()
+        if not ok:
             raise SoundnessError(f"level {j} labels do not map O/Q_{j} onto O/Q_{j - 1}")
         parents.append(parent)
         sizes.append(np.broadcast_to(np.int64(n // count), count))
     target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
-    initial_codes = np.zeros(1, dtype=np.int64)
+    initial_codes = np.zeros(1, dtype=kernels.index_dtype(n))
     return DistortionProblem(sizes, parents, target_bits, initial_codes, (Fraction(1, n),))
 
 

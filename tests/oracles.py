@@ -217,10 +217,13 @@ def to_labels(problem):
 
 
 def build_problem_points(instance):
-    """system.build_problem as it was: J+1 label arrays and J target masks,
-    each over the n points of O/Q (point i is residue_at(i, q))."""
+    """system.build_problem as it was: J+1 int64 label arrays and J target
+    masks, each over the n points of O/Q (point i is residue_at(i, q))."""
     q = instance.q
-    levels = [kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w) for lv in instance.levels]
+    levels = [
+        kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w).astype(np.int64)
+        for lv in instance.levels
+    ]
     targets = []
     for j in range(1, instance.depth + 1):
         mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)

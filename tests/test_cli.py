@@ -896,6 +896,28 @@ print(out.getvalue(), end="")
     assert proc.stdout == (GOLDEN / "certify_classic_default.json").read_text()
 
 
+def test_distortion_commands_never_import_bounds():
+    # cli loads bounds only inside bound and certify-moduli, so check,
+    # certify and moments in a fresh process never import it
+    script = f"""
+import contextlib, io, sys
+from coverdist.cli import main
+data = {str(DATA)!r}
+runs = [
+    ["check", "--input", data + "/classic.json"],
+    ["certify", "--input", data + "/classic.json"],
+    ["moments", "--input", data + "/near.json", "--delta", "threshold:1"],
+]
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+assert "coverdist.bounds" not in sys.modules
+assert "coverdist.distortion" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_package_exports_resolve():
     # the package serves its names lazily; each resolves, in a fresh
     # process, to the object of the module that defines it

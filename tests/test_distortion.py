@@ -34,7 +34,7 @@ from coverdist import (
     validate,
 )
 
-from coverdist import distortion
+from coverdist import distortion, kernels
 from coverdist.cli import main
 
 F = Fraction
@@ -285,31 +285,42 @@ def test_random_chains_match_per_label_oracle(case):
     assert res.final_target_masses == final
 
 
+def _label_key_step(state, j, delta, fibers, checks):
+    return oracles.step_label_keys(state, j, delta, checks)
+
+
 def _assert_matches_label_keys(prob, deltas):
     # run with step and with the label-key step it replaced: the same codes
-    # and table at every level, so the same reports
+    # and table at every level, so the same reports; the oracle codes are
+    # int64, step's are int32 after level 0
     res = run(prob, deltas)
-    with mock.patch.object(distortion, "step", oracles.step_label_keys):
+    with mock.patch.object(distortion, "_step", _label_key_step):
         want = run(prob, deltas)
     for got, ref in zip(res.states, want.states, strict=True):
-        assert got.codes.dtype == ref.codes.dtype == np.int64
+        assert ref.level == 0 or ref.codes.dtype == np.int64
+        assert got.level == 0 or got.codes.dtype == np.int32
         assert np.array_equal(got.codes, ref.codes)
         assert got.table == ref.table
     assert res.reports == want.reports
     assert res.final_target_masses == want.final_target_masses
 
 
+def _policies(inst):
+    """The default policy, threshold 1 and explicit 1/2 and 1/3."""
+    return [
+        None,
+        ("threshold", 1),
+        ("explicit", [HALF] * inst.depth),
+        ("explicit", [F(1, 3)] * inst.depth),
+    ]
+
+
 def test_step_matches_label_keys_on_corpus(corpus):
-    """Every step of the whole corpus under the default policy, threshold 1
-    and explicit 1/2 and 1/3 equals oracles.step_label_keys."""
+    """Every step of the whole corpus under the four _policies equals
+    oracles.step_label_keys."""
     for inst in corpus:
         prob = build_problem(inst)
-        for policy in (
-            None,
-            ("threshold", 1),
-            ("explicit", [HALF] * inst.depth),
-            ("explicit", [F(1, 3)] * inst.depth),
-        ):
+        for policy in _policies(inst):
             _assert_matches_label_keys(prob, resolve_delta_policy(inst, policy))
 
 
@@ -341,6 +352,81 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     assert lengths and max(lengths) <= len(prob.sizes[depth - 1]) < len(prob.sizes[depth])
     want = oracles.step_label_keys(old, depth, deltas[-1])
     assert np.array_equal(new.codes, want.codes) and new.table == want.table
+
+
+def test_run_groups_each_level_once(corpus, monkeypatch):
+    """run groups the level-(j-1) fibers once per level and hands the one
+    grouping to both the moments and the step."""
+    inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
+    prob = build_problem(inst)
+    deltas = resolve_delta_policy(inst, ("threshold", 1))
+    want = run(prob, deltas)
+    calls, fibers = [], distortion._fibers
+
+    def counting(state, j):
+        calls.append(j)
+        return fibers(state, j)
+
+    monkeypatch.setattr(distortion, "_fibers", counting)
+    got = run(prob, deltas)
+    assert calls == list(range(1, inst.depth + 1))
+    assert got.reports == want.reports
+    # the public functions still group on their own
+    calls.clear()
+    assert moments(want.states[0], 1) == (want.reports[0].m1, want.reports[0].m2)
+    new = step(want.states[0], 1, deltas[0])
+    assert calls == [1, 1] and np.array_equal(new.codes, want.states[1].codes)
+
+
+def _corpus_runs(corpus, dtype):
+    """Codes, tables, reports, final target masses and certificate of every
+    corpus instance under the four _policies; every parent and code array
+    must have the given dtype."""
+    out = []
+    for inst in corpus:
+        prob = build_problem(inst)
+        assert all(p.dtype == dtype for p in prob.parents[1:])
+        for policy in _policies(inst):
+            deltas = resolve_delta_policy(inst, policy)
+            res = run(prob, deltas)
+            assert all(st.codes.dtype == dtype for st in res.states)
+            codes = [st.codes.tolist() for st in res.states]
+            tables = [st.table for st in res.states]
+            cert = certify(prob, deltas)[:5]
+            out.append((codes, tables, res.reports, res.final_target_masses, cert))
+    return out
+
+
+def test_int64_labels_match_int32(corpus, monkeypatch):
+    """Every corpus instance gets int32 labels; with the index dtype forced
+    to int64, as above 2^31 labels, every value is the same."""
+    narrow = _corpus_runs(corpus, np.int32)
+    monkeypatch.setattr(kernels, "index_dtype", lambda n: np.int64)
+    assert _corpus_runs(corpus, np.int64) == narrow
+
+
+def test_fibers_keys_pass_2_31():
+    """(code, alpha id) keys are int64 even for int32 codes: 4096 parents of
+    distinct alpha (l + 1)/(l + 2) under codes up to 2^20, so that
+    len(table) * len(alphas) = 2^32, give the keys of Python-int arithmetic."""
+    m, ntable = 4096, 2**20
+    sizes1 = np.ones(2 * m, dtype=np.int64)
+    sizes1[0::2] = np.arange(1, m + 1)  # child 2l: l + 1 points, in B_1
+    prob = DistortionProblem(
+        [np.array([sizes1.sum()]), np.arange(2, m + 2, dtype=np.int64), sizes1],
+        [None, np.zeros(m, dtype=np.int32), np.repeat(np.arange(m, dtype=np.int32), 2)],
+        [np.ones(m, dtype=np.bool_), np.arange(2 * m) % 2 == 0],
+        np.zeros(1, dtype=np.int32),
+        (F(1),),
+    )
+    codes = np.arange(ntable - 1, ntable - 1 - m, -1, dtype=np.int32)
+    state = distortion.DistortionState(prob, 1, codes, (F(0),) * ntable, (F(0),))
+    alphas, inter, keys, group = distortion._fibers(state, 2)
+    assert len(alphas) == m and len(state.table) * len(alphas) == 2**32
+    assert keys.dtype == np.int64 and int(keys.max()) > 2**31
+    alpha_id = {a: i for i, a in enumerate(alphas)}
+    for l in range(m):
+        assert int(keys[group[l]]) == int(codes[l]) * m + alpha_id[F(l + 1, l + 2)]
 
 
 # ------------------------------------------------------------ tampering
@@ -560,7 +646,7 @@ def test_broken_factor_fails_run_and_cli(monkeypatch, capsys, near_cover):
 
 
 def test_moment_bound_check(monkeypatch, near_cover):
-    monkeypatch.setattr(distortion, "moments", lambda state, j: (F(0), F(0)))
+    monkeypatch.setattr(distortion, "_moments", lambda state, fibers: (F(0), F(0)))
     with pytest.raises(SoundnessError, match="moment bound"):
         run(build_problem(near_cover), [F(0)])
 
@@ -568,10 +654,10 @@ def test_moment_bound_check(monkeypatch, near_cover):
 def test_stability_check(monkeypatch, six_system):
     # step 2 moves mass from 3 (outside B_1) to 0 (in B_1); neither is in
     # B_2 = {1, 4}, so only the stability of P(B_1) shows it
-    orig = distortion.step
+    orig = distortion._step
 
-    def bad_step(state, j, delta, checks=True):
-        new = orig(state, j, delta, checks=False)
+    def bad_step(state, j, delta, fibers, checks):
+        new = orig(state, j, delta, fibers, checks=False)
         if j == 2:
             assert list(new.values) == [F(0), F(1, 3)] * 3
             codes = new.codes.copy()
@@ -579,7 +665,7 @@ def test_stability_check(monkeypatch, six_system):
             new = new._replace(codes=codes)
         return new
 
-    monkeypatch.setattr(distortion, "step", bad_step)
+    monkeypatch.setattr(distortion, "_step", bad_step)
     with pytest.raises(SoundnessError, match="not stable"):
         run(build_problem(six_system), [HALF, F(0)])
 

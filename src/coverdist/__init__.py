@@ -11,20 +11,18 @@ from importlib import import_module
 
 _EXPORTS = {
     "bounds": (
-        "alpha_upper_bound", "certify_moduli", "class_measure_bound", "effective_bound",
-        "eta1_major", "eta2_major", "m1_bound", "m2_bound", "mertens_sum_bound",
-        "rankin_W", "verify_certificate",
+        "certify_moduli", "effective_bound", "eta2_major", "rankin_W",
+        "verify_certificate",
     ),
     "distortion": (
-        "DistortionProblem", "alpha", "certify", "initial_state", "mask_mass",
-        "moments", "run", "step", "target_mass",
+        "DistortionProblem", "certify", "initial_state", "moments", "run", "step",
+        "target_mass",
     ),
     "errors": (
-        "CoverdistError", "DeltaOutOfRange", "EnumerationTooLarge", "IdealNotDividingQ",
+        "CoverdistError", "DeltaOutOfRange", "EnumerationTooLarge",
         "IndistinguishableModulus", "InputError", "MixedFields", "NonSquarefree",
         "NormTooLargeToFactor", "PMinOnIndistinguishable", "ResourceError",
-        "SoundnessError", "UnitIdeal", "UnitModulus", "XNotPerfectSquare", "YTooSmall",
-        "ZeroIdeal",
+        "SoundnessError", "UnitIdeal", "UnitModulus", "YTooSmall", "ZeroIdeal",
     ),
     "ring": (
         "check_hnf", "elem_conj", "elem_mul", "elem_norm", "factor_ideal",

@@ -1,33 +1,29 @@
 """Certified majorants for the distortion construction.
 
-Per-level bounds (exact Fractions, no rounding):
-  - alpha_upper_bound: pointwise domination of the conditional density,
-  - class_measure_bound: measure of any congruence class vs its inflation bound,
-  - m1_bound / m2_bound: moment majorants from the multiplicity s and the
-    prime norms alone.
-
 Analytic bounds (directed rounding, always from above):
-  - rankin_W, eta1_major: the Rankin trick on moduli of norm > x,
-  - mertens_sum_bound: Mertens sum majorant over prime norms,
+  - rankin_W: the Rankin trick on moduli of norm > x,
   - eta2_major: tail contribution of levels above the threshold y, summed
     over dyadic blocks whose y-free values are computed once per block end,
   - effective_bound: one exact search picks y and its eta2, then w and x
     with eta1 + eta2 < 1 follow once, over the prime norms the search
     already produced, and are checked as verify_certificate does.
 
-The analytic layer is exact integer and rational arithmetic over prime
-norms (array('q') from ring), all on the standard library; only
-class_measure_bound, which measures a class on O/Q, loads numpy.
-certify_moduli factors its moduli through system without it.
+Moduli certificates (exact Fractions, no rounding): certify_moduli sums
+per level the moment majorant m1 (valid while every earlier delta is 0)
+or m2 (valid for any deltas in [0, 1/2]) from the multiplicity s and the
+prime norms alone.
+
+Everything is exact integer and rational arithmetic over prime norms
+(array('q') from ring), all on the standard library, so no function here
+loads numpy. certify_moduli factors its moduli through system without it.
 
 The explicit inequalities used are classical (Rosser and Schoenfeld,
 "Approximate formulas for some functions of prime numbers", 1962):
   pi(z) < 1.25506 z / log z                       (z > 1)
   prod_{p <= z} (1-1/p)^-1 < e^g log z (1 + 1/(2 log^2 z))   (z > 1)
   prod_{p <= y} (1-1/p)^-1 > e^g log y (1 - 1/(2 log^2 y))   (y >= 285)
-  sum_{p <= z} 1/p < loglog z + B + 1/log^2 z     (z > 1)
-with e^g = exp(Euler gamma) and B the Mertens constant. The y >= 285
-requirement is absorbed by the floor Y_MIN = 512.
+with e^g = exp(Euler gamma). The y >= 285 requirement is absorbed by the
+floor Y_MIN = 512.
 """
 
 import sys
@@ -41,25 +37,13 @@ from operator import add, sub
 from typing import NamedTuple
 
 from . import kernels, ring
-from .errors import (
-    IdealNotDividingQ,
-    InputError,
-    MixedFields,
-    ResourceError,
-    SieveTooLarge,
-    SoundnessError,
-    XNotPerfectSquare,
-    YTooSmall,
-)
+from .errors import InputError, ResourceError, SieveTooLarge, SoundnessError, YTooSmall
 from .rounding import (
     EGAMMA_EXP_HI,
     EGAMMA_EXP_LO,
-    MERTENS_B_HI,
     PI_UPPER_C,
-    PRIME_RECIP_SQ_HI,
     ceil_to_grid,
     ln_bounds,
-    ln_hi,
     round_down,
     round_up,
     round_up_pair,
@@ -72,45 +56,7 @@ LOG_CLOSE = 24  # close the tail once log A >= 24, where (log q)^12/sqrt(q) deca
 SQRT_BITS = 48
 
 
-# ---------------------------------------------------------- per-level bounds
-
-
-def alpha_upper_bound(instance, x, j):
-    """Pointwise majorant of alpha_j at element x: sum over level-j classes
-    of 1/q_j^r_i over those whose prime-free part contains x - a_i."""
-    if not 1 <= j <= instance.depth:
-        raise InputError(f"level {j} out of range")
-    q = instance.primes[j - 1][0].norm
-    total = Fraction(0)
-    for cls, data in zip(instance.classes, instance.class_data):
-        if data.level == j and ring.in_class(x, cls.residue, data.cofactor):
-            total += Fraction(1, q**data.exponent)
-    return total
-
-
-def class_measure_bound(instance, result, a, ideal, j):
-    """(exact, bound): P_j(a + ideal) and its inflation majorant
-    (1/norm) * prod over primes p_i | ideal, i <= j, of (1 - delta_i)^-1."""
-    if ideal.field != instance.field:
-        raise MixedFields("ideal field differs from instance field")
-    if not ring.ideal_divides(ideal, instance.q):
-        raise IdealNotDividingQ(f"{tuple(ideal[1:])} does not divide Q")
-    if not 0 <= j <= instance.depth:
-        raise InputError(f"level {j} out of range")
-    import numpy as np
-
-    from . import distortion
-
-    state = result.states[j]
-    q = instance.q
-    mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
-    kernels.mark_class(mask, ring.reduce(a, ideal), ideal, q)
-    exact = distortion.mask_mass(state, mask)
-    bound = Fraction(1, ring.ideal_norm(ideal))
-    for (prime, _), delta in zip(instance.primes[:j], state.deltas):
-        if ring.ideal_divides(prime.ideal, ideal):
-            bound /= 1 - delta
-    return exact, bound
+# ------------------------------------------------------------- moment majorants
 
 
 def _m1_euler(field, s, q):
@@ -151,22 +97,6 @@ def _check_m1_printable(field, q):
         lo, width = hi, 2 * width
 
 
-def m1_bound(instance, j):
-    """First-moment majorant for level j, valid when deltas 1..j-1 are all 0."""
-    if not 1 <= j <= instance.depth:
-        raise InputError(f"level {j} out of range")
-    return _m1_euler(instance.field, instance.s, instance.primes[j - 1][0].norm)
-
-
-def m2_bound(instance, j):
-    """Second-moment majorant for level j, valid for any deltas in [0, 1/2]:
-    s^2/(q_j-1)^2 * prod_{i<j} (1 + (6 q_i - 2)/(q_i - 1)^2)."""
-    if not 1 <= j <= instance.depth:
-        raise InputError(f"level {j} out of range")
-    norms = [p.norm for p, _ in instance.primes]
-    return _m2_history(instance.s, norms[j - 1], [(n, HALF) for n in norms[: j - 1]])
-
-
 def _m2_history(s, q, history):
     # s^2/(q-1)^2 * prod over (n, delta) in history of 1 + (3n-1)/((1-delta)(n-1)^2)
     out = Fraction(s * s, (q - 1) ** 2)
@@ -198,33 +128,6 @@ def _rankin_fold(norms):
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
     return ceil_to_grid(Fraction(num, den), Fraction(1, 1000))
-
-
-def eta1_major(field, s, y, x):
-    """Upper bound on the total contribution of levels with norm <= y when
-    every modulus has norm > x: rankin_W(field, y) * s / sqrt(x)."""
-    if s < 1:
-        raise InputError("s must be >= 1")
-    x = int(x)
-    if x < 4:
-        raise InputError("x must be >= 4")
-    r = isqrt(x)
-    if r * r != x:
-        raise XNotPerfectSquare(f"x = {x} is not a perfect square")
-    return rankin_W(field, y) * s / r
-
-
-def mertens_sum_bound(field, z):
-    """Certified upper bound on sum over prime norms q <= z of 1/q."""
-    z = Fraction(z)
-    if z < 2:
-        return Fraction(0)
-    lz_lo, lz_hi = ln_bounds(z)
-    r = ln_hi(lz_hi) + MERTENS_B_HI + 1 / (lz_lo * lz_lo)
-    if field.kind == "rational":
-        return round_up(r)
-    # norm-p primes appear at most twice per p; inert norms sum below sum 1/p^2
-    return round_up(2 * r + PRIME_RECIP_SQ_HI)
 
 
 def _p_small_fold(norms, start=Fraction(1)):

@@ -75,7 +75,7 @@ class DistortionState(NamedTuple):
     @property
     def values(self):
         """Read-only per-label masses: table[codes[l]] for each label l."""
-        out = _lookup(self.table, self.codes)
+        out = np.array(self.table, dtype=object)[self.codes]
         out.flags.writeable = False
         return out
 
@@ -109,11 +109,6 @@ class CertifyResult(NamedTuple):
     result: RunResult
 
 
-def _lookup(table, idx):
-    """Object array of table[i] for each i in idx: shared objects, no arithmetic."""
-    return np.array(table, dtype=object)[idx]
-
-
 def _grouped_sum(ids, counts, values):
     """Sum over l of values[ids[l]] * counts[l], for int64 ids and counts.
 
@@ -126,15 +121,6 @@ def _grouped_sum(ids, counts, values):
     for i in np.flatnonzero(sums).tolist():
         total += values[i] * int(sums[i])
     return total
-
-
-def _point_labels(problem, k):
-    """The level-k label of each point index, that is of each level-J label."""
-    n = len(problem.sizes[-1])
-    lab = np.arange(n, dtype=kernels.index_dtype(n))
-    for i in range(len(problem.parents) - 1, k, -1):
-        lab = problem.parents[i][lab]
-    return lab
 
 
 def initial_state(problem):
@@ -160,13 +146,6 @@ def _fibers(state, j):
     keys = state.codes.astype(np.int64) * len(alphas) + ids
     keys, group = np.unique(keys, return_inverse=True)
     return alphas, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
-
-
-def alpha(state, j):
-    """Per-point alpha_j values (constant on level-(j-1) fibers)."""
-    alphas, _, keys, group = _fibers(state, j)
-    ids = (keys % len(alphas))[group]
-    return _lookup(alphas, ids[_point_labels(state.problem, j - 1)]).tolist()
 
 
 def moments(state, j):
@@ -263,16 +242,6 @@ def _label_mass(state, bits):
     """Mass of the labels of the state's level where bits is set."""
     sizes = state.problem.sizes[state.level]
     return _grouped_sum(state.codes[bits], sizes[bits], state.table)
-
-
-def mask_mass(state, mask):
-    """Mass of the level-J labels where mask is set, each with its points."""
-    lab, mask = _point_labels(state.problem, state.level), np.asarray(mask)
-    if mask.shape != lab.shape:
-        raise InputError(f"mask of shape {mask.shape} for {len(lab)} points")
-    if mask.dtype != np.bool_:
-        raise InputError(f"mask of dtype {mask.dtype}, not bool")
-    return _grouped_sum(state.codes[lab[mask]], state.problem.sizes[-1][mask], state.table)
 
 
 def run(problem, deltas, checks=True):

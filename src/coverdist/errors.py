@@ -55,15 +55,7 @@ class DeltaOutOfRange(InputError):
     pass
 
 
-class XNotPerfectSquare(InputError):
-    pass
-
-
 class YTooSmall(InputError):
-    pass
-
-
-class IdealNotDividingQ(InputError):
     pass
 
 

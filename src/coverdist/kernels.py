@@ -23,6 +23,8 @@ from .errors import SieveTooLarge
 SIEVE_MAX = 2**27
 # Default cap on |O/Q| for the commands that enumerate O/Q.
 DEFAULT_MAX_ENUM = 10**8
+# Most entries in one block of the index arrays that mark_class builds.
+MARK_BLOCK = 2**20
 
 
 def index_dtype(n):
@@ -107,7 +109,8 @@ def mark_class(mask, residue, modulus, q):
     for the HNF ideals I = modulus = (ui, vi, wi) and Q = q = (uq, vq, wq).
 
     The class rep (aa, ab) = residue is reduced mod I; the points are
-    a + k*(vi + wi*w) + m*ui.
+    a + k*(vi + wi*w) + m*ui, marked in blocks of rows of k by columns of
+    m with at most MARK_BLOCK entries each.
     """
     import numpy as np
 
@@ -115,17 +118,20 @@ def mark_class(mask, residue, modulus, q):
     uq, vq, wq = q.u, q.v, q.w
     nk = wq // wi
     nm = uq // ui
-    ms = np.arange(nm, dtype=np.int64) * ui
-    chunk = max(1, 10**7 // nm)
+    width = min(nm, MARK_BLOCK)
+    chunk = MARK_BLOCK // width
     for k0 in range(0, nk, chunk):
         k = np.arange(k0, min(k0 + chunk, nk), dtype=np.int64)
         eb = ab + k * wi
         yy = eb % wq
         t = (eb - yy) // wq
-        base = aa + k * vi - t * vq
-        xx = (base[:, None] + ms[None, :]) % uq
-        idx = yy[:, None] * uq + xx
-        mask.flat[idx.ravel()] = True
+        base = (aa + k * vi - t * vq)[:, None]
+        row = (yy * uq)[:, None]
+        for m0 in range(0, nm, width):
+            xx = base + np.arange(m0, min(m0 + width, nm), dtype=np.int64) * ui
+            xx %= uq
+            xx += row
+            mask.flat[xx.ravel()] = True
 
 
 def level_labels(uq, wq, uj, vj, wj):

@@ -24,13 +24,6 @@ LN2_HI = Fraction(6931471805599453095, 10**19)
 EGAMMA_EXP_LO = Fraction(17810724179901979852, 10**19)
 EGAMMA_EXP_HI = Fraction(17810724179901979853, 10**19)
 
-# Mertens constant B from sum_{p <= x} 1/p = loglog x + B + O(1/log^2 x)
-MERTENS_B_LO = Fraction(2614972128, 10**10)
-MERTENS_B_HI = Fraction(2614972129, 10**10)
-
-# sum over all rational primes of 1/p^2 = 0.4522474200... (upper bound)
-PRIME_RECIP_SQ_HI = Fraction(45225, 10**5)
-
 # pi(x) < PI_UPPER_C * x / log x for x > 1 (Rosser-Schoenfeld)
 PI_UPPER_C = Fraction(125506, 10**5)
 
@@ -110,10 +103,6 @@ def ln_bounds(x, terms=24, bits=DEFAULT_BITS):
     lo = k * (LN2_LO if k >= 0 else LN2_HI) + s
     hi = k * (LN2_HI if k >= 0 else LN2_LO) + s + tail
     return round_down(lo, bits), round_up(hi, bits)
-
-
-def ln_hi(x, terms=24, bits=DEFAULT_BITS):
-    return ln_bounds(x, terms, bits)[1]
 
 
 def ceil_to_grid(x, grid):

@@ -133,10 +133,10 @@ def covers(instance, max_enum=DEFAULT_MAX_ENUM):
     mask = np.zeros(_enum_size(q, max_enum), dtype=np.bool_)
     for cls in instance.classes:
         kernels.mark_class(mask, cls.residue, cls.modulus, q)
-    missing = np.flatnonzero(~mask)
-    if len(missing) == 0:
+    first = int(mask.argmin())  # the first unmarked residue, if any
+    if mask[first]:
         return ("covers", None)
-    witness = ring.residue_at(int(missing[0]), q)
+    witness = ring.residue_at(first, q)
     check_witness(instance, witness)
     return ("uncovered", witness)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coverdist import (
+    certify_moduli,
     ideal_from_gens,
     ideal_mul,
     ideal_norm,
@@ -21,6 +22,17 @@ def get_field(key):
     if key == "rational":
         return make_field("rational")
     return make_field("quadratic", key)
+
+
+def majorant_rows(inst, delta):
+    """certify_moduli's contribution per level for the moduli of inst, with
+    every delta equal: the m1 majorants at delta 0, and at delta 1/2, where
+    m2/(4 delta (1 - delta)) = m2, the m2 majorants. Row j is at the
+    prime of level j."""
+    moduli = [c.modulus for c in inst.classes]
+    cert = certify_moduli(inst.field, moduli, inst.s, ("explicit", [delta] * inst.depth))
+    assert [r.prime for r in cert.rows] == [p for p, _ in inst.primes]
+    return [r.contribution for r in cert.rows]
 
 
 @pytest.fixture(scope="session")

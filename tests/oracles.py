@@ -15,7 +15,9 @@ DistortionProblem, with its checks, numbering labels by first point,
 verify_step_signatures is distortion's former step check, which grouped
 each fiber's labels by code rather than by target bit, step_label_keys
 is distortion's former step, which sorted one (code, alpha, target bit)
-key per level-j label, sieve,
+key per level-j label, alpha and alpha_upper_bound are distortion's and
+bounds' former per-point alpha_j and its majorant, class_measure sums
+point_masses over a class marked by the package's kernel, sieve,
 mod_values, kron_values, trial_division and prime_norms_up_to are the
 numpy kernels (and the trial division on them) that the
 standard-library ones replaced, and rankin_fold, p_small_fold and
@@ -25,6 +27,7 @@ computed its norm-only or block-only values once.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -327,6 +330,37 @@ def point_masses(state, problem):
     return [state.table[codes[l]] for l in _dense(problem.levels[state.level])]
 
 
+def alpha(state, j):
+    """Per-point alpha_j, point i being level-J label i: the alpha of the
+    level-(j-1) label that holds it (constant on level-(j-1) fibers)."""
+    alphas, ids, _ = _alpha_ids(state, j)
+    lab = np.arange(len(state.problem.sizes[-1]))
+    for parent in state.problem.parents[: j - 1 : -1]:  # levels J, ..., j
+        lab = parent[lab]
+    return [alphas[i] for i in ids[lab].tolist()]
+
+
+def alpha_upper_bound(instance, x, j):
+    """Pointwise majorant of alpha_j at element x: sum over level-j classes
+    of 1/q_j^r_i over those whose prime-free part contains x - a_i."""
+    q = instance.primes[j - 1][0].norm
+    total = Fraction(0)
+    for cls, data in zip(instance.classes, instance.class_data):
+        if data.level == j and ring.in_class(x, cls.residue, data.cofactor):
+            total += Fraction(1, q**data.exponent)
+    return total
+
+
+def class_measure(instance, state, a, ideal):
+    """P(a + ideal), for an ideal dividing Q, under a state of
+    system.build_problem(instance): point_masses summed over the class."""
+    q = instance.q
+    mask = np.zeros(ring.ideal_norm(q), dtype=np.bool_)
+    kernels.mark_class(mask, ring.reduce(a, ideal), ideal, q)
+    masses = point_masses(state, build_problem_points(instance))
+    return sum(compress(masses, mask.tolist()), Fraction(0))
+
+
 def run_oracle(n, levels, targets, deltas, initial=None):
     """Per-point dict reference of the distortion run.
 
@@ -622,48 +656,6 @@ def sqrt_hi(x, bits=96):
     if s * s < t:
         s += 1
     return Fraction(s, 1 << bits)
-
-
-def inv_sum_up(values):
-    """Scaled-integer upper bound on sum of 1/v."""
-    total = 0
-    for v in values:
-        total += -((-SCALE) // v)  # ceil(SCALE/v)
-    return Fraction(total, SCALE)
-
-
-def inv_sum_down(values):
-    total = 0
-    for v in values:
-        total += SCALE // v
-    return Fraction(total, SCALE)
-
-
-def euler_product_up(values):
-    """Scaled-int upper bound on prod of (1 - 1/v)^-1 = prod v/(v-1)."""
-    acc = SCALE
-    for v in values:
-        acc = -((-acc * v) // (v - 1))
-    return Fraction(acc, SCALE)
-
-
-def euler_product_down(values):
-    acc = SCALE
-    for v in values:
-        acc = (acc * v) // (v - 1)
-    return Fraction(acc, SCALE)
-
-
-def rankin_product_up(values):
-    """Scaled-int upper bound on prod of (1 - v^-1/2)^-1."""
-    acc = SCALE
-    for v in values:
-        # (1 - 1/sqrt(v))^-1 = sqrt(v)/(sqrt(v)-1); use r <= sqrt(v)*2^48 < r+1
-        r = isqrt(v << 96)
-        # sqrt(v)/(sqrt(v)-1) is decreasing in sqrt(v), so the lower root bound
-        # r/2^48 gives an upper bound r/(r - 2^48)
-        acc = -((-acc * r) // (r - (1 << 48)))
-    return Fraction(acc, SCALE)
 
 
 # ------------------------------------------------------------- factoring

@@ -21,18 +21,14 @@ import pytest
 import sympy
 
 import oracles
-from conftest import FIELD_KEYS, get_field
+from conftest import FIELD_KEYS, get_field, majorant_rows
 from coverdist import (
-    alpha,
-    alpha_upper_bound,
     build_problem,
     certify,
     certify_moduli,
-    class_measure_bound,
     covers,
     effective_bound,
     elem_norm,
-    eta1_major,
     eta2_major,
     factor_ideal,
     ideal_divides,
@@ -40,10 +36,7 @@ from coverdist import (
     ideal_mul,
     ideal_norm,
     in_class,
-    m1_bound,
-    m2_bound,
     make_field,
-    mertens_sum_bound,
     primes_above,
     primes_up_to_norm,
     rankin_W,
@@ -54,7 +47,6 @@ from coverdist import (
     validate,
     verify_certificate,
 )
-from coverdist.rounding import MERTENS_B_LO, PRIME_RECIP_SQ_HI
 from coverdist.ring import unit_ideal
 
 DATA = Path(__file__).parent / "data"
@@ -237,28 +229,29 @@ def test_certificates_invariant_under_affine_maps(corpus):
 
 
 def test_majorants_invariant_under_affine_maps(corpus):
-    """Under the same maps x -> c x + t: alpha_upper_bound of the moved
+    """Under the same maps x -> c x + t: the alpha majorant of the moved
     system at c x + t equals the original's at x (three x per level), and
-    class_measure_bound of the moved system on c a + t + I, with its own
-    run, equals the original's on a + I, for I dividing Q (each Q_j and
-    each modulus) and every level 0 <= j <= J."""
+    the measure of c a + t + I under the moved system's own run equals the
+    original's of a + I, for I dividing Q (each Q_j and each modulus) and
+    every level 0 <= j <= J. The inflation bound on that measure depends
+    only on I, the primes of Q and the deltas, which the map keeps."""
     rng = random.Random(188413)
     alphas = measures = 0
     for inst, move, image in _affine_images(corpus):
         q, n = inst.q, ideal_norm(inst.q)
         for j in range(1, inst.depth + 1):
             for x in (residue_at(rng.randrange(n), q) for _ in range(3)):
-                got = alpha_upper_bound(image, reduce(move(x), q), j)
-                assert got == alpha_upper_bound(inst, x, j)
+                got = oracles.alpha_upper_bound(image, reduce(move(x), q), j)
+                assert got == oracles.alpha_upper_bound(inst, x, j)
                 alphas += 1
         want_run = run(build_problem(inst), resolve_delta_policy(inst, None))
         got_run = run(build_problem(image), resolve_delta_policy(image, None))
         ideals = set(inst.levels) | {ideal for _, ideal in inst.classes}
         for ideal in sorted(ideals):
             a = residue_at(rng.randrange(n), q)
-            for j in range(inst.depth + 1):
-                got = class_measure_bound(image, got_run, move(a), ideal, j)
-                assert got == class_measure_bound(inst, want_run, a, ideal, j)
+            for got_state, want_state in zip(got_run.states, want_run.states):
+                got = oracles.class_measure(image, got_state, move(a), ideal)
+                assert got == oracles.class_measure(inst, want_state, a, ideal)
                 measures += 1
     assert alphas > 2000 and measures > 4000
 
@@ -301,9 +294,9 @@ def test_alpha_pointwise_domination(corpus, problems):
         res = run(prob, (ZERO,) * inst.depth)  # alpha is measure-independent
         points = oracles.residues(inst.q)
         for j in range(1, inst.depth + 1):
-            vals = alpha(res.states[j - 1], j)
+            vals = oracles.alpha(res.states[j - 1], j)
             for x, a in zip(points, vals):
-                assert a <= alpha_upper_bound(inst, x, j)
+                assert a <= oracles.alpha_upper_bound(inst, x, j)
 
 
 def _divisor_ideals(inst):
@@ -328,14 +321,12 @@ def test_class_measure_domination(corpus, problems, point_problems):
     whose exact mass exceeded its bound would show a float mass above
     bound*(1 - 1e-9) and be re-checked exactly.
     """
-    for idx, (inst, prob, point_prob) in enumerate(zip(corpus, problems, point_problems)):
-        points = oracles.residues(inst.q)
-        pts = np.asarray(points, dtype=np.int64)
+    for inst, prob, point_prob in zip(corpus, problems, point_problems):
+        pts = np.asarray(oracles.residues(inst.q), dtype=np.int64)
         divisors = [
             (I, ideal_norm(I), oracles.hnf_labels(pts, I.u, I.v, I.w))
             for I in _divisor_ideals(inst)
         ]
-        rng = random.Random(7000 + idx)
         for deltas in (resolve_delta_policy(inst, None), (ZERO,) * inst.depth):
             res = run(prob, deltas)
             for j in range(inst.depth + 1):
@@ -356,37 +347,19 @@ def test_class_measure_domination(corpus, problems, point_problems):
                         for l in lab_j[labs == c].tolist():
                             exact += values[l]
                         assert exact <= bound
-            # spot-check the library's own entry point against this grouping
-            for _ in range(3):
-                I, n_i, labs = rng.choice(divisors)
-                j = rng.randrange(inst.depth + 1)
-                i = rng.randrange(len(pts))
-                exact, bound = class_measure_bound(
-                    inst, res, points[i], I, j
-                )
-                values = res.states[j].values
-                mine = ZERO
-                for l in point_prob.levels[j][labs == labs[i]].tolist():
-                    mine += values[l]
-                assert exact == mine
-                expect = Fraction(1, n_i)
-                for (prime, _), d in zip(inst.primes[:j], res.states[j].deltas):
-                    if ideal_divides(prime.ideal, I):
-                        expect /= 1 - d
-                assert bound == expect
-                assert exact <= bound
 
 
 def test_moment_majorant_domination(corpus, problems):
     for idx, (inst, prob) in enumerate(zip(corpus, problems)):
+        m1, m2 = majorant_rows(inst, ZERO), majorant_rows(inst, Fraction(1, 2))
         zero_res = run(prob, (ZERO,) * inst.depth)
         for rep in zero_res.reports:
-            assert rep.m1 <= m1_bound(inst, rep.j)
-            assert rep.m2 <= m2_bound(inst, rep.j)
+            assert rep.m1 <= m1[rep.j - 1]
+            assert rep.m2 <= m2[rep.j - 1]
         for deltas in _policies(inst, idx)[1:]:
             res = run(prob, deltas)
             for rep in res.reports:
-                assert rep.m2 <= m2_bound(inst, rep.j)
+                assert rep.m2 <= m2[rep.j - 1]
 
 
 # ------------------------------------------------------------------- ideals
@@ -483,84 +456,6 @@ def test_rankin_window_and_reference():
     assert mp.mpf(w.numerator) / w.denominator >= ref
 
 
-def _jump_points(field):
-    """Distinct prime-ideal norms <= 1e6 with multiplicities, from the
-    character — independent of the package's splitting code."""
-    limit = 10**6
-    primes = list(sympy.primerange(2, limit + 1))
-    if field.kind == "rational":
-        norms = np.array(primes, dtype=np.int64)
-        return norms, np.ones(len(norms), dtype=np.int64)
-    norms, mult = [], []
-    for p in primes:
-        chi = oracles.kronecker(field.discriminant, p)
-        if chi == 1:
-            norms.append(p)
-            mult.append(2)
-        elif chi == 0:
-            norms.append(p)
-            mult.append(1)
-        elif p * p <= limit:
-            norms.append(p * p)
-            mult.append(1)
-    order = np.argsort(np.array(norms, dtype=np.int64))
-    return (
-        np.array(norms, dtype=np.int64)[order],
-        np.array(mult, dtype=np.int64)[order],
-    )
-
-
-def test_mertens_majorant_beats_prime_sums(fields):
-    """majorant(z) > sum of prime-norm reciprocals for every cutoff z <= 1e6.
-
-    The sum only changes at prime norms, so those are the binding cutoffs.
-    The package majorant is called directly at every jump point up to 1e4 and
-    at ~1000 spread/sampled larger ones; remaining jump points are covered by
-    a certified float64 floor of the majorant's defining expression
-    (ln ln z + B + 1/ln^2 z, doubled plus the square-reciprocal constant for
-    quadratic fields). The floor sits below the true expression by
-    construction (low constants, 1e-9 slack vs < 1e-12 float error), the
-    true expression sits below the directed-rounded package value, and the
-    direct calls re-confirm that ordering in every region.
-    """
-    b_lo = float(MERTENS_B_LO)
-    sq_hi = float(PRIME_RECIP_SQ_HI)
-    for key in FIELD_KEYS:
-        field = fields[key]
-        norms, mult = _jump_points(field)
-        assert norms[0] in (2, 3, 4) and np.all(np.diff(norms) > 0)
-        # cross-anchor the character against the package prime list
-        mine = []
-        for n, c in zip(norms.tolist(), mult.tolist()):
-            if n <= 100:
-                mine += [n] * c
-        assert mine == sorted(p.norm for p in primes_up_to_norm(field, 100))
-
-        # running sum upper bound, scaled by 2^40 with per-term ceilings
-        terms = (mult * (1 << 40) + norms - 1) // norms
-        s_hi = np.cumsum(terms)
-
-        ln = np.log(norms.astype(np.float64))
-        floor = np.log(ln) + b_lo + 1.0 / ln**2 - 1e-9
-        if field.kind != "rational":
-            floor = 2 * floor + sq_hi - 1e-9
-        assert np.all(floor > s_hi / 2.0**40)
-
-        picks = set(np.flatnonzero(norms <= 10**4).tolist())
-        rest = np.flatnonzero(norms > 10**4)
-        picks.update(rest[::97].tolist())
-        rng = random.Random(9100 + (0 if key == "rational" else key))
-        if len(rest):
-            picks.update(rng.sample(rest.tolist(), min(300, len(rest))))
-        picks.add(len(norms) - 1)
-        for k in sorted(picks):
-            maj = mertens_sum_bound(field, int(norms[k]))
-            assert maj > Fraction(int(s_hi[k]), 1 << 40)
-            assert float(maj) >= floor[k]
-        maj = mertens_sum_bound(field, 10**6)
-        assert maj > Fraction(int(s_hi[-1]), 1 << 40)
-
-
 # ----------------------------------------------------------- effective bound
 
 
@@ -580,7 +475,7 @@ def test_effective_bound_family():
             # the certificate's numbers recompute from scratch
             assert cert.w == rankin_W(field, cert.y)
             assert cert.eta2 == eta2_major(field, s, cert.y)
-            assert cert.eta1 == eta1_major(field, s, cert.y, cert.x)
+            assert cert.eta1 == cert.w * s / r
     assert time.monotonic() - t0 < 600
 
 

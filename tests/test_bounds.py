@@ -11,34 +11,26 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FIELD_KEYS, get_field, half_policy, zero_policy
+from conftest import FIELD_KEYS, get_field, half_policy, majorant_rows, zero_policy
 from coverdist import (
-    IdealNotDividingQ,
     UnitModulus,
     IndistinguishableModulus,
     InputError,
     MixedFields,
     ResourceError,
-    XNotPerfectSquare,
     YTooSmall,
-    alpha,
-    alpha_upper_bound,
     build_problem,
     certify_moduli,
-    class_measure_bound,
     effective_bound,
-    eta1_major,
     eta2_major,
     factor_ideal,
+    ideal_divides,
     ideal_from_gens,
     ideal_mul,
     ideal_norm,
     ideal_principal,
     initial_state,
-    m1_bound,
-    m2_bound,
     make_field,
-    mertens_sum_bound,
     prime_norms_up_to,
     rankin_W,
     resolve_delta_policy,
@@ -50,7 +42,7 @@ from coverdist import (
 )
 from coverdist import bounds, kernels, ring
 from coverdist.bounds import _check_m1_printable, _m1_euler, _p_small_fold
-from coverdist.rounding import ln_bounds, ln_hi
+from coverdist.rounding import ln_bounds
 from coverdist.serialize import frac_str
 
 F = Fraction
@@ -83,23 +75,16 @@ def test_alpha_bound_dominates(corpus):
         st = initial_state(prob)
         points = oracles.residues(inst.q)
         for j in range(1, inst.depth + 1):
-            true = alpha(st, j)
+            true = oracles.alpha(st, j)
             for x, a in zip(points, true):
-                assert a <= alpha_upper_bound(inst, x, j)
+                assert a <= oracles.alpha_upper_bound(inst, x, j)
             st = step(st, j, F(0))
-
-
-def test_alpha_bound_level_range(near_cover):
-    with pytest.raises(InputError):
-        alpha_upper_bound(near_cover, (0, 0), 0)
-    with pytest.raises(InputError):
-        alpha_upper_bound(near_cover, (0, 0), 2)
 
 
 def test_alpha_bound_near_cover(near_cover):
     # classes 0 mod (2) [exp 1, cofactor (1)] and 1 mod (4) [exp 2, cofactor (1)]
-    assert alpha_upper_bound(near_cover, (0, 0), 1) == HALF + F(1, 4)
-    assert alpha_upper_bound(near_cover, (1, 0), 1) == HALF + F(1, 4)
+    assert oracles.alpha_upper_bound(near_cover, (0, 0), 1) == HALF + F(1, 4)
+    assert oracles.alpha_upper_bound(near_cover, (1, 0), 1) == HALF + F(1, 4)
 
 
 def test_class_measure_bound_dominates(corpus):
@@ -120,9 +105,19 @@ def test_class_measure_bound_dominates(corpus):
                 if ideal_norm(ideal) > 40:
                     continue
                 for a in oracles.residues(ideal):
-                    for j in range(inst.depth + 1):
-                        exact, bound = class_measure_bound(inst, res, a, ideal, j)
-                        assert exact <= bound
+                    for state in res.states:
+                        exact = oracles.class_measure(inst, state, a, ideal)
+                        assert exact <= _inflation_bound(inst, state, ideal)
+
+
+def _inflation_bound(inst, state, ideal):
+    # (1/norm) * prod over the primes p_i | ideal of levels i <= the
+    # state's of (1 - delta_i)^-1
+    bound = F(1, ideal_norm(ideal))
+    for (prime, _), delta in zip(inst.primes, state.deltas):
+        if ideal_divides(prime.ideal, ideal):
+            bound /= 1 - delta
+    return bound
 
 
 def _pow_mul(base, prime_ideal, k):
@@ -144,28 +139,14 @@ def test_class_measure_bound_values():
     prob, res = _run_states(inst, [HALF, HALF])
     two = ideal_from_gens(field, [(2, 0)])
     # P_1(0 + (2)) = 0 after the first step; bound = (1/2)/(1-1/2) = 1
-    exact, bound = class_measure_bound(inst, res, (0, 0), two, 1)
-    assert exact == 0 and bound == 1
+    st = res.states[1]
+    assert oracles.class_measure(inst, st, (0, 0), two) == 0
+    assert _inflation_bound(inst, st, two) == 1
     # an ideal coprime to the first prime gets no inflation factor
     three = ideal_from_gens(field, [(3, 0)])
-    exact, bound = class_measure_bound(inst, res, (0, 0), three, 1)
-    assert bound == F(1, 3)
-    assert exact == F(1, 3)  # distortion mod 2 is uniform on 0 mod 3
-
-
-def test_class_measure_bound_errors(near_cover):
-    prob, res = _run_states(near_cover, [F(0)])
-    field = near_cover.field
-    seven = ideal_from_gens(field, [(7, 0)])
-    with pytest.raises(IdealNotDividingQ):
-        class_measure_bound(near_cover, res, (0, 0), seven, 1)
-    other = ideal_principal(get_field(-1), (2, 0))
-    with pytest.raises(MixedFields):
-        class_measure_bound(near_cover, res, (0, 0), other, 1)
-    with pytest.raises(InputError):
-        class_measure_bound(
-            near_cover, res, (0, 0), ideal_from_gens(field, [(2, 0)]), 5
-        )
+    assert _inflation_bound(inst, st, three) == F(1, 3)
+    # distortion mod 2 is uniform on 0 mod 3
+    assert oracles.class_measure(inst, st, (0, 0), three) == F(1, 3)
 
 
 def test_m1_bound_dominates_uniform(corpus):
@@ -173,21 +154,23 @@ def test_m1_bound_dominates_uniform(corpus):
     small = [i for i in corpus if ideal_norm(i.q) <= 400]
     for inst in rng.sample(small, min(40, len(small))):
         prob, res = _run_states(inst, zero_policy(inst))
+        m1 = majorant_rows(inst, 0)
         for rep in res.reports:
-            assert rep.m1 <= m1_bound(inst, rep.j)
+            assert rep.m1 <= m1[rep.j - 1]
 
 
 def test_m2_bound_dominates_any_policy(corpus):
     rng = random.Random(34)
     small = [i for i in corpus if ideal_norm(i.q) <= 400]
     for inst in rng.sample(small, min(25, len(small))):
+        m2 = majorant_rows(inst, HALF)
         for policy in [zero_policy(inst), half_policy(inst), None]:
             deltas = (
                 resolve_delta_policy(inst, None) if policy is None else policy
             )
             prob, res = _run_states(inst, deltas)
             for rep in res.reports:
-                assert rep.m2 <= m2_bound(inst, rep.j)
+                assert rep.m2 <= m2[rep.j - 1]
 
 
 def test_m1_m2_values():
@@ -199,11 +182,9 @@ def test_m1_m2_values():
             ((1, 0), ideal_from_gens(field, [(13, 0)])),
         ],
     )
-    assert m1_bound(inst_eleven, 1) == F(7, 16)
-    assert m1_bound(inst_eleven, 2) == F(77, 192)
-    assert m2_bound(inst_eleven, 1) == F(1, 100)
+    assert majorant_rows(inst_eleven, 0) == [F(7, 16), F(77, 192)]
     # worst-case history factor for q=11: 1 + 64/100
-    assert m2_bound(inst_eleven, 2) == F(1, 144) * (1 + F(64, 100))
+    assert majorant_rows(inst_eleven, HALF) == [F(1, 100), F(1, 144) * (1 + F(64, 100))]
     # the same norms with (11) used twice: s = 2 scales the bound by s^2
     inst_twice = validate(
         field,
@@ -214,12 +195,10 @@ def test_m1_m2_values():
         ],
     )
     assert inst_twice.s == 2
-    assert m2_bound(inst_twice, 2) == 4 * m2_bound(inst_eleven, 2)
-    with pytest.raises(InputError):
-        m2_bound(inst_eleven, 3)
+    assert majorant_rows(inst_twice, HALF)[1] == 4 * majorant_rows(inst_eleven, HALF)[1]
 
 
-# ------------------------------------------------------------- rankin / eta1
+# ------------------------------------------------------------------ rankin
 
 
 def test_rankin_w_rational_three():
@@ -248,37 +227,7 @@ def test_rankin_w_grid():
     assert w.denominator <= 1000  # quantized to the 1/1000 grid
 
 
-def test_eta1_major():
-    field = make_field("rational")
-    assert eta1_major(field, 1, 3, 16) == F(8079, 4000)
-    assert eta1_major(field, 2, 3, 16) == F(8079, 2000)
-    assert eta1_major(field, 1, 3, 400) == F(8079, 20000)
-    with pytest.raises(XNotPerfectSquare):
-        eta1_major(field, 1, 3, 17)
-    with pytest.raises(InputError):
-        eta1_major(field, 1, 3, 1)
-    with pytest.raises(InputError):
-        eta1_major(field, 0, 3, 16)
-
-
 # ----------------------------------------------------------------- mertens
-
-
-def sum_recip_up(field, z):
-    return oracles.inv_sum_up(prime_norms_up_to(field, z).tolist())
-
-
-def test_mertens_sum_dominates_sampled():
-    for key in ["rational", -1, -5, 5]:
-        field = get_field(key)
-        for z in [2, 3, 5, 10, 47, 100, 1000, 12345, 10**5]:
-            assert mertens_sum_bound(field, z) > sum_recip_up(field, z)
-
-
-def test_mertens_sum_small():
-    field = make_field("rational")
-    assert mertens_sum_bound(field, 1) == 0
-    assert mertens_sum_bound(field, F(3, 2)) == 0
 
 
 def test_mertens_product_literals_stress():

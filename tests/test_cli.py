@@ -861,9 +861,9 @@ def test_numpy_imports_only_where_o_mod_q_arrays_live():
 
 def test_bound_primes_ideal_tool_never_import_numpy():
     # the prime-norm commands and certify-moduli run on the standard library,
-    # without numpy or dataclasses (which loads inspect and ast); certify, in
-    # the same fresh process afterwards, loads numpy but not dataclasses and
-    # prints its golden
+    # without numpy, the distortion engine or dataclasses (which loads
+    # inspect and ast); certify, in the same fresh process afterwards, loads
+    # numpy but not dataclasses and prints its golden
     script = f"""
 import contextlib, io, sys
 from coverdist.cli import main
@@ -884,6 +884,7 @@ for args in runs:
         assert main(args) == 0, args
 assert "numpy" not in sys.modules, args
 assert "dataclasses" not in sys.modules, args
+assert "coverdist.distortion" not in sys.modules, args
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["certify", "--input", {str(DATA / "classic.json")!r}]) == 0
@@ -927,13 +928,21 @@ for _ in range(2):  # served by __getattr__, then from the package namespace
     for name in coverdist.__all__:
         mod = importlib.import_module("coverdist." + coverdist._MODULE[name])
         assert getattr(coverdist, name) is getattr(mod, name), name
-assert len(set(coverdist.__all__)) == len(coverdist.__all__) == 67
-try:
-    coverdist.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("no AttributeError")
+assert len(set(coverdist.__all__)) == len(coverdist.__all__) == 57
+# names that only tests called, removed from the package
+removed = [
+    "alpha", "alpha_upper_bound", "class_measure_bound", "eta1_major",
+    "IdealNotDividingQ", "m1_bound", "m2_bound", "mask_mass", "mertens_sum_bound",
+    "XNotPerfectSquare",
+]
+for name in ["no_such_name"] + removed:
+    assert name not in coverdist.__all__, name
+    try:
+        getattr(coverdist, name)
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(f"no AttributeError for {name}")
 from coverdist import *
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

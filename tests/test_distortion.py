@@ -17,14 +17,12 @@ from coverdist import (
     DistortionProblem,
     InputError,
     SoundnessError,
-    alpha,
     build_problem,
     certify,
     ideal_from_gens,
     ideal_norm,
     initial_state,
     make_field,
-    mask_mass,
     moments,
     residue_at,
     resolve_delta_policy,
@@ -714,51 +712,22 @@ def test_moments_and_alpha_api(near_cover):
     prob = build_problem(near_cover)
     st = initial_state(prob)
     assert moments(st, 1) == (F(3, 4), F(9, 16))
-    a = alpha(st, 1)
-    assert list(a) == [F(3, 4)] * 4  # per point, constant on the one fiber
+    a = oracles.alpha(st, 1)
+    assert a == [F(3, 4)] * 4  # per point, constant on the one fiber
     st1 = step(st, 1, HALF)
     assert target_mass(st1, 1) == HALF
 
 
 def test_mask_mass(near_cover):
+    # the mass of the points a class mask marks, from oracles.class_measure:
+    # 0 + (2) is {0, 2} of the 4 points, and after the step at delta 1/2
+    # the one point 3 + (4) outside B_1 doubles its mass 1/4
     prob = build_problem(near_cover)
-    st = initial_state(prob)
-    assert mask_mass(st, np.array([True, False, False, True])) == HALF
+    field = near_cover.field
+    two, four = (ideal_from_gens(field, [(n, 0)]) for n in (2, 4))
+    assert oracles.class_measure(near_cover, initial_state(prob), (0, 0), two) == HALF
     res = run(prob, [HALF])
-    assert mask_mass(res.states[-1], np.array([False, False, False, True])) == HALF
-
-
-def test_mask_mass_refuses_wrong_shape(near_cover, six_system):
-    st = run(build_problem(six_system), [HALF, HALF]).states[1]
-    for mask in (np.ones(4, dtype=bool), np.ones((2, 3), dtype=bool), True):
-        with pytest.raises(InputError, match="mask of shape"):
-            mask_mass(st, mask)
-    # a converted chain of 3 points has 2 level-1 labels, and mask_mass
-    # weighs each label by its points: label 0 holds points 0 and 1
-    chain, points = oracles.to_labels(
-        oracles.PointProblem(levels=[[0, 0, 0], [0, 0, 1]], targets=[[True, True, False]])
-    )
-    assert points.tolist() == [0, 0, 1]
-    st = initial_state(chain)
-    assert mask_mass(st, [True, False]) == F(2, 3)
-    # points {0, 2} carry 2/3: each its label's mass over the label's size
-    sizes = chain.sizes[-1]
-    each = [mask_mass(st, np.arange(2) == l) / int(sizes[l]) for l in points.tolist()]
-    assert each[0] + each[2] == F(2, 3)
-    with pytest.raises(InputError, match="mask of shape"):
-        mask_mass(st, [True, False, True])
-
-
-def test_mask_mass_refuses_integer_masks(near_cover):
-    # an integer mask of the right shape would index positions, not select
-    st = initial_state(build_problem(near_cover))
-    for mask in (np.zeros(4, dtype=int), [0, 0, 0, 0], np.ones(4, dtype=int), [0.0] * 4):
-        with pytest.raises(InputError, match="not bool"):
-            mask_mass(st, mask)
-    assert mask_mass(st, [False] * 4) == 0 and mask_mass(st, [True] * 4) == 1
-
-
-# --------------------------------------------------------- custom problems
+    assert oracles.class_measure(near_cover, res.states[-1], (3, 0), four) == HALF
 
 
 def test_custom_problem_nonuniform_initial():

@@ -13,13 +13,9 @@ from coverdist.rounding import (
     EGAMMA_EXP_LO,
     LN2_HI,
     LN2_LO,
-    MERTENS_B_HI,
-    MERTENS_B_LO,
     PI_UPPER_C,
-    PRIME_RECIP_SQ_HI,
     ceil_to_grid,
     ln_bounds,
-    ln_hi,
     round_down,
     round_up,
     round_up_pair,
@@ -42,19 +38,6 @@ def test_literal_ln2():
 def test_literal_exp_gamma():
     true = mpf_frac(mpmath.exp(mpmath.euler))
     assert EGAMMA_EXP_LO <= true <= EGAMMA_EXP_HI
-
-
-def test_literal_mertens_b():
-    # B = gamma + sum over p of (ln(1 - 1/p) + 1/p) = 0.26149721...
-    true = mpf_frac(mpmath.mertens)
-    assert MERTENS_B_LO <= true <= MERTENS_B_HI
-
-
-def test_literal_prime_recip_sq():
-    # sum of 1/p^2 = P(2) = 0.45224742...; the stored literal is an upper bound
-    true = mpf_frac(mpmath.primezeta(2))
-    assert true <= PRIME_RECIP_SQ_HI
-    assert PRIME_RECIP_SQ_HI - true < Fraction(1, 10**4)
 
 
 def test_pi_upper_constant():
@@ -132,8 +115,10 @@ def test_ln_bounds_matches_fraction_oracle(x, opts):
 
 
 def test_ln_monotone_helpers():
-    assert ln_bounds(Fraction(10))[0] <= ln_hi(Fraction(10))
-    assert ln_bounds(Fraction(1))[0] <= 0 <= ln_hi(Fraction(1))
+    lo, hi = ln_bounds(Fraction(10))
+    assert lo <= hi
+    lo, hi = ln_bounds(Fraction(1))
+    assert lo <= 0 <= hi
     with pytest.raises(ValueError):
         ln_bounds(Fraction(0))
 
@@ -158,7 +143,7 @@ def test_pi_upper_bound_literal_sharp():
         if p < 17:
             continue
         # RHS lower bound via ln upper bound
-        rhs_lo = PI_UPPER_C * p / ln_hi(Fraction(p), terms=8, bits=64)
+        rhs_lo = PI_UPPER_C * p / ln_bounds(Fraction(p), terms=8, bits=64)[1]
         assert k < rhs_lo, f"pi bound fails at {p}"
         margin = rhs_lo / k
         if worst is None or margin < worst[0]:
@@ -167,7 +152,7 @@ def test_pi_upper_bound_literal_sharp():
     assert worst[1] == 113
     # small x by hand: pi(2)=1, pi(3)=2, ..., RHS > 1.25506*e > 3.41 for x <= 16
     for x, pi_x in [(2, 1), (3, 2), (5, 3), (7, 4), (11, 5), (13, 6), (16, 6)]:
-        rhs_lo = PI_UPPER_C * x / ln_hi(Fraction(x), terms=8, bits=64)
+        rhs_lo = PI_UPPER_C * x / ln_bounds(Fraction(x), terms=8, bits=64)[1]
         assert pi_x < rhs_lo or x < 3  # x = 2: 1 < 1.25506*2/0.694 = 3.61
         if x == 2:
             assert Fraction(1) < rhs_lo

@@ -20,10 +20,12 @@ from coverdist import (
     UnitModulus,
     build_problem,
     covers,
+    factor_ideal,
     ideal_from_gens,
     ideal_mul,
     ideal_norm,
     ideal_principal,
+    in_class,
     make_field,
     multiplicity,
     primes_up_to_norm,
@@ -399,3 +401,63 @@ def test_build_problem_cutoff(classic_cover):
         build_problem(classic_cover, max_enum=5)
     with pytest.raises(EnumerationTooLarge):
         target_mask(classic_cover, 1, max_enum=5)
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_mark_class_in_blocks_matches_brute_force(monkeypatch, key):
+    # with blocks of 8 entries, a class whose nm = uq/ui passes the block is
+    # marked one block of m at a time, and over a quadratic field (Q = (30),
+    # with nk = wq/wi rows) one row of k at a time: for every divisor I of
+    # Q the mask holds exactly the residues of O/Q in the class
+    field = get_field(key)
+    q = ideal_principal(field, (30, 0))
+    divisors = [unit_ideal(field)]
+    for prime, e in factor_ideal(q):
+        power = divisors
+        for _ in range(e):
+            power = [ideal_mul(d, prime.ideal) for d in power]
+            divisors = divisors + power
+    monkeypatch.setattr(kernels, "MARK_BLOCK", 8)
+    points = oracles.residues(q)
+    rng = random.Random(41)
+    blocks = rows = 0  # classes whose m loop, and also k loop, runs more than once
+    for ideal in divisors:
+        nk, nm = q.w // ideal.w, q.u // ideal.u
+        blocks += nm > 8
+        rows += nm > 8 and nk > 1
+        for r in rng.sample(range(ideal_norm(ideal)), min(3, ideal_norm(ideal))):
+            a = residue_at(r, ideal)
+            mask = np.zeros(len(points), dtype=np.bool_)
+            kernels.mark_class(mask, a, ideal, q)
+            assert mask.tolist() == [in_class(x, a, ideal) for x in points], (ideal, a)
+    assert blocks > 0 and (rows == 0 if key == "rational" else rows > 0)
+
+
+def test_mark_class_past_one_block():
+    # nm = MARK_BLOCK + 1 columns: a full block, then one of width 1
+    field = make_field("rational")
+    n = 2 * (kernels.MARK_BLOCK + 1)
+    q, two = ideal_principal(field, (n, 0)), ideal_principal(field, (2, 0))
+    for a in (0, 1):
+        mask = np.zeros(n, dtype=np.bool_)
+        kernels.mark_class(mask, (a, 0), two, q)
+        assert mask[a::2].all() and int(mask.sum()) == n // 2
+
+
+def test_covers_memory_is_the_mask_and_a_few_blocks():
+    # 2^23 residues, uncovered only at the last: 0 mod 2, 1 mod 4, 3 mod 8,
+    # ..., 2^22 - 1 mod 2^23. The class mod 2 alone has 2^22 points, four
+    # blocks; beyond its n-byte mask, covers holds a few block-sized arrays
+    # at once
+    field = make_field("rational")
+    n = 2**23
+    inst = validate(
+        field, [((2**k - 1, 0), ideal_principal(field, (2 ** (k + 1), 0))) for k in range(23)]
+    )
+    tracemalloc.start()
+    try:
+        assert covers(inst) == ("uncovered", (n - 1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n + 4 * 8 * kernels.MARK_BLOCK

@@ -3,10 +3,10 @@ finite set S that drains mass away from prescribed target sets.
 
 A DistortionProblem is an inverse system of label spaces L_0 <- ... <- L_J
 with targets B_1..B_J, B_j a set of level-j labels. Each level-j label has
-a parent label at level j-1 and a size, its number of points of S. Point
-index i means level-J label i. For a covering system
-system.build_problem gives L_j = O/Q_j with one point per level-J label,
-so point i is residue_at(i, Q).
+a parent label at level j-1 and holds sizes[j] points of S, one count for
+the whole level. Point index i means level-J label i. For a covering
+system system.build_problem gives L_j = O/Q_j with n/|O/Q_j| points per
+label, one per level-J label, so point i is residue_at(i, Q).
 
 Step j distorts the current measure using the conditional density of B_j
 on each level-(j-1) fiber: with alpha that density and delta = delta_j,
@@ -33,15 +33,15 @@ Per-label work is integer numpy (np.add.at on int64 counts, gathers
 through remap arrays); sorts run only over the level-(j-1) fibers, and
 Fraction arithmetic runs once per distinct key. Label-sized index arrays
 (parents, codes, step cells) take kernels.index_dtype, int32 below 2^31
-entries; sizes, counts and (code, alpha id) keys stay int64.
+entries; point counts and (code, alpha id) keys stay int64.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber keeps its mass. Its labels
     fall into two cells by target bit, and all labels of a cell must
-    share one code; parents with the same (code, size, cell codes, cell
-    point counts) row are checked once, each cell's table[code] * count
-    summed and compared with the parent's mass;
+    share one code; parents with the same (code, cell codes, cell point
+    counts) row are checked once, each cell's table[code] * count summed
+    and compared with the parent's mass;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) equals P_j(B_j) right after step j;
   - in certify the uncovered mass is at least 1 - eta.
@@ -58,7 +58,7 @@ from .system import _check_delta
 
 
 class DistortionProblem(NamedTuple):
-    sizes: list  # sizes[j][l] = points in level-j label l, int64, read only
+    sizes: list  # sizes[j] = points in each level-j label, an int
     parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
     target_bits: list  # target_bits[j-1][l]: level-j label l lies in B_j
     initial_codes: np.ndarray  # code of each level-0 label
@@ -110,7 +110,8 @@ class CertifyResult(NamedTuple):
 
 
 def _grouped_sum(ids, counts, values):
-    """Sum over l of values[ids[l]] * counts[l], for int64 ids and counts.
+    """Sum over l of values[ids[l]] * counts[l], for integer ids and int64
+    counts, or of values[ids[l]] * counts for one int count.
 
     The counts are summed per id in int64; the Fraction product runs once
     per id with a nonzero sum.
@@ -129,19 +130,17 @@ def initial_state(problem):
 
 def _fibers(state, j):
     """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, inter, keys,
-    group). Label l has inter[l] target points and alpha inter[l] / size[l]
+    group). Label l has inter[l] target points and alpha inter[l] / sizes[j-1]
     in alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
     int64. group has the index_dtype of the 2 * len(keys) step cells.
     """
     problem = state.problem
     if j != state.level + 1 or j > len(problem.target_bits):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    sz, bits = problem.sizes[j - 1], problem.target_bits[j - 1]
-    inter = np.zeros(len(sz), dtype=np.int64)  # target points per parent
-    np.add.at(inter, problem.parents[j][bits], problem.sizes[j][bits])
-    radix = int(sz.max()) + 1
-    pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
-    alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
+    inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
+    np.add.at(inter, problem.parents[j][problem.target_bits[j - 1]], problem.sizes[j])
+    counts, ids = np.unique(inter, return_inverse=True)
+    alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
     # int64 keys: an int32 code times a Python int stays int32 and would wrap
     keys = state.codes.astype(np.int64) * len(alphas) + ids
     keys, group = np.unique(keys, return_inverse=True)
@@ -220,13 +219,11 @@ def _verify_step(old, new, j):
     count = np.zeros(len(code), dtype=np.int64)
     np.add.at(count, cell, problem.sizes[j])
     # one row per parent; the mass identity runs once per distinct row
-    rows = np.stack(
-        [old.codes, problem.sizes[j - 1], code[0::2], code[1::2], count[0::2], count[1::2]]
-    )
+    rows = np.stack([old.codes, code[0::2], code[1::2], count[0::2], count[1::2]])
     rows = rows[:, np.lexsort(rows)]
     firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
-    for oc, size, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
-        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * size:
+    for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
+        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * problem.sizes[j - 1]:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
@@ -240,8 +237,7 @@ def target_mass(state, j):
 
 def _label_mass(state, bits):
     """Mass of the labels of the state's level where bits is set."""
-    sizes = state.problem.sizes[state.level]
-    return _grouped_sum(state.codes[bits], sizes[bits], state.table)
+    return _grouped_sum(state.codes[bits], state.problem.sizes[state.level], state.table)
 
 
 def run(problem, deltas, checks=True):

@@ -128,10 +128,13 @@ def mark_class(mask, residue, modulus, q):
         base = (aa + k * vi - t * vq)[:, None]
         row = (yy * uq)[:, None]
         for m0 in range(0, nm, width):
-            xx = base + np.arange(m0, min(m0 + width, nm), dtype=np.int64) * ui
+            xx = np.arange(m0, min(m0 + width, nm), dtype=np.int64)
+            xx *= ui
+            xx = base + xx
             xx %= uq
             xx += row
             mask.flat[xx.ravel()] = True
+            del xx  # freed before the next arange: at most two blocks live at once
 
 
 def level_labels(uq, wq, uj, vj, wj):

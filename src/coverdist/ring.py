@@ -128,15 +128,23 @@ def ideal_norm(ideal):
     return ideal.u * ideal.w
 
 
+def _hnf_fault(field, u, v, w):
+    """None for the HNF (u, v, w) of an ideal; "triple" unless u, w > 0 and
+    0 <= v < u, else "ideal" unless w | u, w | v and u*w | N(v + w*omega)."""
+    if u <= 0 or w <= 0 or not 0 <= v < u:
+        return "triple"
+    if u % w or v % w or abs(elem_norm(field, (v, w))) % (u * w):
+        return "ideal"
+
+
 def check_hnf(field, u, v, w):
     """Validate HNF invariants; raises InputError if (u, v, w) is not an ideal."""
-    if u <= 0 or w <= 0 or not 0 <= v < u:
+    fault = _hnf_fault(field, u, v, w)
+    if fault == "triple":
         raise InputError(f"invalid HNF triple ({u}, {v}, {w})")
-    if field.kind == "rational":
-        if v != 0 or w != 1:
-            raise InputError("rational ideals are (m, 0, 1)")
-        return Ideal(field, u, v, w)
-    if u % w or v % w or abs(elem_norm(field, (v, w))) % (u * w):
+    if field.kind == "rational" and (v != 0 or w != 1):
+        raise InputError("rational ideals are (m, 0, 1)")
+    if fault:
         raise InputError(f"({u}, {v}, {w}) is not an ideal of {field.label()}")
     return Ideal(field, u, v, w)
 
@@ -179,17 +187,9 @@ def _hnf_quadratic(field, vecs):
     if b0 == 0 or u == 0:
         raise ZeroIdeal("the zero lattice is not a nonzero ideal")
     ideal = Ideal(field, u, a0 % u, b0)
-    _assert_hnf(ideal)
-    return ideal
-
-
-def _assert_hnf(ideal):
-    f, u, v, w = ideal
-    ok = u > 0 and w > 0 and 0 <= v < u and u % w == 0 and v % w == 0
-    if ok and abs(elem_norm(f, (v, w))) % (u * w):
-        ok = False
-    if not ok:
+    if _hnf_fault(*ideal):
         raise SoundnessError(f"internal HNF violation: {ideal}")
+    return ideal
 
 
 def ideal_from_gens(field, gens):

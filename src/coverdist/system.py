@@ -173,12 +173,11 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     from .distortion import DistortionProblem
 
     n = _enum_size(instance.q, max_enum)  # refuse before any label array
-    # every label of level j has n/count points: one read-only int64, zero stride
-    sizes, parents = [np.broadcast_to(np.int64(n), 1)], [None]
+    sizes, parents = [n], [None]
     for j in range(1, instance.depth + 1):
         lo, hi = instance.levels[j - 1], instance.levels[j]
         parent = kernels.level_labels(hi.u, hi.w, lo.u, lo.v, lo.w)
-        count, above = ring.ideal_norm(hi), len(sizes[-1])
+        count, above = ring.ideal_norm(hi), ring.ideal_norm(lo)
         # in range, and count / above children per parent (so count labels)
         ok = parent.min() >= 0 and parent.max() < above
         if ok:
@@ -188,7 +187,7 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
         if not ok:
             raise SoundnessError(f"level {j} labels do not map O/Q_{j} onto O/Q_{j - 1}")
         parents.append(parent)
-        sizes.append(np.broadcast_to(np.int64(n // count), count))
+        sizes.append(n // count)
     target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
     initial_codes = np.zeros(1, dtype=kernels.index_dtype(n))
     return DistortionProblem(sizes, parents, target_bits, initial_codes, (Fraction(1, n),))

@@ -105,10 +105,6 @@ def root_count(trace, nm, p):
     return sum(1 for t in range(p) if (t * t - trace * t + nm) % p == 0)
 
 
-def roots_mod(trace, nm, p):
-    return [t for t in range(p) if (t * t - trace * t + nm) % p == 0]
-
-
 # ------------------------------------------------------------------ residues
 
 
@@ -147,7 +143,7 @@ def to_labels(problem):
     Returns (DistortionProblem, points), points[i] the level-J label that
     holds point i. Each level's labels are numbered densely by their first
     point, so the first uncovered level-J label holds the first uncovered
-    point.
+    point. The labels of one level must hold equal point counts.
     """
     if not problem.levels:
         raise InputError("need at least the level-0 labels")
@@ -169,8 +165,6 @@ def to_labels(problem):
         rank[order] = np.arange(len(order))
         levels.append(rank[inverse].astype(np.int64))
         reps.append(first[order])
-    sizes = [np.bincount(arr) for arr in levels]
-
     parents = [None]
     for j in range(1, len(levels)):
         parent = levels[j - 1][reps[j]]
@@ -182,6 +176,12 @@ def to_labels(problem):
                 f"share a level-{j} fiber but not a level-{j - 1} fiber"
             )
         parents.append(parent)
+    sizes = []
+    for j, arr in enumerate(levels):
+        counts = np.bincount(arr)
+        if (counts != counts[0]).any():
+            raise InputError(f"level {j} labels hold unequal point counts")
+        sizes.append(int(counts[0]))
 
     targets = [np.asarray(t, dtype=np.bool_) for t in problem.targets or []]
     if len(targets) != len(levels) - 1:
@@ -198,7 +198,7 @@ def to_labels(problem):
         target_bits.append(bits)
 
     if problem.initial_mass is None:
-        initial_codes = np.zeros(len(sizes[0]), dtype=np.int64)
+        initial_codes = np.zeros(len(reps[0]), dtype=np.int64)
         initial_table = (Fraction(1, n),)
     else:
         if len(problem.initial_mass) != n:
@@ -212,7 +212,7 @@ def to_labels(problem):
         if not np.array_equal(initial_codes[levels[0]], point_codes):
             raise InputError("initial mass not constant on level-0 fibers")
         initial_table = tuple(table.tolist())
-        if sum(initial_table[c] * int(s) for c, s in zip(initial_codes, sizes[0])) != 1:
+        if sum(initial_table[c] for c in initial_codes.tolist()) * sizes[0] != 1:
             raise InputError("initial mass does not sum to 1")
 
     problem = DistortionProblem(sizes, parents, target_bits, initial_codes, initial_table)
@@ -249,23 +249,22 @@ def verify_step_signatures(old, new, j):
         raise SoundnessError(f"step {j}: total mass drifted")
     # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
     # a cell is (parent fiber, child code) with its point count
-    szp = problem.sizes[j - 1]
     cells, inv = np.unique(problem.parents[j] * nc + new.codes, return_inverse=True)
     cell_size = np.zeros(len(cells), dtype=np.int64)
     np.add.at(cell_size, inv, problem.sizes[j])
     cell_parent, cell_code = np.divmod(cells, nc)
     # cells are sorted by parent and every parent has at least one
-    bounds = np.searchsorted(cell_parent, np.arange(len(szp) + 1))
+    bounds = np.searchsorted(cell_parent, np.arange(len(old.codes) + 1))
     rank = np.arange(len(cells)) - bounds[cell_parent]
-    # signature of a parent: its own (code, size), then its cells' (code,
-    # count) pairs in code order, refined one rank at a time
-    _, sig = np.unique(old.codes * (int(szp.max()) + 1) + szp, return_inverse=True)
+    # signature of a parent: its own code, then its cells' (code, count)
+    # pairs in code order, refined one rank at a time
+    _, sig = np.unique(old.codes, return_inverse=True)
     _, pair = np.unique(
         cell_code * (int(cell_size.max()) + 1) + cell_size, return_inverse=True
     )
     for r in range(int(rank.max()) + 1):
         at = rank == r
-        ext = np.zeros(len(szp), dtype=np.int64)  # 0: no cell of this rank
+        ext = np.zeros(len(old.codes), dtype=np.int64)  # 0: no cell of this rank
         ext[cell_parent[at]] = pair[at] + 1
         _, sig = np.unique(sig * (len(cells) + 1) + ext, return_inverse=True)
     _, firsts = np.unique(sig, return_index=True)
@@ -274,23 +273,22 @@ def verify_step_signatures(old, new, j):
         got = Fraction(0)
         for c, s in zip(cell_code[lo:hi].tolist(), cell_size[lo:hi].tolist()):
             got += new.table[c] * s
-        if got != old.table[old.codes[p]] * int(szp[p]):
+        if got != old.table[old.codes[p]] * problem.sizes[j - 1]:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
 def _alpha_ids(state, j):
-    """distortion's former alpha codebook: (alphas, ids, inter), level-(j-1)
-    label l having alpha alphas[ids[l]] = inter[l] / size[l], one id per
-    distinct (inter, size) pair."""
+    """distortion's alpha codebook: (alphas, ids, inter), level-(j-1) label
+    l having alpha alphas[ids[l]] = inter[l] / sizes[j-1], one id per
+    distinct inter."""
     problem = state.problem
     if j != state.level + 1 or j > len(problem.target_bits):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    sz, bits = problem.sizes[j - 1], problem.target_bits[j - 1]
-    inter = np.zeros(len(sz), dtype=np.int64)  # target points per parent
-    np.add.at(inter, problem.parents[j][bits], problem.sizes[j][bits])
-    radix = int(sz.max()) + 1
-    pairs, ids = np.unique(inter * radix + sz, return_inverse=True)
-    alphas = tuple(Fraction(*divmod(p, radix)) for p in pairs.tolist())
+    bits = problem.target_bits[j - 1]
+    inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
+    np.add.at(inter, problem.parents[j][bits], problem.sizes[j])
+    counts, ids = np.unique(inter, return_inverse=True)
+    alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
     return alphas, ids, inter
 
 
@@ -334,7 +332,7 @@ def alpha(state, j):
     """Per-point alpha_j, point i being level-J label i: the alpha of the
     level-(j-1) label that holds it (constant on level-(j-1) fibers)."""
     alphas, ids, _ = _alpha_ids(state, j)
-    lab = np.arange(len(state.problem.sizes[-1]))
+    lab = np.arange(len(state.problem.parents[-1]))
     for parent in state.problem.parents[: j - 1 : -1]:  # levels J, ..., j
         lab = parent[lab]
     return [alphas[i] for i in ids[lab].tolist()]

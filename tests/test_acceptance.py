@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -28,6 +29,7 @@ from coverdist import (
     certify_moduli,
     covers,
     effective_bound,
+    elem_conj,
     elem_norm,
     eta2_major,
     factor_ideal,
@@ -226,6 +228,44 @@ def test_certificates_invariant_under_affine_maps(corpus):
             for residue, ideal in image.classes:
                 assert not in_class(witness, residue, ideal)
     assert certified > 100
+
+
+def test_certificates_invariant_under_galois_conjugation(corpus):
+    """The automorphism sigma of a quadratic field maps each class a + I
+    onto sigma(a) + sigma(I), O/Q onto O/sigma(Q) and each prime onto one
+    of the same norm. So under the default policy the conjugated system of
+    every quadratic corpus instance has the same verdict, eta and uncovered
+    mass, and the same moment reports up to their level index. The reports
+    are equal in order where sigma keeps the level order; it may swap two
+    primes of equal norm, which are ordered by HNF. The new witness lies in
+    no conjugated class."""
+
+    def conj(ideal):
+        field = ideal.field
+        return ideal_from_gens(field, [(ideal.u, 0), elem_conj(field, (ideal.v, ideal.w))])
+
+    instances = kept = certified = 0
+    for inst in corpus:
+        field = inst.field
+        if field.kind == "rational":
+            continue
+        image = validate(field, [(elem_conj(field, a), conj(ideal)) for a, ideal in inst.classes])
+        want = certify(build_problem(inst), resolve_delta_policy(inst, None))
+        got = certify(build_problem(image), resolve_delta_policy(image, None))
+        assert (got.verdict, got.eta, got.uncovered_mass) == (
+            want.verdict, want.eta, want.uncovered_mass
+        )
+        assert Counter(r[1:] for r in got.reports) == Counter(r[1:] for r in want.reports)
+        if [conj(p.ideal) for p, _ in inst.primes] == [p.ideal for p, _ in image.primes]:
+            kept += 1
+            assert got.reports == want.reports
+        if got.verdict == "certified-noncover":
+            certified += 1
+            witness = residue_at(got.witness_index, image.q)
+            for residue, ideal in image.classes:
+                assert not in_class(witness, residue, ideal)
+        instances += 1
+    assert instances == 433 and kept > 400 and certified > 400, (instances, kept, certified)
 
 
 def test_majorants_invariant_under_affine_maps(corpus):

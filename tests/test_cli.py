@@ -162,6 +162,22 @@ def test_golden(capsys, golden, args):
     assert out == (GOLDEN / golden).read_text()
 
 
+# Depth 7, n = 510,510: 0 mod p for each prime p <= 17, all at delta 1/2.
+# JSON only, and kept out of GOLDEN_CASES so that its parametrize ids stay.
+DEEP_RUNS = [
+    (f"{cmd}_primes17_threshold1.json",
+     [cmd, "--input", str(DATA / "primes17.json"), "--delta", "threshold:1"])
+    for cmd in ("certify", "moments")
+]
+
+
+@pytest.mark.parametrize("golden,args", DEEP_RUNS, ids=[g for g, _ in DEEP_RUNS])
+def test_deep_golden(capsys, golden, args):
+    rc, out, err = call_main(capsys, args)
+    assert rc == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_golden_repeatable():
     name, args = GOLDEN_CASES[3]
     runs = {run_cli(args)[1] for _ in range(3)}

@@ -241,14 +241,24 @@ def test_corpus_random_deltas(corpus):
 
 @st.composite
 def label_chains(draw):
-    """A random refining label chain with targets, a non-uniform initial
+    """A random refining label chain with uniform fibers: 1 to 4 level-0
+    labels, a branching factor of 1 to 6 per level (at most 64 labels per
+    level) and 1 to 3 points per level-J label, the labels of each level
+    and the points numbered at random. With targets, a non-uniform initial
     mass constant on level-0 fibers, and deltas in [0, 1/2]."""
-    n = draw(st.integers(1, 24))
     depth = draw(st.integers(1, 3))
-    levels = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    counts = [draw(st.integers(1, 4))]  # labels per level
     for _ in range(depth):
-        split = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        levels.append([3 * l + e for l, e in zip(levels[-1], split)])
+        counts.append(counts[-1] * draw(st.integers(1, min(6, 64 // counts[-1]))))
+    per = draw(st.integers(1, 3))
+    # point p lies in level-J label p // per, and level-j label l has the
+    # children l * b, ..., l * b + b - 1 for its branching factor b
+    order = draw(st.permutations(range(counts[-1] * per)))
+    levels = []
+    for count in counts:
+        name = draw(st.permutations(range(count)))
+        levels.append([name[p // per // (counts[-1] // count)] for p in order])
+    n = len(order)
     targets = []
     for lv in levels[1:]:
         hit = draw(st.sets(st.sampled_from(sorted(set(lv)))))
@@ -347,7 +357,7 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     monkeypatch.setattr(np, "unique", recording)
     new = step(old, depth, deltas[-1])
     monkeypatch.undo()
-    assert lengths and max(lengths) <= len(prob.sizes[depth - 1]) < len(prob.sizes[depth])
+    assert lengths and max(lengths) <= len(old.codes) < len(prob.parents[depth])
     want = oracles.step_label_keys(old, depth, deltas[-1])
     assert np.array_equal(new.codes, want.codes) and new.table == want.table
 
@@ -404,27 +414,27 @@ def test_int64_labels_match_int32(corpus, monkeypatch):
 
 
 def test_fibers_keys_pass_2_31():
-    """(code, alpha id) keys are int64 even for int32 codes: 4096 parents of
-    distinct alpha (l + 1)/(l + 2) under codes up to 2^20, so that
-    len(table) * len(alphas) = 2^32, give the keys of Python-int arithmetic."""
-    m, ntable = 4096, 2**20
-    sizes1 = np.ones(2 * m, dtype=np.int64)
-    sizes1[0::2] = np.arange(1, m + 1)  # child 2l: l + 1 points, in B_1
+    """(code, alpha id) keys are int64 even for int32 codes: 8 parents of 6
+    one-point children each, parent l with l % 7 of them in B_2, so alpha
+    l % 7 / 6 takes 7 values, under int32 codes near 2^31 - 1 give the keys
+    of Python-int arithmetic, past 2^33. _fibers reads the codes, not the
+    table."""
+    m, b = 8, 6
     prob = DistortionProblem(
-        [np.array([sizes1.sum()]), np.arange(2, m + 2, dtype=np.int64), sizes1],
-        [None, np.zeros(m, dtype=np.int32), np.repeat(np.arange(m, dtype=np.int32), 2)],
-        [np.ones(m, dtype=np.bool_), np.arange(2 * m) % 2 == 0],
+        [m * b, b, 1],
+        [None, np.zeros(m, dtype=np.int32), np.repeat(np.arange(m, dtype=np.int32), b)],
+        [np.ones(m, dtype=np.bool_), np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)],
         np.zeros(1, dtype=np.int32),
-        (F(1),),
+        (F(1, m * b),),
     )
-    codes = np.arange(ntable - 1, ntable - 1 - m, -1, dtype=np.int32)
-    state = distortion.DistortionState(prob, 1, codes, (F(0),) * ntable, (F(0),))
+    codes = np.arange(2**31 - 1, 2**31 - 1 - m, -1, dtype=np.int32)
+    state = distortion.DistortionState(prob, 1, codes, (F(0),), (F(0),))
     alphas, inter, keys, group = distortion._fibers(state, 2)
-    assert len(alphas) == m and len(state.table) * len(alphas) == 2**32
-    assert keys.dtype == np.int64 and int(keys.max()) > 2**31
-    alpha_id = {a: i for i, a in enumerate(alphas)}
+    assert alphas == tuple(F(k, b) for k in range(7))
+    assert keys.dtype == np.int64 and int(keys.max()) > 2**33
     for l in range(m):
-        assert int(keys[group[l]]) == int(codes[l]) * m + alpha_id[F(l + 1, l + 2)]
+        assert inter[l] == l % 7
+        assert int(keys[group[l]]) == int(codes[l]) * 7 + l % 7
 
 
 # ------------------------------------------------------------ tampering
@@ -454,12 +464,11 @@ def test_verify_step_catches_tampered_codes(six_system):
 
 
 def _swap_labels(rng, new):
-    """Codes of new with two labels of equal size, different parents and
-    different values swapped, or None if there are none."""
-    prob, j = new.problem, new.level
-    parent, sizes, codes = prob.parents[j], prob.sizes[j], new.codes
+    """Codes of new with two labels of different parents and different
+    values swapped, or None if there are none."""
+    parent, codes = new.problem.parents[new.level], new.codes
     l1 = rng.randrange(len(codes))
-    other = (parent != parent[l1]) & (sizes == sizes[l1]) & (codes != codes[l1])
+    other = (parent != parent[l1]) & (codes != codes[l1])
     if not other.any():
         return None
     l2 = rng.choice(np.flatnonzero(other).tolist())
@@ -468,27 +477,20 @@ def _swap_labels(rng, new):
     return out
 
 
-def _fibers_by_shape(new):
-    """Children of each parent, sorted by size, and the parents grouped by
-    the sizes of their children."""
-    prob, j = new.problem, new.level
-    sizes = prob.sizes[j].tolist()
+def _children(new):
+    """The children of each parent, in label order."""
     children = {}
-    for l, p in enumerate(prob.parents[j].tolist()):
+    for l, p in enumerate(new.problem.parents[new.level].tolist()):
         children.setdefault(p, []).append(l)
-    shapes = {}
-    for p, labs in children.items():
-        labs.sort(key=sizes.__getitem__)
-        shapes.setdefault(tuple(sizes[l] for l in labs), []).append(p)
-    return children, [g for g in shapes.values() if len(g) > 1]
+    return children
 
 
-def _swap_fibers(rng, old, new, children, groups):
-    """Codes of new with the children of two parents of equal child sizes
-    and different mass swapped, or None if the draw finds none."""
-    if not groups:
+def _swap_fibers(rng, old, new, children):
+    """Codes of new with the children of two parents of different mass
+    swapped, or None if the draw finds none."""
+    if len(children) < 2:
         return None
-    p1, p2 = rng.sample(rng.choice(groups), 2)
+    p1, p2 = rng.sample(sorted(children), 2)
     if old.codes[p1] == old.codes[p2]:
         return None
     out = new.codes.copy()
@@ -521,14 +523,14 @@ def _double_entry(rng, new):
 
 def _split_siblings(rng, new):
     """Codes of new with a label that shares its (fiber, target bit) cell
-    swapped with a label of equal size and another code in the same fiber:
-    the fiber keeps its mass and its (code, count) cells, but the cell
-    holds two codes. None if the draw finds none."""
+    swapped with a label of another code in the same fiber: the fiber
+    keeps its mass and its (code, count) cells, but the cell holds two
+    codes. None if the draw finds none."""
     prob, j = new.problem, new.level
-    parent, sizes, codes = prob.parents[j], prob.sizes[j], new.codes
+    parent, codes = prob.parents[j], new.codes
     cell = parent * 2 + prob.target_bits[j - 1]
     l1 = rng.randrange(len(codes))
-    other = (parent == parent[l1]) & (sizes == sizes[l1]) & (codes != codes[l1])
+    other = (parent == parent[l1]) & (codes != codes[l1])
     if np.count_nonzero(cell == cell[l1]) < 2 or not other.any():
         return None
     l2 = rng.choice(np.flatnonzero(other).tolist())
@@ -564,12 +566,12 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
             for old, new in zip(states, states[1:]):
                 assert _raised(oracles.verify_step_signatures, old, new) is None
                 assert _raised(distortion._verify_step, old, new) is None
-                children, groups = _fibers_by_shape(new)
+                children = _children(new)
                 for _ in range(4):
                     table = _double_entry(rng, new)
                     for kind, bad in (
                         ("label", _swap_labels(rng, new)),
-                        ("fiber", _swap_fibers(rng, old, new, children, groups)),
+                        ("fiber", _swap_fibers(rng, old, new, children)),
                         ("recode", _recode(rng, new)),
                         ("table", table),
                         ("split", _split_siblings(rng, new)),
@@ -597,14 +599,15 @@ def test_verify_step_catches_tampered_table(six_system):
         distortion._verify_step(old, new._replace(table=tuple(table)), 2)
 
 
-def _two_steps(sizes1, codes1, table1, parents2, bits2, codes2, table2):
+def _two_steps(codes1, table1, parents2, bits2, codes2, table2):
     """(old, new) level-1 and level-2 states of a hand-built problem whose
-    level-2 labels each hold one point."""
-    n = sum(sizes1)
-    sizes = [np.array([n]), np.array(sizes1), np.ones(len(parents2), dtype=np.int64)]
-    parents = [None, np.zeros(len(sizes1), dtype=np.int64), np.array(parents2)]
-    bits = [np.zeros(len(sizes1), dtype=bool), np.array(bits2)]
-    prob = DistortionProblem(sizes, parents, bits, np.zeros(1, dtype=np.int64), (F(1, n),))
+    level-2 labels each hold one point, len(parents2) / len(codes1) to a
+    level-1 label."""
+    n, m = len(parents2), len(codes1)
+    parents = [None, np.zeros(m, dtype=np.int64), np.array(parents2)]
+    bits = [np.zeros(m, dtype=bool), np.array(bits2)]
+    initial = np.zeros(1, dtype=np.int64)
+    prob = DistortionProblem([n, n // m, 1], parents, bits, initial, (F(1, n),))
     old = distortion.DistortionState(prob, 1, np.array(codes1), tuple(table1), (F(0),))
     new = distortion.DistortionState(prob, 2, np.array(codes2), tuple(table2), (F(0), F(0)))
     return old, new
@@ -615,12 +618,14 @@ def test_verify_step_checks_every_distinct_row():
     # cell one code, but moves mass between fibers. The wrong fibers' rows
     # match a right fiber's row in all but the fiber's own code, or all but
     # its cell point counts, so each must be checked on its own.
-    own_code = _two_steps([1, 1, 1], [0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
+    own_code = _two_steps([0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
                           [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
-    counts = _two_steps([2, 2, 3, 3], [0, 0, 1, 1], [F(1, 8), F(1, 12)],
-                        [0, 0, 1, 1, 2, 2, 2, 3, 3, 3],
-                        [False, True, True, True, False, True, True, True, True, True],
-                        [0, 1, 1, 1, 0, 2, 2, 2, 2, 2], [F(3, 28), F(1, 7), F(1, 14)])
+    # fibers 1 and 3 take the cell codes of fibers 0 and 2, with the
+    # (non-target, target) counts (1, 2) turned to (2, 1)
+    counts = _two_steps([0, 0, 1, 1], [F(1, 9), F(1, 18)],
+                        [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+                        [False, True, True, False, False, True] * 2,
+                        [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0], [F(0), F(1, 6)])
     for old, new in (own_code, counts):
         assert new.total_mass() == 1
         for check in (distortion._verify_step, oracles.verify_step_signatures):
@@ -777,6 +782,19 @@ def test_levels_must_refine():
     prob = oracles.PointProblem(levels=levels, targets=targets)
     with pytest.raises(InputError, match="refine"):
         oracles.to_labels(prob)
+
+
+def test_levels_must_have_uniform_fibers():
+    # the engine takes one point count per level: labels of 1 and 3 points
+    # at level 1, or at level 0, are refused
+    targets = [np.array([True, False, False, False])]
+    for levels, j in (
+        ([np.array([0, 0, 0, 0]), np.array([0, 1, 1, 1])], 1),
+        ([np.array([0, 1, 1, 1]), np.array([0, 1, 2, 3])], 0),
+    ):
+        prob = oracles.PointProblem(levels=levels, targets=targets)
+        with pytest.raises(InputError, match=f"level {j} labels hold unequal point counts"):
+            oracles.to_labels(prob)
 
 
 def test_targets_must_be_measurable():

@@ -15,8 +15,7 @@ _EXPORTS = {
         "verify_certificate",
     ),
     "distortion": (
-        "DistortionProblem", "certify", "initial_state", "moments", "run", "step",
-        "target_mass",
+        "DistortionProblem", "certify", "run",
     ),
     "errors": (
         "CoverdistError", "DeltaOutOfRange", "EnumerationTooLarge",

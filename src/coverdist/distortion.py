@@ -35,6 +35,11 @@ Fraction arithmetic runs once per distinct key. Label-sized index arrays
 (parents, codes, step cells) take kernels.index_dtype, int32 below 2^31
 entries; point counts and (code, alpha id) keys stay int64.
 
+run is the one stepping path. Every level-J target fact (the final target
+masses, and in certify the uncovered mass and the witness) comes from one
+lift: B_1..B_J packed into one unsigned integer per level-J label, bit j-1
+for B_j, with one gather per level.
+
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber keeps its mass. Its labels
@@ -124,10 +129,6 @@ def _grouped_sum(ids, counts, values):
     return total
 
 
-def initial_state(problem):
-    return DistortionState(problem, 0, problem.initial_codes, problem.initial_table, ())
-
-
 def _fibers(state, j):
     """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, inter, keys,
     group). Label l has inter[l] target points and alpha inter[l] / sizes[j-1]
@@ -135,8 +136,6 @@ def _fibers(state, j):
     int64. group has the index_dtype of the 2 * len(keys) step cells.
     """
     problem = state.problem
-    if j != state.level + 1 or j > len(problem.target_bits):
-        raise InputError(f"cannot take step {j} from level {state.level}")
     inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
     np.add.at(inter, problem.parents[j][problem.target_bits[j - 1]], problem.sizes[j])
     counts, ids = np.unique(inter, return_inverse=True)
@@ -147,12 +146,8 @@ def _fibers(state, j):
     return alphas, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
 
 
-def moments(state, j):
-    """(M1, M2): first and second moments of alpha_j under the current measure."""
-    return _moments(state, _fibers(state, j))
-
-
 def _moments(state, fibers):
+    """(M1, M2): first and second moments of alpha_j under the state's measure."""
     alphas, inter, keys, group = fibers
     table, na = state.table, len(alphas)
     m1 = _grouped_sum(state.codes, inter, table)
@@ -171,12 +166,8 @@ def _factor(a, b, delta):
     return 1 / (1 - delta)
 
 
-def step(state, j, delta, checks=True):
-    """Apply distortion step j with the given delta; returns the new state."""
-    return _step(state, j, delta, _fibers(state, j), checks)
-
-
 def _step(state, j, delta, fibers, checks):
+    """Distortion step j with the given delta, on the grouping _fibers(state, j)."""
     delta = _check_delta(delta)
     problem = state.problem
     alphas, _, keys, group = fibers
@@ -227,12 +218,16 @@ def _verify_step(old, new, j):
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
-def target_mass(state, j):
-    """Mass of B_j under the state's measure (any level >= j)."""
-    bits = state.problem.target_bits[j - 1]
-    for i in range(j + 1, state.level + 1):  # B_j over the state's labels
-        bits = bits[state.problem.parents[i]]
-    return _label_mass(state, bits)
+def _target_hits(problem):
+    """B_1..B_J over the level-J labels, packed: bit j-1 of hits[l] is set
+    when level-J label l lies in B_j. One gather per level, in the smallest
+    unsigned dtype that holds J bits."""
+    dtype = np.min_scalar_type(2 ** len(problem.target_bits) - 1)
+    hits = np.zeros(len(problem.initial_codes), dtype=dtype)
+    for bit, (parent, bits) in enumerate(zip(problem.parents[1:], problem.target_bits)):
+        hits = hits[parent]
+        np.bitwise_or(hits, 1 << bit, out=hits, where=bits)
+    return hits
 
 
 def _label_mass(state, bits):
@@ -246,7 +241,7 @@ def run(problem, deltas, checks=True):
     deltas = [_check_delta(x) for x in deltas]
     if len(deltas) != levels:
         raise InputError(f"expected {levels} deltas, got {len(deltas)}")
-    states = [initial_state(problem)]
+    states = [DistortionState(problem, 0, problem.initial_codes, problem.initial_table, ())]
     reports = []
     eta = Fraction(0)
     for j in range(1, levels + 1):
@@ -259,14 +254,14 @@ def run(problem, deltas, checks=True):
         else:
             contribution = m1
         new = _step(st, j, delta, fibers, checks)
-        pjbj = target_mass(new, j)
+        pjbj = _label_mass(new, problem.target_bits[j - 1])
         if checks and pjbj > contribution:
             raise SoundnessError(f"step {j}: target mass exceeds its moment bound")
         reports.append(MomentReport(j, delta, m1, m2, contribution, pjbj))
         states.append(new)
         eta += contribution
-    final = states[-1]
-    final_masses = [target_mass(final, j) for j in range(1, levels + 1)]
+    hits = _target_hits(problem)
+    final_masses = [_label_mass(states[-1], (hits & (1 << j)) != 0) for j in range(levels)]
     if checks:
         for rep, fm in zip(reports, final_masses):
             if fm != rep.target_mass:
@@ -280,13 +275,11 @@ def certify(problem, deltas):
     eta = result.eta
     if eta >= 1:
         return CertifyResult("inconclusive", eta, result.reports, None, None, result)
-    union = problem.target_bits[0]  # B_1 | ... | B_j over the level-j labels
-    for parent, bits in zip(problem.parents[2:], problem.target_bits[1:]):
-        union = union[parent] | bits
-    uncovered = 1 - _label_mass(result.states[-1], union)
+    hits = _target_hits(problem)
+    uncovered = 1 - _label_mass(result.states[-1], hits != 0)
     if uncovered < 1 - eta:
         raise SoundnessError("uncovered mass below its certified floor")
-    idx = int(np.flatnonzero(~union)[0])
+    idx = int(hits.argmin())  # the first label in no target
     return CertifyResult(
         "certified-noncover", eta, result.reports, uncovered, idx, result
     )

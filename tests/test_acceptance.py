@@ -189,25 +189,29 @@ def test_certificates_sound_against_brute_force(corpus, problems, point_problems
     assert certified > 100  # the corpus genuinely exercises the certificate path
 
 
+def _affine_image(inst, rng):
+    # (move, image): move is x -> c x + t, with c a unit mod Q and t a
+    # residue drawn from rng, and image is the system of the moved classes
+    field, q, n = inst.field, inst.q, ideal_norm(inst.q)
+    c = residue_at(rng.randrange(n), q)
+    while gcd(elem_norm(field, c), n) != 1:
+        c = residue_at(rng.randrange(n), q)
+    t = residue_at(rng.randrange(n), q)
+
+    def move(x):
+        cx = oracles.elem_mul_oracle(field.trace, field.nm, c, x)
+        return (cx[0] + t[0], cx[1] + t[1])
+
+    image = validate(field, [(move(a), ideal) for a, ideal in inst.classes])
+    assert image.q == q and image.s == inst.s
+    return move, image
+
+
 def _affine_images(corpus):
-    # per instance (inst, move, image): move is x -> c x + t, with c a unit
-    # mod Q and t a residue drawn from one seeded stream, and image is the
-    # system of the moved classes
+    # per instance (inst, move, image), the maps drawn from one seeded stream
     rng = random.Random(188412)
     for inst in corpus:
-        field, q, n = inst.field, inst.q, ideal_norm(inst.q)
-        c = residue_at(rng.randrange(n), q)
-        while gcd(elem_norm(field, c), n) != 1:
-            c = residue_at(rng.randrange(n), q)
-        t = residue_at(rng.randrange(n), q)
-
-        def move(x, field=field, c=c, t=t):
-            cx = oracles.elem_mul_oracle(field.trace, field.nm, c, x)
-            return (cx[0] + t[0], cx[1] + t[1])
-
-        image = validate(field, [(move(a), ideal) for a, ideal in inst.classes])
-        assert image.q == q and image.s == inst.s
-        yield inst, move, image
+        yield inst, *_affine_image(inst, rng)
 
 
 def test_certificates_invariant_under_affine_maps(corpus):
@@ -228,6 +232,40 @@ def test_certificates_invariant_under_affine_maps(corpus):
             for residue, ideal in image.classes:
                 assert not in_class(witness, residue, ideal)
     assert certified > 100
+
+
+@pytest.mark.parametrize(
+    "primes, thresholds",
+    [((2, 3, 5, 7, 11, 13, 17), (2, 3)), ((2, 3, 5, 7, 11, 13, 17, 19), (3,))],
+    ids=["depth7", "depth8"],
+)
+def test_certificates_invariant_under_affine_maps_at_depth(primes, thresholds):
+    """The affine invariance above on one class a_p mod p for each prime
+    p <= 17 (n = 510,510) and p <= 19 (n = 9,699,690), with random a_p.
+    Delta 0 at the primes up to the threshold keeps their targets' mass,
+    1/2 and 1/3, to the end, and the verdict, eta, reports, uncovered mass
+    and final target masses of the moved system equal the original's. The
+    witness of each lies in none of its classes."""
+    field = make_field("rational")
+    rng = random.Random(188414)
+    inst = validate(
+        field, [((rng.randrange(p), 0), ideal_from_gens(field, [(p, 0)])) for p in primes]
+    )
+    _, image = _affine_image(inst, rng)
+    for y in thresholds:
+        want = certify(build_problem(inst), resolve_delta_policy(inst, ("threshold", y)))
+        got = certify(build_problem(image), resolve_delta_policy(image, ("threshold", y)))
+        assert got[:4] == want[:4]  # verdict, eta, reports, uncovered mass
+        finals = got.result.final_target_masses
+        assert finals == want.result.final_target_masses
+        kept = [Fraction(1, p) for p in primes if p <= y]
+        assert finals[: len(kept)] == kept
+        assert got.verdict == "certified-noncover"
+        for system, res in ((inst, want), (image, got)):
+            assert res.witness_index != 0
+            witness = residue_at(res.witness_index, system.q)
+            for residue, ideal in system.classes:
+                assert not in_class(witness, residue, ideal)
 
 
 def test_certificates_invariant_under_galois_conjugation(corpus):

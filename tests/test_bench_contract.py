@@ -1,14 +1,16 @@
 """The names of the package that the benchmark harness in perfbench/ uses.
 
 perfbench/worker.py wraps package functions by module and name, reads
-kernels.backend_name(), and counts the labels and values of every state
-of a run through RunResult.states and DistortionState.values. A change
-that removed one of them would end every benchmark run with an error,
-and perfbench's own tests lie outside the test paths of this suite.
+kernels.backend_name(), counts the labels and values of every state of a
+run through RunResult.states and DistortionState.values, and runs
+distortion.run again with its checks off. A change that removed one of
+them would end every benchmark run with an error, and perfbench's own
+tests lie outside the test paths of this suite.
 """
 
 import ast
 import importlib
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +45,26 @@ def test_benchmark_wraps_resolve():
         assert mod in modules, mod
         module = importlib.import_module(f"coverdist.{mod}")
         assert callable(getattr(module, attr, None)), f"{mod}.{attr}"
+
+
+def test_benchmark_run_keywords_resolve(near_cover):
+    tree = ast.parse(WORKER.read_text())
+    keywords = [
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "distortion"
+        for kw in node.keywords
+    ]
+    assert keywords, "worker.py no longer calls distortion.run"
+    params = inspect.signature(run).parameters
+    for kw in keywords:
+        assert kw in params, kw
+    problem, deltas = build_problem(near_cover), [Fraction(1, 2)]
+    assert run(problem, deltas, checks=False).eta == run(problem, deltas).eta
 
 
 def test_benchmark_readers_resolve(near_cover):

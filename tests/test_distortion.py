@@ -21,14 +21,10 @@ from coverdist import (
     certify,
     ideal_from_gens,
     ideal_norm,
-    initial_state,
     make_field,
-    moments,
     residue_at,
     resolve_delta_policy,
     run,
-    step,
-    target_mass,
     validate,
 )
 
@@ -293,6 +289,42 @@ def test_random_chains_match_per_label_oracle(case):
     assert res.final_target_masses == final
 
 
+def _binary_chain(depth, rng):
+    """2^depth points, point i in level-j label i mod 2^j; each level-j
+    label lies in B_j with probability 1/depth. Delta is 1/3 at the last
+    level and every second level below it, 1/2 at the others."""
+    n = 1 << depth
+    levels = [np.arange(n) & ((1 << j) - 1) for j in range(depth + 1)]
+    targets = [
+        np.array([rng.random() < 1 / depth for _ in range(1 << j)])[levels[j]]
+        for j in range(1, depth + 1)
+    ]
+    deltas = [F(1, 3) if (depth - j) % 2 == 0 else HALF for j in range(1, depth + 1)]
+    return oracles.PointProblem(levels=levels, targets=targets), deltas
+
+
+@pytest.mark.parametrize("depth, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
+def test_target_pack_dtype_edges(depth, dtype):
+    """B_1..B_J are packed into one uint8, uint16 or uint32 per level-J
+    label at J = 8, 9 and 17. On binary chains the final target masses,
+    reports, verdict, uncovered mass and witness equal those of the
+    per-label oracle and of a brute-force union. The top target keeps
+    some mass, so a pack too narrow for its bit shows."""
+    points_problem, deltas = _binary_chain(depth, random.Random(depth))
+    prob, points = oracles.to_labels(points_problem)
+    assert distortion._target_hits(prob).dtype == dtype
+    cert = certify(prob, deltas)
+    values, reports, eta, final = oracles.run_per_label(points_problem, deltas)
+    res = cert.result
+    assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports] == reports
+    assert res.final_target_masses == final and final[-1] > 0
+    assert cert.verdict == "certified-noncover" and cert.eta == eta < 1
+    union = np.logical_or.reduce(points_problem.targets)
+    outside = [values[-1][l] for l in points[~union].tolist()]
+    assert cert.uncovered_mass == sum(outside, F(0))
+    assert cert.witness_index == points[np.flatnonzero(~union)[0]]
+
+
 def _label_key_step(state, j, delta, fibers, checks):
     return oracles.step_label_keys(state, j, delta, checks)
 
@@ -355,7 +387,7 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
         return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", recording)
-    new = step(old, depth, deltas[-1])
+    new = distortion._step(old, depth, deltas[-1], distortion._fibers(old, depth), True)
     monkeypatch.undo()
     assert lengths and max(lengths) <= len(old.codes) < len(prob.parents[depth])
     want = oracles.step_label_keys(old, depth, deltas[-1])
@@ -379,11 +411,6 @@ def test_run_groups_each_level_once(corpus, monkeypatch):
     got = run(prob, deltas)
     assert calls == list(range(1, inst.depth + 1))
     assert got.reports == want.reports
-    # the public functions still group on their own
-    calls.clear()
-    assert moments(want.states[0], 1) == (want.reports[0].m1, want.reports[0].m2)
-    new = step(want.states[0], 1, deltas[0])
-    assert calls == [1, 1] and np.array_equal(new.codes, want.states[1].codes)
 
 
 def _corpus_runs(corpus, dtype):
@@ -714,25 +741,23 @@ def test_eta_zero_policy_equals_density_sum(corpus):
 
 
 def test_moments_and_alpha_api(near_cover):
-    prob = build_problem(near_cover)
-    st = initial_state(prob)
-    assert moments(st, 1) == (F(3, 4), F(9, 16))
-    a = oracles.alpha(st, 1)
+    res = run(build_problem(near_cover), [HALF])
+    rep = res.reports[0]
+    assert (rep.m1, rep.m2) == (F(3, 4), F(9, 16))
+    a = oracles.alpha(res.states[0], 1)
     assert a == [F(3, 4)] * 4  # per point, constant on the one fiber
-    st1 = step(st, 1, HALF)
-    assert target_mass(st1, 1) == HALF
+    assert rep.target_mass == res.final_target_masses[0] == HALF
 
 
 def test_mask_mass(near_cover):
     # the mass of the points a class mask marks, from oracles.class_measure:
     # 0 + (2) is {0, 2} of the 4 points, and after the step at delta 1/2
     # the one point 3 + (4) outside B_1 doubles its mass 1/4
-    prob = build_problem(near_cover)
     field = near_cover.field
     two, four = (ideal_from_gens(field, [(n, 0)]) for n in (2, 4))
-    assert oracles.class_measure(near_cover, initial_state(prob), (0, 0), two) == HALF
-    res = run(prob, [HALF])
-    assert oracles.class_measure(near_cover, res.states[-1], (3, 0), four) == HALF
+    states = run(build_problem(near_cover), [HALF]).states
+    assert oracles.class_measure(near_cover, states[0], (0, 0), two) == HALF
+    assert oracles.class_measure(near_cover, states[-1], (3, 0), four) == HALF
 
 
 def test_custom_problem_nonuniform_initial():

@@ -2,11 +2,11 @@
 finite set S that drains mass away from prescribed target sets.
 
 A DistortionProblem is an inverse system of label spaces L_0 <- ... <- L_J
-with targets B_1..B_J, B_j a set of level-j labels. Each level-j label has
-a parent label at level j-1 and holds sizes[j] points of S, one count for
-the whole level. Point index i means level-J label i. For a covering
-system system.build_problem gives L_j = O/Q_j with n/|O/Q_j| points per
-label, one per level-J label, so point i is residue_at(i, Q).
+with targets B_1..B_J, B_j a set of level-j labels. Level-j label l holds
+sizes[j] points of S, one count per level, and its cell cells[j-1][l] =
+2 * parent(l) + [l in B_j] names its level-(j-1) parent and target bit.
+Point index i means level-J label i; build_problem gives L_j = O/Q_j with
+n/|O/Q_j| points per label, so point i is residue_at(i, Q).
 
 Step j distorts the current measure using the conditional density of B_j
 on each level-(j-1) fiber: with alpha that density and delta = delta_j,
@@ -29,27 +29,27 @@ with one code per level-j label, and `table`, a tuple of the distinct
 Fraction values: every point of label l has mass table[codes[l]]. A
 step's factor depends only on the parent fiber's alpha, the target bit
 and delta, so the table stays small while the labels grow to |S|.
-Per-label work is integer numpy (np.add.at on int64 counts, gathers
-through remap arrays); sorts run only over the level-(j-1) fibers, and
-Fraction arithmetic runs once per distinct key. Label-sized index arrays
-(parents, codes, step cells) take kernels.index_dtype, int32 below 2^31
-entries; point counts and (code, alpha id) keys stay int64.
+Per-label work is integer numpy (one np.add.at count of the labels per
+cell, one gather of the new codes through the cells); sorts run only over
+the level-(j-1) fibers, and Fraction arithmetic runs once per distinct
+key. Label-sized arrays (cells, codes) take kernels.index_dtype, int32
+below 2^31 entries; point counts and (code, alpha id) keys stay int64.
 
-run is the one stepping path. Every level-J target fact (the final target
-masses, and in certify the uncovered mass and the witness) comes from one
-lift: B_1..B_J packed into one unsigned integer per level-J label, bit j-1
-for B_j, with one gather per level.
+run is the one stepping path, and its RunResult is the certificate. Every
+level-J target fact (the final target masses, the uncovered mass and the
+witness) comes from one lift: B_1..B_J packed into one unsigned integer
+per level-J label, bit j-1 for B_j, with one gather per level.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber keeps its mass. Its labels
-    fall into two cells by target bit, and all labels of a cell must
-    share one code; parents with the same (code, cell codes, cell point
-    counts) row are checked once, each cell's table[code] * count summed
-    and compared with the parent's mass;
+    fall into its two cells, and all labels of a cell must share one code;
+    fibers with the same (code, cell codes, cell point counts) row are
+    checked once, each cell's table[code] * count summed and compared with
+    the parent's mass;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
-  - after the run every P_J(B_j) equals P_j(B_j) right after step j;
-  - in certify the uncovered mass is at least 1 - eta.
+  - after the run every P_J(B_j) from the level-J codes equals step j's tally;
+  - when eta < 1 the uncovered mass is at least 1 - eta.
 """
 
 from fractions import Fraction
@@ -64,8 +64,7 @@ from .system import _check_delta
 
 class DistortionProblem(NamedTuple):
     sizes: list  # sizes[j] = points in each level-j label, an int
-    parents: list  # parents[j][l] = level-(j-1) label of level-j label l (j >= 1)
-    target_bits: list  # target_bits[j-1][l]: level-j label l lies in B_j
+    cells: list  # cells[j-1][l] = 2 * (level-(j-1) parent of l) + [l in B_j]
     initial_codes: np.ndarray  # code of each level-0 label
     initial_table: tuple  # distinct initial point masses
 
@@ -98,20 +97,13 @@ class MomentReport(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    problem: DistortionProblem
     states: list
     reports: list
     eta: Fraction
     final_target_masses: list  # P_J(B_j) for each j
-
-
-class CertifyResult(NamedTuple):
     verdict: str  # "certified-noncover" or "inconclusive"
-    eta: Fraction
-    reports: list
     uncovered_mass: Fraction | None
     witness_index: int | None  # first uncovered point (level-J label); residue_at(index, q)
-    result: RunResult
 
 
 def _grouped_sum(ids, counts, values):
@@ -130,25 +122,27 @@ def _grouped_sum(ids, counts, values):
 
 
 def _fibers(state, j):
-    """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, inter, keys,
-    group). Label l has inter[l] target points and alpha inter[l] / sizes[j-1]
-    in alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
+    """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, split, inter,
+    keys, group). Cell c = 2 * l + bit of label l holds split[c] level-j
+    labels; l has inter[l] target points and alpha inter[l] / sizes[j-1] in
+    alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
     int64. group has the index_dtype of the 2 * len(keys) step cells.
     """
     problem = state.problem
-    inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
-    np.add.at(inter, problem.parents[j][problem.target_bits[j - 1]], problem.sizes[j])
+    split = np.zeros(2 * len(state.codes), dtype=np.int64)
+    np.add.at(split, problem.cells[j - 1], 1)
+    inter = split[1::2] * problem.sizes[j]  # target points per parent
     counts, ids = np.unique(inter, return_inverse=True)
     alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
     # int64 keys: an int32 code times a Python int stays int32 and would wrap
     keys = state.codes.astype(np.int64) * len(alphas) + ids
     keys, group = np.unique(keys, return_inverse=True)
-    return alphas, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
+    return alphas, split, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
 
 
 def _moments(state, fibers):
     """(M1, M2): first and second moments of alpha_j under the state's measure."""
-    alphas, inter, keys, group = fibers
+    alphas, _, inter, keys, group = fibers
     table, na = state.table, len(alphas)
     m1 = _grouped_sum(state.codes, inter, table)
     # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
@@ -167,29 +161,35 @@ def _factor(a, b, delta):
 
 
 def _step(state, j, delta, fibers, checks):
-    """Distortion step j with the given delta, on the grouping _fibers(state, j)."""
+    """Distortion step j with the given delta, on the grouping _fibers(state, j):
+    (the level-j state, P_j(B_j))."""
     delta = _check_delta(delta)
     problem = state.problem
-    alphas, _, keys, group = fibers
+    alphas, split, _, keys, group = fibers
     na, keys = len(alphas), keys.tolist()
-    # a level-j label's new mass depends only on its cell (parent group,
-    # target bit); one value per occupied cell, interned in ascending order
-    cell = group[problem.parents[j]] * 2 + problem.target_bits[j - 1]
+    # a level-j label's new mass depends only on the (group, bit) cell of
+    # its (parent, bit) cell; one value per occupied group cell, interned in
+    # ascending order
+    gcell = np.repeat(group * 2, 2)
+    gcell[1::2] += 1
+    tally = np.zeros(2 * len(keys), dtype=np.int64)  # level-j labels per group cell
+    np.add.at(tally, gcell, split)
     remap = np.zeros(2 * len(keys), dtype=group.dtype)
-    interned = {}
-    for c in np.flatnonzero(np.bincount(cell, minlength=len(remap))).tolist():
+    interned, target = {}, Fraction(0)
+    for c in np.flatnonzero(tally).tolist():
         code, a = divmod(keys[c // 2], na)
         v = state.table[code]
         if v:
             v = v * _factor(alphas[a], c % 2, delta)
+            if c % 2:
+                target += v * int(tally[c])
         remap[c] = interned.setdefault(v, len(interned))
-    codes = remap[cell]
-    del cell  # freed before the checks, which build their own cells
+    codes = remap[gcell][problem.cells[j - 1]]
     deltas = state.deltas + (delta,)
     new_state = DistortionState(problem, j, codes, tuple(interned), deltas)
     if checks:
         _verify_step(state, new_state, j)
-    return new_state
+    return new_state, target * problem.sizes[j]
 
 
 def _verify_step(old, new, j):
@@ -201,8 +201,7 @@ def _verify_step(old, new, j):
         raise SoundnessError(f"step {j}: total mass drifted")
     # a step codes a level-j label by its cell (parent fiber, target bit)
     # alone, so every level-(j-1) fiber's mass is the sum over its two cells
-    dtype = kernels.index_dtype(2 * len(old.codes))
-    cell = problem.parents[j].astype(dtype) * 2 + problem.target_bits[j - 1]
+    cell = problem.cells[j - 1]
     code = np.zeros(2 * len(old.codes), dtype=new.codes.dtype)  # an empty cell: code 0, 0 points
     code[cell] = new.codes
     if (code[cell] != new.codes).any():
@@ -222,11 +221,12 @@ def _target_hits(problem):
     """B_1..B_J over the level-J labels, packed: bit j-1 of hits[l] is set
     when level-J label l lies in B_j. One gather per level, in the smallest
     unsigned dtype that holds J bits."""
-    dtype = np.min_scalar_type(2 ** len(problem.target_bits) - 1)
+    dtype = np.min_scalar_type(2 ** len(problem.cells) - 1)
     hits = np.zeros(len(problem.initial_codes), dtype=dtype)
-    for bit, (parent, bits) in enumerate(zip(problem.parents[1:], problem.target_bits)):
-        hits = hits[parent]
-        np.bitwise_or(hits, 1 << bit, out=hits, where=bits)
+    for bit, cell in enumerate(problem.cells):
+        pair = np.repeat(hits, 2)  # pair[c] for cell c = 2 * parent + target bit
+        pair[1::2] |= 1 << bit
+        hits = pair[cell]
     return hits
 
 
@@ -236,8 +236,10 @@ def _label_mass(state, bits):
 
 
 def run(problem, deltas, checks=True):
-    """Run every step; returns states, per-step moment reports, and eta."""
-    levels = len(problem.target_bits)
+    """Run every step: states, moment reports, eta, final target masses, and
+    when eta < 1 the "certified-noncover" verdict with the uncovered mass and
+    the first level-J label in no target, else "inconclusive", None, None."""
+    levels = len(problem.cells)
     deltas = [_check_delta(x) for x in deltas]
     if len(deltas) != levels:
         raise InputError(f"expected {levels} deltas, got {len(deltas)}")
@@ -253,8 +255,7 @@ def run(problem, deltas, checks=True):
             contribution = min(m1, m2 / (4 * delta * (1 - delta)))
         else:
             contribution = m1
-        new = _step(st, j, delta, fibers, checks)
-        pjbj = _label_mass(new, problem.target_bits[j - 1])
+        new, pjbj = _step(st, j, delta, fibers, checks)
         if checks and pjbj > contribution:
             raise SoundnessError(f"step {j}: target mass exceeds its moment bound")
         reports.append(MomentReport(j, delta, m1, m2, contribution, pjbj))
@@ -266,20 +267,15 @@ def run(problem, deltas, checks=True):
         for rep, fm in zip(reports, final_masses):
             if fm != rep.target_mass:
                 raise SoundnessError(f"target {rep.j} mass not stable after its step")
-    return RunResult(problem, states, reports, eta, final_masses)
+    if eta >= 1:
+        return RunResult(states, reports, eta, final_masses, "inconclusive", None, None)
+    uncovered = 1 - _label_mass(states[-1], hits != 0)
+    if checks and uncovered < 1 - eta:
+        raise SoundnessError("uncovered mass below its certified floor")
+    witness = int(hits.argmin())  # the first label in no target
+    return RunResult(states, reports, eta, final_masses, "certified-noncover", uncovered, witness)
 
 
 def certify(problem, deltas):
-    """Non-coverage certificate when eta < 1, else inconclusive; checks always on."""
-    result = run(problem, deltas)
-    eta = result.eta
-    if eta >= 1:
-        return CertifyResult("inconclusive", eta, result.reports, None, None, result)
-    hits = _target_hits(problem)
-    uncovered = 1 - _label_mass(result.states[-1], hits != 0)
-    if uncovered < 1 - eta:
-        raise SoundnessError("uncovered mass below its certified floor")
-    idx = int(hits.argmin())  # the first label in no target
-    return CertifyResult(
-        "certified-noncover", eta, result.reports, uncovered, idx, result
-    )
+    """run with its checks on: the non-coverage certificate when eta < 1."""
+    return run(problem, deltas)

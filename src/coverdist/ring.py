@@ -419,8 +419,8 @@ def factor_ideal(ideal):
     field = ideal.field
     out = []
     rem = ideal
-    for p in sorted(_factor_int_budget(n)):
-        for prime in primes_above(field, p):
+    for p in sorted(_factor_int_budget(n)):  # each p already proved prime
+        for prime in _ideals_above(field, p, kernels.kronecker_disc(field.discriminant, p)):
             e = 0
             while ideal_divides(prime.ideal, rem):
                 rem = _divide_by_prime(rem, prime)

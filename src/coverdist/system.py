@@ -166,14 +166,14 @@ def target_mask(instance, j, max_enum=DEFAULT_MAX_ENUM):
 
 def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
     """The inverse system O/Q_0 <- O/Q_1 <- ... <- O/Q_J = O/Q in label
-    space: level-j label l is the HNF index of a residue mod Q_j, with
-    parent its residue mod Q_{j-1}, n/|O/Q_j| points and a target bit."""
+    space: label l of level j is the HNF index of a residue mod Q_j, with
+    n/|O/Q_j| points, in cell 2 * (its residue mod Q_{j-1}) + [l in B_j]."""
     import numpy as np
 
     from .distortion import DistortionProblem
 
     n = _enum_size(instance.q, max_enum)  # refuse before any label array
-    sizes, parents = [n], [None]
+    sizes, cells = [n], []
     for j in range(1, instance.depth + 1):
         lo, hi = instance.levels[j - 1], instance.levels[j]
         parent = kernels.level_labels(hi.u, hi.w, lo.u, lo.v, lo.w)
@@ -186,11 +186,12 @@ def build_problem(instance, max_enum=DEFAULT_MAX_ENUM):
             ok = (children == count // above).all()
         if not ok:
             raise SoundnessError(f"level {j} labels do not map O/Q_{j} onto O/Q_{j - 1}")
-        parents.append(parent)
+        parent *= 2  # in the label dtype: a prime norm is >= 2, so 2 * above <= count
+        parent += target_mask(instance, j, max_enum)
+        cells.append(parent)
         sizes.append(n // count)
-    target_bits = [target_mask(instance, j, max_enum) for j in range(1, len(sizes))]
     initial_codes = np.zeros(1, dtype=kernels.index_dtype(n))
-    return DistortionProblem(sizes, parents, target_bits, initial_codes, (Fraction(1, n),))
+    return DistortionProblem(sizes, cells, initial_codes, (Fraction(1, n),))
 
 
 def _check_delta(delta):

@@ -165,7 +165,7 @@ def to_labels(problem):
         rank[order] = np.arange(len(order))
         levels.append(rank[inverse].astype(np.int64))
         reps.append(first[order])
-    parents = [None]
+    parents = []
     for j in range(1, len(levels)):
         parent = levels[j - 1][reps[j]]
         if not np.array_equal(parent[levels[j]], levels[j - 1]):
@@ -188,14 +188,14 @@ def to_labels(problem):
         raise InputError(
             f"{len(targets)} targets for {len(levels) - 1} distortion levels"
         )
-    target_bits = []
+    cells = []
     for j, t in enumerate(targets, start=1):
         if t.shape != (n,):
             raise InputError(f"target {j} malformed")
         bits = t[reps[j]]
         if not np.array_equal(bits[levels[j]], t):
             raise InputError(f"target {j} is not a union of level-{j} fibers")
-        target_bits.append(bits)
+        cells.append(2 * parents[j - 1] + bits)
 
     if problem.initial_mass is None:
         initial_codes = np.zeros(len(reps[0]), dtype=np.int64)
@@ -215,7 +215,7 @@ def to_labels(problem):
         if sum(initial_table[c] for c in initial_codes.tolist()) * sizes[0] != 1:
             raise InputError("initial mass does not sum to 1")
 
-    problem = DistortionProblem(sizes, parents, target_bits, initial_codes, initial_table)
+    problem = DistortionProblem(sizes, cells, initial_codes, initial_table)
     return problem, levels[-1]
 
 
@@ -249,7 +249,7 @@ def verify_step_signatures(old, new, j):
         raise SoundnessError(f"step {j}: total mass drifted")
     # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
     # a cell is (parent fiber, child code) with its point count
-    cells, inv = np.unique(problem.parents[j] * nc + new.codes, return_inverse=True)
+    cells, inv = np.unique((problem.cells[j - 1] >> 1) * nc + new.codes, return_inverse=True)
     cell_size = np.zeros(len(cells), dtype=np.int64)
     np.add.at(cell_size, inv, problem.sizes[j])
     cell_parent, cell_code = np.divmod(cells, nc)
@@ -282,11 +282,11 @@ def _alpha_ids(state, j):
     l having alpha alphas[ids[l]] = inter[l] / sizes[j-1], one id per
     distinct inter."""
     problem = state.problem
-    if j != state.level + 1 or j > len(problem.target_bits):
+    if j != state.level + 1 or j > len(problem.cells):
         raise InputError(f"cannot take step {j} from level {state.level}")
-    bits = problem.target_bits[j - 1]
+    cell = problem.cells[j - 1]
     inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
-    np.add.at(inter, problem.parents[j][bits], problem.sizes[j])
+    np.add.at(inter, cell[(cell & 1) == 1] >> 1, problem.sizes[j])
     counts, ids = np.unique(inter, return_inverse=True)
     alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
     return alphas, ids, inter
@@ -299,10 +299,10 @@ def step_label_keys(state, j, delta, checks=True):
     delta = distortion._check_delta(delta)
     problem = state.problem
     alphas, ids, _ = _alpha_ids(state, j)
-    parent = problem.parents[j]
+    parent, bit = problem.cells[j - 1] >> 1, problem.cells[j - 1] & 1
     na = len(alphas)
     assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
-    keys = (state.codes[parent] * na + ids[parent]) * 2 + problem.target_bits[j - 1]
+    keys = (state.codes[parent] * na + ids[parent]) * 2 + bit
     uniq, inv = np.unique(keys, return_inverse=True)
     interned = {}
     remap = []
@@ -321,6 +321,14 @@ def step_label_keys(state, j, delta, checks=True):
     return new_state
 
 
+def target_mass(state):
+    """P_j(B_j) of a level-j state, j >= 1, summed label by label."""
+    j, problem = state.level, state.problem
+    in_target = (problem.cells[j - 1] & 1) == 1
+    total = sum((state.table[c] for c in state.codes[in_target].tolist()), Fraction(0))
+    return total * problem.sizes[j]
+
+
 def point_masses(state, problem):
     """Per-point masses of a codebook state: table[codes[label of the point]],
     with the points and labels of the PointProblem, numbered by first point."""
@@ -332,9 +340,10 @@ def alpha(state, j):
     """Per-point alpha_j, point i being level-J label i: the alpha of the
     level-(j-1) label that holds it (constant on level-(j-1) fibers)."""
     alphas, ids, _ = _alpha_ids(state, j)
-    lab = np.arange(len(state.problem.parents[-1]))
-    for parent in state.problem.parents[: j - 1 : -1]:  # levels J, ..., j
-        lab = parent[lab]
+    cells = state.problem.cells
+    lab = np.arange(len(cells[-1]))
+    for cell in reversed(cells[j - 1 :]):  # levels J, ..., j
+        lab = cell[lab] >> 1
     return [alphas[i] for i in ids[lab].tolist()]
 
 

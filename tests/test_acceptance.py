@@ -177,7 +177,7 @@ def test_certificates_sound_against_brute_force(corpus, problems, point_problems
             elif cres.verdict == "certified-noncover":
                 certified += 1
                 assert cres.eta < 1
-                final_pm = oracles.point_masses(cres.result.states[-1], pts)
+                final_pm = oracles.point_masses(cres.states[-1], pts)
                 outside = sum(
                     m for m, t in zip(final_pm, union.tolist()) if not t
                 )
@@ -225,7 +225,7 @@ def test_certificates_invariant_under_affine_maps(corpus):
         q = inst.q
         want = certify(build_problem(inst), resolve_delta_policy(inst, None))
         got = certify(build_problem(image), resolve_delta_policy(image, None))
-        assert got[:4] == want[:4]  # verdict, eta, reports, uncovered mass
+        assert got[1:6] == want[1:6]  # reports, eta, final masses, verdict, uncovered mass
         if got.verdict == "certified-noncover":
             certified += 1
             witness = residue_at(got.witness_index, q)
@@ -255,11 +255,9 @@ def test_certificates_invariant_under_affine_maps_at_depth(primes, thresholds):
     for y in thresholds:
         want = certify(build_problem(inst), resolve_delta_policy(inst, ("threshold", y)))
         got = certify(build_problem(image), resolve_delta_policy(image, ("threshold", y)))
-        assert got[:4] == want[:4]  # verdict, eta, reports, uncovered mass
-        finals = got.result.final_target_masses
-        assert finals == want.result.final_target_masses
+        assert got[1:6] == want[1:6]  # reports, eta, final masses, verdict, uncovered mass
         kept = [Fraction(1, p) for p in primes if p <= y]
-        assert finals[: len(kept)] == kept
+        assert got.final_target_masses[: len(kept)] == kept
         assert got.verdict == "certified-noncover"
         for system, res in ((inst, want), (image, got)):
             assert res.witness_index != 0
@@ -360,7 +358,7 @@ def test_pinned_certificates(near_cover, classic_cover):
         union = np.zeros(12, dtype=bool)
         for tgt in pts.targets:
             union |= tgt
-        final_pm = oracles.point_masses(cres.result.states[-1], pts)
+        final_pm = oracles.point_masses(cres.states[-1], pts)
         assert sum(m for m, t in zip(final_pm, union.tolist()) if not t) == 0
 
 
@@ -392,13 +390,10 @@ def _divisor_ideals(inst):
 
 
 def test_class_measure_domination(corpus, problems, point_problems):
-    """P_j(a + I) <= inflation bound for every divisor I of Q and every class.
-
-    Classes are screened in float64 first: the bincount sum of <= 10^4
-    correctly-rounded doubles carries relative error < 1e-11, so any class
-    whose exact mass exceeded its bound would show a float mass above
-    bound*(1 - 1e-9) and be re-checked exactly.
-    """
+    """P_j(a + I) <= inflation bound for every divisor I of Q and every class,
+    in exact arithmetic. A class's mass is the sum over codes k of table[k]
+    times its number of points of code k; classes with equal count rows have
+    equal mass, so each distinct row is summed once."""
     for inst, prob, point_prob in zip(corpus, problems, point_problems):
         pts = np.asarray(oracles.residues(inst.q), dtype=np.int64)
         divisors = [
@@ -409,22 +404,16 @@ def test_class_measure_domination(corpus, problems, point_problems):
             res = run(prob, deltas)
             for j in range(inst.depth + 1):
                 state = res.states[j]
-                values = state.values
-                vf = np.array([float(x) for x in values], dtype=np.float64)
-                lab_j = point_prob.levels[j]
-                point_f = vf[lab_j]
+                table, t = state.table, len(state.table)
+                point_codes = state.codes[point_prob.levels[j]].astype(np.int64)
                 for I, n_i, labs in divisors:
                     bound = Fraction(1, n_i)
                     for (prime, _), d in zip(inst.primes[:j], state.deltas):
                         if d and ideal_divides(prime.ideal, I):
                             bound /= 1 - d
-                    mass_f = np.bincount(labs, weights=point_f, minlength=n_i)
-                    screen = float(bound) * (1 - 1e-9)
-                    for c in np.flatnonzero(mass_f >= screen).tolist():
-                        exact = ZERO
-                        for l in lab_j[labs == c].tolist():
-                            exact += values[l]
-                        assert exact <= bound
+                    counts = np.bincount(labs * t + point_codes, minlength=n_i * t)
+                    for row in np.unique(counts.reshape(n_i, t), axis=0).tolist():
+                        assert sum((table[k] * c for k, c in enumerate(row) if c), ZERO) <= bound
 
 
 def test_moment_majorant_domination(corpus, problems):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -315,9 +316,8 @@ def test_target_pack_dtype_edges(depth, dtype):
     assert distortion._target_hits(prob).dtype == dtype
     cert = certify(prob, deltas)
     values, reports, eta, final = oracles.run_per_label(points_problem, deltas)
-    res = cert.result
-    assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in res.reports] == reports
-    assert res.final_target_masses == final and final[-1] > 0
+    assert [(r.m1, r.m2, r.contribution, r.target_mass) for r in cert.reports] == reports
+    assert cert.final_target_masses == final and final[-1] > 0
     assert cert.verdict == "certified-noncover" and cert.eta == eta < 1
     union = np.logical_or.reduce(points_problem.targets)
     outside = [values[-1][l] for l in points[~union].tolist()]
@@ -326,7 +326,8 @@ def test_target_pack_dtype_edges(depth, dtype):
 
 
 def _label_key_step(state, j, delta, fibers, checks):
-    return oracles.step_label_keys(state, j, delta, checks)
+    new = oracles.step_label_keys(state, j, delta, checks)
+    return new, oracles.target_mass(new)
 
 
 def _assert_matches_label_keys(prob, deltas):
@@ -377,7 +378,7 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     gathers the level-J codes from their cells, with no per-label sort."""
     inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
     prob = build_problem(inst)
-    depth = len(prob.target_bits)
+    depth = len(prob.cells)
     deltas = resolve_delta_policy(inst, ("threshold", 1))
     old = run(prob, deltas).states[depth - 1]
     lengths, unique = [], np.unique
@@ -387,9 +388,9 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
         return unique(ar, *args, **kwargs)
 
     monkeypatch.setattr(np, "unique", recording)
-    new = distortion._step(old, depth, deltas[-1], distortion._fibers(old, depth), True)
+    new, _ = distortion._step(old, depth, deltas[-1], distortion._fibers(old, depth), True)
     monkeypatch.undo()
-    assert lengths and max(lengths) <= len(old.codes) < len(prob.parents[depth])
+    assert lengths and max(lengths) <= len(old.codes) < len(prob.cells[-1])
     want = oracles.step_label_keys(old, depth, deltas[-1])
     assert np.array_equal(new.codes, want.codes) and new.table == want.table
 
@@ -413,21 +414,71 @@ def test_run_groups_each_level_once(corpus, monkeypatch):
     assert got.reports == want.reports
 
 
+def test_certify_is_run(corpus):
+    """certify(p, d) equals run(p, d) field by field on every corpus
+    instance under the four _policies, certified or not."""
+    verdicts = Counter()
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in _policies(inst):
+            deltas = resolve_delta_policy(inst, policy)
+            got, want = certify(prob, deltas), run(prob, deltas)
+            for x, y in zip(got.states, want.states, strict=True):
+                assert x.level == y.level and x.table == y.table and x.deltas == y.deltas
+                assert np.array_equal(x.codes, y.codes)
+            assert got[1:] == want[1:]
+            verdicts[got.verdict] += 1
+    assert verdicts["certified-noncover"] > 2000 and verdicts["inconclusive"] > 20, verdicts
+
+
+def test_run_lifts_the_targets_once(monkeypatch, six_system, classic_cover):
+    """One certify, certified or inconclusive, lifts B_1..B_J to level J once."""
+    calls, lift = [], distortion._target_hits
+
+    def counting(problem):
+        calls.append(problem)
+        return lift(problem)
+
+    monkeypatch.setattr(distortion, "_target_hits", counting)
+    for inst, verdict in ((six_system, "certified-noncover"), (classic_cover, "inconclusive")):
+        calls.clear()
+        assert certify(build_problem(inst), [HALF, HALF]).verdict == verdict
+        assert len(calls) == 1
+
+
+def test_stability_check_reads_the_step_tally(monkeypatch, six_system):
+    """P_J(B_J) in the report comes from step J's tally, and the level-J
+    codes must give it back: a step whose tally is off by one point of
+    mass 1/n fails the stability check."""
+    prob = build_problem(six_system)
+    orig, depth, n = distortion._step, len(prob.cells), prob.sizes[0]
+
+    def off_by_one_point(state, j, delta, fibers, checks):
+        new, target = orig(state, j, delta, fibers, checks)
+        return new, target - F(1, n) if j == depth else target
+
+    res = run(prob, [HALF, F(0)])
+    assert res.reports[-1].target_mass == res.final_target_masses[-1] == F(1, 3)
+    monkeypatch.setattr(distortion, "_step", off_by_one_point)
+    with pytest.raises(SoundnessError, match=f"target {depth} mass not stable"):
+        run(prob, [HALF, F(0)])
+
+
 def _corpus_runs(corpus, dtype):
     """Codes, tables, reports, final target masses and certificate of every
-    corpus instance under the four _policies; every parent and code array
+    corpus instance under the four _policies; every cell and code array
     must have the given dtype."""
     out = []
     for inst in corpus:
         prob = build_problem(inst)
-        assert all(p.dtype == dtype for p in prob.parents[1:])
+        assert all(c.dtype == dtype for c in prob.cells)
         for policy in _policies(inst):
             deltas = resolve_delta_policy(inst, policy)
             res = run(prob, deltas)
             assert all(st.codes.dtype == dtype for st in res.states)
             codes = [st.codes.tolist() for st in res.states]
             tables = [st.table for st in res.states]
-            cert = certify(prob, deltas)[:5]
+            cert = certify(prob, deltas)[1:]
             out.append((codes, tables, res.reports, res.final_target_masses, cert))
     return out
 
@@ -447,20 +498,21 @@ def test_fibers_keys_pass_2_31():
     of Python-int arithmetic, past 2^33. _fibers reads the codes, not the
     table."""
     m, b = 8, 6
+    parent = np.repeat(np.arange(m, dtype=np.int32), b)
+    bits = np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)
     prob = DistortionProblem(
         [m * b, b, 1],
-        [None, np.zeros(m, dtype=np.int32), np.repeat(np.arange(m, dtype=np.int32), b)],
-        [np.ones(m, dtype=np.bool_), np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)],
+        [np.ones(m, dtype=np.int32), 2 * parent + bits],
         np.zeros(1, dtype=np.int32),
         (F(1, m * b),),
     )
     codes = np.arange(2**31 - 1, 2**31 - 1 - m, -1, dtype=np.int32)
     state = distortion.DistortionState(prob, 1, codes, (F(0),), (F(0),))
-    alphas, inter, keys, group = distortion._fibers(state, 2)
+    alphas, split, inter, keys, group = distortion._fibers(state, 2)
     assert alphas == tuple(F(k, b) for k in range(7))
     assert keys.dtype == np.int64 and int(keys.max()) > 2**33
     for l in range(m):
-        assert inter[l] == l % 7
+        assert (split[2 * l], split[2 * l + 1], inter[l]) == (b - l % 7, l % 7, l % 7)
         assert int(keys[group[l]]) == int(codes[l]) * 7 + l % 7
 
 
@@ -493,7 +545,7 @@ def test_verify_step_catches_tampered_codes(six_system):
 def _swap_labels(rng, new):
     """Codes of new with two labels of different parents and different
     values swapped, or None if there are none."""
-    parent, codes = new.problem.parents[new.level], new.codes
+    parent, codes = new.problem.cells[new.level - 1] >> 1, new.codes
     l1 = rng.randrange(len(codes))
     other = (parent != parent[l1]) & (codes != codes[l1])
     if not other.any():
@@ -507,7 +559,7 @@ def _swap_labels(rng, new):
 def _children(new):
     """The children of each parent, in label order."""
     children = {}
-    for l, p in enumerate(new.problem.parents[new.level].tolist()):
+    for l, p in enumerate((new.problem.cells[new.level - 1] >> 1).tolist()):
         children.setdefault(p, []).append(l)
     return children
 
@@ -553,9 +605,8 @@ def _split_siblings(rng, new):
     swapped with a label of another code in the same fiber: the fiber
     keeps its mass and its (code, count) cells, but the cell holds two
     codes. None if the draw finds none."""
-    prob, j = new.problem, new.level
-    parent, codes = prob.parents[j], new.codes
-    cell = parent * 2 + prob.target_bits[j - 1]
+    cell, codes = new.problem.cells[new.level - 1], new.codes
+    parent = cell >> 1
     l1 = rng.randrange(len(codes))
     other = (parent == parent[l1]) & (codes != codes[l1])
     if np.count_nonzero(cell == cell[l1]) < 2 or not other.any():
@@ -631,10 +682,9 @@ def _two_steps(codes1, table1, parents2, bits2, codes2, table2):
     level-2 labels each hold one point, len(parents2) / len(codes1) to a
     level-1 label."""
     n, m = len(parents2), len(codes1)
-    parents = [None, np.zeros(m, dtype=np.int64), np.array(parents2)]
-    bits = [np.zeros(m, dtype=bool), np.array(bits2)]
+    cells = [np.zeros(m, dtype=np.int64), 2 * np.array(parents2) + np.array(bits2)]
     initial = np.zeros(1, dtype=np.int64)
-    prob = DistortionProblem([n, n // m, 1], parents, bits, initial, (F(1, n),))
+    prob = DistortionProblem([n, n // m, 1], cells, initial, (F(1, n),))
     old = distortion.DistortionState(prob, 1, np.array(codes1), tuple(table1), (F(0),))
     new = distortion.DistortionState(prob, 2, np.array(codes2), tuple(table2), (F(0), F(0)))
     return old, new
@@ -658,6 +708,27 @@ def test_verify_step_checks_every_distinct_row():
         for check in (distortion._verify_step, oracles.verify_step_signatures):
             with pytest.raises(SoundnessError, match="fiber mass"):
                 check(old, new, 2)
+
+
+def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):
+    """The step reads the per-cell label counts of _fibers; the check
+    counts the cells again. Counts that move one label of near_cover's one
+    fiber out of B_1 give the step alpha 1/2 in place of 3/4, and the check
+    must refuse the step."""
+    orig = distortion._fibers
+
+    def one_label_out(state, j):
+        _, split, _, keys, group = orig(state, j)
+        split = split + [1, -1]
+        inter = split[1::2] * state.problem.sizes[j]
+        return (F(int(inter[0]), state.problem.sizes[j - 1]),), split, inter, keys, group
+
+    prob = build_problem(near_cover)
+    run(prob, [HALF])
+    monkeypatch.setattr(distortion, "_fibers", one_label_out)
+    run(prob, [HALF], checks=False)
+    with pytest.raises(SoundnessError, match="mass drifted|fiber mass"):
+        run(prob, [HALF])
 
 
 def test_broken_factor_fails_run_and_cli(monkeypatch, capsys, near_cover):
@@ -687,32 +758,37 @@ def test_stability_check(monkeypatch, six_system):
     orig = distortion._step
 
     def bad_step(state, j, delta, fibers, checks):
-        new = orig(state, j, delta, fibers, checks=False)
+        new, _ = orig(state, j, delta, fibers, checks=False)
         if j == 2:
             assert list(new.values) == [F(0), F(1, 3)] * 3
             codes = new.codes.copy()
             codes[[0, 3]] = codes[[3, 0]]
             new = new._replace(codes=codes)
-        return new
+        return new, oracles.target_mass(new)
 
     monkeypatch.setattr(distortion, "_step", bad_step)
     with pytest.raises(SoundnessError, match="not stable"):
         run(build_problem(six_system), [HALF, F(0)])
 
 
-def test_uncovered_floor_check(monkeypatch, near_cover):
-    # the union of the targets gets all the mass; each target keeps its own,
-    # since the run is over before the label mass breaks
-    orig = distortion.run
+def test_uncovered_floor_check(monkeypatch, six_system):
+    # run reads P_J(B_1), ..., P_J(B_J) and then the union's mass, each from
+    # _label_mass; the union alone gets all the mass, so every target keeps
+    # its own and only the floor can fail
+    prob, orig, calls = build_problem(six_system), distortion._label_mass, []
 
-    def run_then_break(*args, **kwargs):
-        res = orig(*args, **kwargs)
-        monkeypatch.setattr(distortion, "_label_mass", lambda state, bits: F(1))
-        return res
+    def union_takes_all(state, bits):
+        calls.append(bits)
+        return F(1) if len(calls) > len(prob.cells) else orig(state, bits)
 
-    monkeypatch.setattr(distortion, "run", run_then_break)
+    res = run(prob, [F(0), F(0)])
+    assert res.verdict == "certified-noncover" and res.uncovered_mass == F(1, 3)
+    monkeypatch.setattr(distortion, "_label_mass", union_takes_all)
     with pytest.raises(SoundnessError, match="floor"):
-        certify(build_problem(near_cover), [F(0)])
+        run(prob, [F(0), F(0)])
+    assert len(calls) == 3 and np.array_equal(calls[-1], distortion._target_hits(prob) != 0)
+    calls.clear()
+    assert run(prob, [F(0), F(0)], checks=False).uncovered_mass == 0
 
 
 # ------------------------------------------------------------ invariants
@@ -851,14 +927,14 @@ def test_sparse_labels_certify_as_dense(six_system, near_cover, gauss_cover):
         for levels in (prob.levels, [2 * lv for lv in prob.levels], top):
             problem, _ = oracles.to_labels(oracles.PointProblem(levels, prob.targets))
             got = certify(problem, deltas)
-            assert got[:5] == want[:5]
+            assert got[1:] == want[1:]
         # points in reverse order: the witness is still the first uncovered
         # point, the first point of the witness label
         targets = [t[::-1] for t in prob.targets]
         reverse = oracles.PointProblem([lv[::-1] for lv in prob.levels], targets)
         problem, points = oracles.to_labels(reverse)
         got = certify(problem, deltas)
-        assert got[:4] == want[:4]
+        assert got[1:6] == want[1:6]  # all but the states and the witness
         first = np.flatnonzero(~np.logical_or.reduce(targets))[0]
         assert np.flatnonzero(points == got.witness_index)[0] == first
 

@@ -652,3 +652,18 @@ def test_factor_large_prime_ok():
     factors = factor_ideal(ideal)
     assert len(factors) == 1 and factors[0][1] == 1
     assert factors[0][0].norm == p
+
+
+def test_factor_ideal_tests_each_prime_once(monkeypatch):
+    """_factor_int_budget proves the Mersenne prime 2^3217 - 1 prime with
+    one isprime call, and factor_ideal finds the ideal above it without a
+    second test. primes_above still tests its argument."""
+    field = make_field("rational")
+    p = 2**3217 - 1
+    calls, orig = [], ring_module.isprime
+    monkeypatch.setattr(ring_module, "isprime", lambda n: calls.append(n) or orig(n))
+    factors = factor_ideal(ideal_from_gens(field, [(p, 0)]))
+    assert [(prime.norm, e) for prime, e in factors] == [(p, 1)]
+    assert calls == [p]
+    assert [prime.norm for prime in primes_above(field, p)] == [p]
+    assert calls == [p, p]

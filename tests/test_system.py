@@ -242,22 +242,22 @@ def test_target_mask_oracle(corpus):
 
 
 def test_build_problem_labels(classic_cover):
-    # level-j label l is the residue residue_at(l, Q_j): its parent is that
-    # residue reduced mod Q_{j-1}, and it holds n/|O/Q_j| points
+    # level-j label l is the residue residue_at(l, Q_j): its parent, half
+    # its cell, is that residue reduced mod Q_{j-1}, and it holds n/|O/Q_j|
+    # points
     inst = classic_cover
     prob = build_problem(inst)
     n = ideal_norm(inst.q)
-    assert len(prob.parents) == len(prob.sizes) == inst.depth + 1
-    assert len(prob.target_bits) == inst.depth
+    assert len(prob.sizes) == len(prob.cells) + 1 == inst.depth + 1
     assert prob.sizes[0] == n and type(prob.sizes[0]) is int
     for j in range(1, inst.depth + 1):
         lo, hi = inst.levels[j - 1], inst.levels[j]
         count = ideal_norm(hi)
         assert prob.sizes[j] == n // count and type(prob.sizes[j]) is int
-        assert len(prob.parents[j]) == count
+        assert len(prob.cells[j - 1]) == count
         for l in range(count):
             want = oracles.residue_index(reduce(residue_at(l, hi), lo), lo)
-            assert prob.parents[j][l] == want
+            assert prob.cells[j - 1][l] >> 1 == want
 
 
 def test_build_problem_points(gauss_cover):
@@ -266,9 +266,9 @@ def test_build_problem_points(gauss_cover):
     prob = build_problem(gauss_cover)
     q = gauss_cover.q
     pts = oracles.residues(q)
-    assert prob.sizes[-1] == 1 and len(prob.parents[-1]) == len(pts)
+    assert prob.sizes[-1] == 1 and len(prob.cells[-1]) == len(pts)
     assert [residue_at(i, q) for i in range(len(pts))] == pts
-    assert [t.sum() for t in prob.target_bits] == [3]
+    assert [np.count_nonzero(c & 1) for c in prob.cells] == [3]
 
 
 def _split_pair_instance(key):
@@ -290,15 +290,16 @@ def test_build_problem_matches_point_oracle(corpus):
     """The label-space problem equals what oracles.to_labels derives from
     the n-point label arrays and target masks of the oracle builder, on
     every field, with prime powers and split primes of equal norm among
-    them."""
+    them. Point i's level-j cell is 2 * (its level-(j-1) label) + [i in B_j]."""
     extra = [_split_pair_instance(k) for k in FIELD_KEYS if k != "rational"]
     seen = set()
     for inst in corpus + extra:
         got = build_problem(inst)
-        want, points = oracles.to_labels(oracles.build_problem_points(inst))
-        for field in ("parents", "target_bits"):
-            for a, b in zip(getattr(got, field), getattr(want, field)):
-                assert (a is b is None) or np.array_equal(a, b), field
+        pts = oracles.build_problem_points(inst)
+        want, points = oracles.to_labels(pts)
+        for j, (a, b) in enumerate(zip(got.cells, want.cells, strict=True), start=1):
+            assert a.dtype == kernels.index_dtype(ideal_norm(inst.q)) and np.array_equal(a, b)
+            assert np.array_equal(a[pts.levels[j]], 2 * pts.levels[j - 1] + pts.targets[j - 1])
         assert got.sizes == want.sizes and {type(s) for s in got.sizes} == {int}
         assert np.array_equal(points, np.arange(ideal_norm(inst.q)))
         assert np.array_equal(got.initial_codes, want.initial_codes)
@@ -349,8 +350,8 @@ def test_build_problem_memory():
         tracemalloc.stop()
     assert peak < 8 * 10**6, peak
     for j in range(1, inst.depth):
-        assert len(prob.parents[j]) == len(prob.target_bits[j - 1]) < n, j
-    assert len(prob.parents[-1]) == len(prob.target_bits[-1]) == n
+        assert len(prob.cells[j - 1]) < n, j
+    assert len(prob.cells[-1]) == n
     # every level's point count is one int, equal to the oracle's
     want, _ = oracles.to_labels(oracles.build_problem_points(inst))
     assert prob.sizes == want.sizes == [n // ideal_norm(lv) for lv in inst.levels]

@@ -24,29 +24,31 @@ This multiplies pointwise, preserves the mass of every level-(j-1) fiber
 where M1, M2 are the first and second moments of alpha under P_{j-1}.
 All masses are Fractions; nothing is approximated.
 
-The measure is a codebook. A level-j state holds `codes`, an integer array
-with one code per level-j label, and `table`, a tuple of the distinct
-Fraction values: every point of label l has mass table[codes[l]]. A
+The measure is a codebook. A level-0 state holds `codes`, one integer per
+level-0 label, and `table`, a tuple of the distinct Fraction values. A
 step's factor depends only on the parent fiber's alpha, the target bit
-and delta, so the table stays small while the labels grow to |S|.
-Per-label work is integer numpy (one np.add.at count of the labels per
-cell, one gather of the new codes through the cells); sorts run only over
-the level-(j-1) fibers, and Fraction arithmetic runs once per distinct
-key. Label-sized arrays (cells, codes) take kernels.index_dtype, int32
-below 2^31 entries; point counts and (code, alpha id) keys stay int64.
+and delta, so P_j is constant on each (parent, target-bit) cell: a
+level-j state, j >= 1, holds one code per cell of cells[j-1], and every
+point of level-j label l has mass table[codes[cells[j-1][l]]]. The table
+stays small while the labels grow to |S|. Per-label work is integer numpy
+(one np.add.at count of the labels per cell, and a gather of the label
+codes of level j-1 where step j needs them); sorts run only over the
+level-(j-1) fibers, and Fraction arithmetic runs once per distinct key.
+Label-sized arrays (cells, codes) take kernels.index_dtype, int32 below
+2^31 entries; point counts and (code, alpha id) keys stay int64.
 
 run is the one stepping path, and its RunResult is the certificate. Every
 level-J target fact (the final target masses, the uncovered mass and the
 witness) comes from one lift: B_1..B_J packed into one unsigned integer
-per level-J label, bit j-1 for B_j, with one gather per level.
+per level-J cell, bit j-1 for B_j, with one gather per level below J.
+The masses are sums over the level-J cells, each weighted by its points.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber keeps its mass. Its labels
-    fall into its two cells, and all labels of a cell must share one code;
-    fibers with the same (code, cell codes, cell point counts) row are
-    checked once, each cell's table[code] * count summed and compared with
-    the parent's mass;
+    fall into its two cells; fibers with the same (code, cell codes, cell
+    point counts) row are checked once, each cell's table[code] * count
+    summed and compared with the parent's mass;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) from the level-J codes equals step j's tally;
   - when eta < 1 the uncovered mass is at least 1 - eta.
@@ -72,19 +74,16 @@ class DistortionProblem(NamedTuple):
 class DistortionState(NamedTuple):
     problem: DistortionProblem
     level: int
-    codes: np.ndarray  # one index into table per level-`level` label
+    codes: np.ndarray  # index into table per level-0 label, or per cell of cells[level-1]
     table: tuple  # distinct Fractions: mass of EACH point in a fiber
     deltas: tuple
 
     @property
     def values(self):
-        """Read-only per-label masses: table[codes[l]] for each label l."""
-        out = np.array(self.table, dtype=object)[self.codes]
+        """Read-only per-label masses: the mass of each point of label l."""
+        out = np.array(self.table, dtype=object)[_label_codes(self)]
         out.flags.writeable = False
         return out
-
-    def total_mass(self):
-        return _grouped_sum(self.codes, self.problem.sizes[self.level], self.table)
 
 
 class MomentReport(NamedTuple):
@@ -108,7 +107,7 @@ class RunResult(NamedTuple):
 
 def _grouped_sum(ids, counts, values):
     """Sum over l of values[ids[l]] * counts[l], for integer ids and int64
-    counts, or of values[ids[l]] * counts for one int count.
+    counts.
 
     The counts are summed per id in int64; the Fraction product runs once
     per id with a nonzero sum.
@@ -121,6 +120,13 @@ def _grouped_sum(ids, counts, values):
     return total
 
 
+def _label_codes(state):
+    """One code per label of the state's level: a label takes its cell's code."""
+    if state.level == 0:
+        return state.codes
+    return state.codes[state.problem.cells[state.level - 1]]
+
+
 def _fibers(state, j):
     """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, split, inter,
     keys, group). Cell c = 2 * l + bit of label l holds split[c] level-j
@@ -128,14 +134,14 @@ def _fibers(state, j):
     alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
     int64. group has the index_dtype of the 2 * len(keys) step cells.
     """
-    problem = state.problem
-    split = np.zeros(2 * len(state.codes), dtype=np.int64)
+    problem, codes = state.problem, _label_codes(state)
+    split = np.zeros(2 * len(codes), dtype=np.int64)
     np.add.at(split, problem.cells[j - 1], 1)
     inter = split[1::2] * problem.sizes[j]  # target points per parent
     counts, ids = np.unique(inter, return_inverse=True)
     alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
     # int64 keys: an int32 code times a Python int stays int32 and would wrap
-    keys = state.codes.astype(np.int64) * len(alphas) + ids
+    keys = codes.astype(np.int64) * len(alphas) + ids
     keys, group = np.unique(keys, return_inverse=True)
     return alphas, split, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
 
@@ -144,7 +150,7 @@ def _moments(state, fibers):
     """(M1, M2): first and second moments of alpha_j under the state's measure."""
     alphas, _, inter, keys, group = fibers
     table, na = state.table, len(alphas)
-    m1 = _grouped_sum(state.codes, inter, table)
+    m1 = _grouped_sum(_label_codes(state), inter, table)
     # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
     m2 = _grouped_sum(group, inter, [table[k // na] * alphas[k % na] for k in keys.tolist()])
     return m1, m2
@@ -167,9 +173,8 @@ def _step(state, j, delta, fibers, checks):
     problem = state.problem
     alphas, split, _, keys, group = fibers
     na, keys = len(alphas), keys.tolist()
-    # a level-j label's new mass depends only on the (group, bit) cell of
-    # its (parent, bit) cell; one value per occupied group cell, interned in
-    # ascending order
+    # a (parent, bit) cell's new mass depends only on its (group, bit)
+    # cell; one value per occupied group cell, interned in ascending order
     gcell = np.repeat(group * 2, 2)
     gcell[1::2] += 1
     tally = np.zeros(2 * len(keys), dtype=np.int64)  # level-j labels per group cell
@@ -184,9 +189,8 @@ def _step(state, j, delta, fibers, checks):
             if c % 2:
                 target += v * int(tally[c])
         remap[c] = interned.setdefault(v, len(interned))
-    codes = remap[gcell][problem.cells[j - 1]]
     deltas = state.deltas + (delta,)
-    new_state = DistortionState(problem, j, codes, tuple(interned), deltas)
+    new_state = DistortionState(problem, j, remap[gcell], tuple(interned), deltas)
     if checks:
         _verify_step(state, new_state, j)
     return new_state, target * problem.sizes[j]
@@ -195,21 +199,16 @@ def _step(state, j, delta, fibers, checks):
 def _verify_step(old, new, j):
     problem = old.problem
     nc = len(new.table)
-    if new.codes.min() < 0 or new.codes.max() >= nc:
+    code = new.codes  # one per (parent fiber, target bit) cell
+    if code.min() < 0 or code.max() >= nc:
         raise SoundnessError(f"step {j}: code outside the value table")
-    if new.total_mass() != 1:
+    count = np.zeros(len(code), dtype=np.int64)  # points per cell; an empty cell has 0
+    np.add.at(count, problem.cells[j - 1], problem.sizes[j])
+    if _grouped_sum(code, count, new.table) != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
-    # a step codes a level-j label by its cell (parent fiber, target bit)
-    # alone, so every level-(j-1) fiber's mass is the sum over its two cells
-    cell = problem.cells[j - 1]
-    code = np.zeros(2 * len(old.codes), dtype=new.codes.dtype)  # an empty cell: code 0, 0 points
-    code[cell] = new.codes
-    if (code[cell] != new.codes).any():
-        raise SoundnessError(f"step {j}: fiber mass split within a target-bit cell")
-    count = np.zeros(len(code), dtype=np.int64)
-    np.add.at(count, cell, problem.sizes[j])
-    # one row per parent; the mass identity runs once per distinct row
-    rows = np.stack([old.codes, code[0::2], code[1::2], count[0::2], count[1::2]])
+    # every level-(j-1) fiber's mass is the sum over its two cells; one row
+    # per parent, and the mass identity runs once per distinct row
+    rows = np.stack([_label_codes(old), code[0::2], code[1::2], count[0::2], count[1::2]])
     rows = rows[:, np.lexsort(rows)]
     firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
     for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
@@ -218,21 +217,16 @@ def _verify_step(old, new, j):
 
 
 def _target_hits(problem):
-    """B_1..B_J over the level-J labels, packed: bit j-1 of hits[l] is set
-    when level-J label l lies in B_j. One gather per level, in the smallest
-    unsigned dtype that holds J bits."""
-    dtype = np.min_scalar_type(2 ** len(problem.cells) - 1)
-    hits = np.zeros(len(problem.initial_codes), dtype=dtype)
+    """B_1..B_J over the cells of cells[J-1], J >= 1, packed: bit j-1 of
+    hits[c] is set when cell c's labels lie in B_j. One gather per level
+    below J, in the smallest unsigned dtype that holds J bits."""
+    levels = len(problem.cells)
+    hits = np.zeros(len(problem.initial_codes), dtype=np.min_scalar_type(2**levels - 1))
     for bit, cell in enumerate(problem.cells):
         pair = np.repeat(hits, 2)  # pair[c] for cell c = 2 * parent + target bit
         pair[1::2] |= 1 << bit
-        hits = pair[cell]
+        hits = pair[cell] if bit < levels - 1 else pair
     return hits
-
-
-def _label_mass(state, bits):
-    """Mass of the labels of the state's level where bits is set."""
-    return _grouped_sum(state.codes[bits], state.problem.sizes[state.level], state.table)
 
 
 def run(problem, deltas, checks=True):
@@ -261,18 +255,23 @@ def run(problem, deltas, checks=True):
         reports.append(MomentReport(j, delta, m1, m2, contribution, pjbj))
         states.append(new)
         eta += contribution
-    hits = _target_hits(problem)
-    final_masses = [_label_mass(states[-1], (hits & (1 << j)) != 0) for j in range(levels)]
+    if not levels:  # no target: every point is uncovered, the first one too
+        return RunResult(states, reports, eta, [], "certified-noncover", Fraction(1), 0)
+    hits, final = _target_hits(problem), states[-1]
+    points = fibers[1] * problem.sizes[levels]  # per level-J cell, from step J's split
+    final_masses = [
+        _grouped_sum(final.codes, points * (hits >> j & 1), final.table) for j in range(levels)
+    ]
     if checks:
         for rep, fm in zip(reports, final_masses):
             if fm != rep.target_mass:
                 raise SoundnessError(f"target {rep.j} mass not stable after its step")
     if eta >= 1:
         return RunResult(states, reports, eta, final_masses, "inconclusive", None, None)
-    uncovered = 1 - _label_mass(states[-1], hits != 0)
+    uncovered = 1 - _grouped_sum(final.codes, points * (hits != 0), final.table)
     if checks and uncovered < 1 - eta:
         raise SoundnessError("uncovered mass below its certified floor")
-    witness = int(hits.argmin())  # the first label in no target
+    witness = int(hits[problem.cells[-1]].argmin())  # the first level-J label in no target
     return RunResult(states, reports, eta, final_masses, "certified-noncover", uncovered, witness)
 
 

@@ -138,16 +138,17 @@ def mark_class(mask, residue, modulus, q):
 
 
 def level_labels(uq, wq, uj, vj, wj):
-    """Index of (residue mod Q_j) for each residue x + y*w of O/Q, in the
-    index_dtype of |O/Q| = uq*wq. Q_j divides Q, so uj divides uq and every
-    intermediate lies in (-uj, uq*wq)."""
+    """Index of (residue mod Q_j) for each residue x + y*w of O/Q, in one
+    array of the index_dtype of |O/Q| = uq*wq. Q_j divides Q, so uj divides
+    uq and every intermediate lies in (-uj, uq*wq)."""
     import numpy as np
 
     dtype = index_dtype(uq * wq)
     y = np.arange(wq, dtype=np.int64)
     yy = y % wj
-    shift = ((y - yy) // wj * vj % uj).astype(dtype)  # t*vj mod uj, t = y // wj
-    xx = np.arange(uq, dtype=dtype)[None, :] - shift[:, None]
+    shift = (y - yy) // wj * vj % uj  # t*vj mod uj, t = y // wj
+    xx = np.arange(uq * wq, dtype=dtype).reshape(wq, uq)  # y*uq + x
+    xx -= (y * uq + shift).astype(dtype)[:, None]
     xx %= uj
     xx += (yy * uj).astype(dtype)[:, None]
     return xx.ravel()

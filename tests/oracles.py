@@ -237,34 +237,50 @@ def build_problem_points(instance):
     return PointProblem(levels=levels, targets=targets)
 
 
+def label_codes(state):
+    """One code per label of a state's level: a level-j state, j >= 1,
+    codes the cells of cells[j-1], and label l takes the code of its cell."""
+    if state.level == 0:
+        return state.codes
+    return state.codes[state.problem.cells[state.level - 1]]
+
+
+def total_mass(state):
+    """Mass of a state, summed label by label."""
+    table, sizes = state.table, state.problem.sizes
+    return sum((table[c] for c in label_codes(state).tolist()), Fraction(0)) * sizes[state.level]
+
+
 def verify_step_signatures(old, new, j):
     """distortion._verify_step as it was: fiber mass checked on (parent
     fiber, child code) cells, one Fraction sum per distinct parent
-    signature, each signature refined by one sort per cell rank."""
+    signature, each signature refined by one sort per cell rank, from the
+    codes of the labels."""
     problem = old.problem
     nc = len(new.table)
     if new.codes.min() < 0 or new.codes.max() >= nc:
         raise SoundnessError(f"step {j}: code outside the value table")
-    if new.total_mass() != 1:
+    if total_mass(new) != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
+    old_codes, new_codes = label_codes(old), label_codes(new)
     # every level-(j-1) fiber keeps its mass, recomputed from the new codes:
     # a cell is (parent fiber, child code) with its point count
-    cells, inv = np.unique((problem.cells[j - 1] >> 1) * nc + new.codes, return_inverse=True)
+    cells, inv = np.unique((problem.cells[j - 1] >> 1) * nc + new_codes, return_inverse=True)
     cell_size = np.zeros(len(cells), dtype=np.int64)
     np.add.at(cell_size, inv, problem.sizes[j])
     cell_parent, cell_code = np.divmod(cells, nc)
     # cells are sorted by parent and every parent has at least one
-    bounds = np.searchsorted(cell_parent, np.arange(len(old.codes) + 1))
+    bounds = np.searchsorted(cell_parent, np.arange(len(old_codes) + 1))
     rank = np.arange(len(cells)) - bounds[cell_parent]
     # signature of a parent: its own code, then its cells' (code, count)
     # pairs in code order, refined one rank at a time
-    _, sig = np.unique(old.codes, return_inverse=True)
+    _, sig = np.unique(old_codes, return_inverse=True)
     _, pair = np.unique(
         cell_code * (int(cell_size.max()) + 1) + cell_size, return_inverse=True
     )
     for r in range(int(rank.max()) + 1):
         at = rank == r
-        ext = np.zeros(len(old.codes), dtype=np.int64)  # 0: no cell of this rank
+        ext = np.zeros(len(old_codes), dtype=np.int64)  # 0: no cell of this rank
         ext[cell_parent[at]] = pair[at] + 1
         _, sig = np.unique(sig * (len(cells) + 1) + ext, return_inverse=True)
     _, firsts = np.unique(sig, return_index=True)
@@ -273,7 +289,7 @@ def verify_step_signatures(old, new, j):
         got = Fraction(0)
         for c, s in zip(cell_code[lo:hi].tolist(), cell_size[lo:hi].tolist()):
             got += new.table[c] * s
-        if got != old.table[old.codes[p]] * problem.sizes[j - 1]:
+        if got != old.table[old_codes[p]] * problem.sizes[j - 1]:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
@@ -285,7 +301,7 @@ def _alpha_ids(state, j):
     if j != state.level + 1 or j > len(problem.cells):
         raise InputError(f"cannot take step {j} from level {state.level}")
     cell = problem.cells[j - 1]
-    inter = np.zeros(len(state.codes), dtype=np.int64)  # target points per parent
+    inter = np.zeros(len(label_codes(state)), dtype=np.int64)  # target points per parent
     np.add.at(inter, cell[(cell & 1) == 1] >> 1, problem.sizes[j])
     counts, ids = np.unique(inter, return_inverse=True)
     alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
@@ -295,14 +311,16 @@ def _alpha_ids(state, j):
 def step_label_keys(state, j, delta, checks=True):
     """distortion.step as it was: one mixed-radix (parent code, parent alpha
     id, target bit) key per level-j label, sorted with np.unique, and one
-    value interned per distinct key in ascending key order."""
+    value interned per distinct key in ascending key order. The new state
+    codes each (parent, target bit) cell by the code of its labels; an
+    empty cell gets code 0."""
     delta = distortion._check_delta(delta)
     problem = state.problem
     alphas, ids, _ = _alpha_ids(state, j)
     parent, bit = problem.cells[j - 1] >> 1, problem.cells[j - 1] & 1
     na = len(alphas)
     assert len(state.table) * na * 2 <= np.iinfo(np.int64).max, "keys overflow int64"
-    keys = (state.codes[parent] * na + ids[parent]) * 2 + bit
+    keys = (label_codes(state)[parent] * na + ids[parent]) * 2 + bit
     uniq, inv = np.unique(keys, return_inverse=True)
     interned = {}
     remap = []
@@ -313,7 +331,8 @@ def step_label_keys(state, j, delta, checks=True):
         if v:
             v = v * distortion._factor(alphas[a], bit, delta)
         remap.append(interned.setdefault(v, len(interned)))
-    codes = np.asarray(remap, dtype=np.int64)[inv]
+    codes = np.zeros(2 * len(ids), dtype=np.int64)
+    codes[problem.cells[j - 1]] = np.asarray(remap, dtype=np.int64)[inv]
     deltas = state.deltas + (delta,)
     new_state = distortion.DistortionState(problem, j, codes, tuple(interned), deltas)
     if checks:
@@ -325,14 +344,14 @@ def target_mass(state):
     """P_j(B_j) of a level-j state, j >= 1, summed label by label."""
     j, problem = state.level, state.problem
     in_target = (problem.cells[j - 1] & 1) == 1
-    total = sum((state.table[c] for c in state.codes[in_target].tolist()), Fraction(0))
+    total = sum((state.table[c] for c in label_codes(state)[in_target].tolist()), Fraction(0))
     return total * problem.sizes[j]
 
 
 def point_masses(state, problem):
     """Per-point masses of a codebook state: table[codes[label of the point]],
     with the points and labels of the PointProblem, numbered by first point."""
-    codes = state.codes.tolist()
+    codes = label_codes(state).tolist()
     return [state.table[codes[l]] for l in _dense(problem.levels[state.level])]
 
 

@@ -405,7 +405,7 @@ def test_class_measure_domination(corpus, problems, point_problems):
             for j in range(inst.depth + 1):
                 state = res.states[j]
                 table, t = state.table, len(state.table)
-                point_codes = state.codes[point_prob.levels[j]].astype(np.int64)
+                point_codes = oracles.label_codes(state)[point_prob.levels[j]].astype(np.int64)
                 for I, n_i, labs in divisors:
                     bound = Fraction(1, n_i)
                     for (prime, _), d in zip(inst.primes[:j], state.deltas):

@@ -233,7 +233,7 @@ def test_corpus_random_deltas(corpus):
         n, levels, targets = _oracle_inputs(inst)
         om, _ = oracles.run_oracle(n, levels, targets, deltas)
         assert masses(res.states[-1], inst) == om[-1]
-        assert res.states[-1].total_mass() == 1
+        assert oracles.total_mass(res.states[-1]) == 1
 
 
 @st.composite
@@ -307,7 +307,7 @@ def _binary_chain(depth, rng):
 @pytest.mark.parametrize("depth, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
 def test_target_pack_dtype_edges(depth, dtype):
     """B_1..B_J are packed into one uint8, uint16 or uint32 per level-J
-    label at J = 8, 9 and 17. On binary chains the final target masses,
+    cell at J = 8, 9 and 17. On binary chains the final target masses,
     reports, verdict, uncovered mass and witness equal those of the
     per-label oracle and of a brute-force union. The top target keeps
     some mass, so a pack too narrow for its bit shows."""
@@ -331,9 +331,9 @@ def _label_key_step(state, j, delta, fibers, checks):
 
 
 def _assert_matches_label_keys(prob, deltas):
-    # run with step and with the label-key step it replaced: the same codes
-    # and table at every level, so the same reports; the oracle codes are
-    # int64, step's are int32 after level 0
+    # run with step and with the label-key step it replaced: the same cell
+    # codes and table at every level, so the same reports; the oracle codes
+    # are int64, step's are int32 after level 0
     res = run(prob, deltas)
     with mock.patch.object(distortion, "_step", _label_key_step):
         want = run(prob, deltas)
@@ -375,7 +375,7 @@ def test_random_chains_match_label_keys(case):
 def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     """The last step of the deepest corpus instance hands np.unique nothing
     longer than the level-(J-1) labels: it groups the parent fibers and
-    gathers the level-J codes from their cells, with no per-label sort."""
+    codes their cells, with no per-label sort."""
     inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
     prob = build_problem(inst)
     depth = len(prob.cells)
@@ -390,7 +390,7 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     monkeypatch.setattr(np, "unique", recording)
     new, _ = distortion._step(old, depth, deltas[-1], distortion._fibers(old, depth), True)
     monkeypatch.undo()
-    assert lengths and max(lengths) <= len(old.codes) < len(prob.cells[-1])
+    assert lengths and max(lengths) <= len(oracles.label_codes(old)) < len(prob.cells[-1])
     want = oracles.step_label_keys(old, depth, deltas[-1])
     assert np.array_equal(new.codes, want.codes) and new.table == want.table
 
@@ -464,6 +464,50 @@ def test_stability_check_reads_the_step_tally(monkeypatch, six_system):
         run(prob, [HALF, F(0)])
 
 
+def test_states_code_each_cell(corpus):
+    """A level-j state, j >= 1, holds one code per cell of cells[j-1]:
+    2 * |L_{j-1}| of them. Its per-label values equal the per-label
+    oracle's on every corpus instance under the four _policies."""
+    for inst in corpus:
+        prob, points = build_problem(inst), oracles.build_problem_points(inst)
+        labels = [len(prob.initial_codes)] + [len(cell) for cell in prob.cells]
+        for policy in _policies(inst):
+            deltas = resolve_delta_policy(inst, policy)
+            res = run(prob, deltas)
+            assert [len(st.codes) for st in res.states[1:]] == [2 * m for m in labels[:-1]]
+            values, *_ = oracles.run_per_label(points, deltas)
+            assert [list(st.values) for st in res.states] == values
+
+
+def test_certify_sums_below_level_j_labels(monkeypatch):
+    """certify on 0 mod p for p <= 17 (n = 510,510, depth 7) sums masses
+    over level-6 labels or level-7 cells, never over the n level-7 labels:
+    no _grouped_sum call gets more than 2 * |O/Q_6| ids."""
+    field = make_field("rational")
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    inst = validate(field, [((0, 0), ideal_from_gens(field, [(p, 0)])) for p in primes])
+    prob, lengths, orig = build_problem(inst), [], distortion._grouped_sum
+
+    def recording(ids, counts, values):
+        lengths.append(len(ids))
+        return orig(ids, counts, values)
+
+    monkeypatch.setattr(distortion, "_grouped_sum", recording)
+    cert = certify(prob, resolve_delta_policy(inst, ("threshold", 2)))
+    assert cert.verdict == "certified-noncover"
+    assert max(lengths) <= 2 * ideal_norm(inst.levels[-2]) == 2 * 30030 < ideal_norm(inst.q)
+
+
+def test_no_levels_leave_every_point_uncovered():
+    """A problem with no levels has no target: run returns eta 0, the
+    certified-noncover verdict, uncovered mass 1 and witness 0."""
+    prob = DistortionProblem([2], [], np.zeros(3, dtype=np.int32), (F(1, 6),))
+    for checks in (True, False):
+        res = run(prob, [], checks=checks)
+        assert res[1:] == ([], F(0), [], "certified-noncover", F(1), 0)
+        assert [st.level for st in res.states] == [0]
+
+
 def _corpus_runs(corpus, dtype):
     """Codes, tables, reports, final target masses and certificate of every
     corpus instance under the four _policies; every cell and code array
@@ -495,15 +539,16 @@ def test_fibers_keys_pass_2_31():
     """(code, alpha id) keys are int64 even for int32 codes: 8 parents of 6
     one-point children each, parent l with l % 7 of them in B_2, so alpha
     l % 7 / 6 takes 7 values, under int32 codes near 2^31 - 1 give the keys
-    of Python-int arithmetic, past 2^33. _fibers reads the codes, not the
-    table."""
+    of Python-int arithmetic, past 2^33. Each parent is alone in its level-1
+    cell (4 level-0 labels, each with a child in B_1 and one out of it), so
+    each has its own code. _fibers reads the codes, not the table."""
     m, b = 8, 6
     parent = np.repeat(np.arange(m, dtype=np.int32), b)
     bits = np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)
     prob = DistortionProblem(
-        [m * b, b, 1],
-        [np.ones(m, dtype=np.int32), 2 * parent + bits],
-        np.zeros(1, dtype=np.int32),
+        [2 * b, b, 1],
+        [np.arange(m, dtype=np.int32), 2 * parent + bits],
+        np.zeros(m // 2, dtype=np.int32),
         (F(1, m * b),),
     )
     codes = np.arange(2**31 - 1, 2**31 - 1 - m, -1, dtype=np.int32)
@@ -526,14 +571,16 @@ def _last_step(prob, deltas):
 
 
 def test_verify_step_catches_tampered_codes(six_system):
+    # level 2 codes the cells (even, out of B_2) = {0, 2}, (even, in B_2) =
+    # {4}, (odd, out of B_2) = {3, 5} and (odd, in B_2) = {1}
     old, new = _last_step(build_problem(six_system), [HALF, HALF])
     assert list(new.values) == [F(0), F(0), F(0), HALF, F(0), HALF]
     codes = new.codes.copy()
-    codes[0] = codes[3]  # one label takes another label's code
+    codes[0] = codes[2]  # one cell takes another cell's code
     with pytest.raises(SoundnessError, match="total mass"):
         distortion._verify_step(old, new._replace(codes=codes), 2)
     codes = new.codes.copy()
-    codes[[0, 3]] = codes[[3, 0]]  # total mass kept, fibers 0 mod 2 and 1 mod 2 not
+    codes[[0, 2]] = codes[[2, 0]]  # total mass kept, fibers 0 mod 2 and 1 mod 2 not
     with pytest.raises(SoundnessError, match="fiber mass"):
         distortion._verify_step(old, new._replace(codes=codes), 2)
     codes = new.codes.copy()
@@ -542,79 +589,61 @@ def test_verify_step_catches_tampered_codes(six_system):
         distortion._verify_step(old, new._replace(codes=codes), 2)
 
 
-def _swap_labels(rng, new):
-    """Codes of new with two labels of different parents and different
-    values swapped, or None if there are none."""
-    parent, codes = new.problem.cells[new.level - 1] >> 1, new.codes
-    l1 = rng.randrange(len(codes))
-    other = (parent != parent[l1]) & (codes != codes[l1])
+def _cell_counts(new):
+    """The labels of each cell that new codes."""
+    return np.bincount(new.problem.cells[new.level - 1], minlength=len(new.codes))
+
+
+def _swap_cells(rng, new, count):
+    """Codes of new with two nonempty cells of different parents, different
+    codes and equal label counts swapped, or None if there are none."""
+    codes = new.codes
+    c1 = rng.choice(np.flatnonzero(count).tolist())
+    parent = np.arange(len(codes)) >> 1
+    other = (parent != parent[c1]) & (codes != codes[c1]) & (count == count[c1])
     if not other.any():
         return None
-    l2 = rng.choice(np.flatnonzero(other).tolist())
+    c2 = rng.choice(np.flatnonzero(other).tolist())
     out = codes.copy()
-    out[[l1, l2]] = codes[[l2, l1]]
+    out[[c1, c2]] = codes[[c2, c1]]
     return out
 
 
-def _children(new):
-    """The children of each parent, in label order."""
-    children = {}
-    for l, p in enumerate((new.problem.cells[new.level - 1] >> 1).tolist()):
-        children.setdefault(p, []).append(l)
-    return children
-
-
-def _swap_fibers(rng, old, new, children):
-    """Codes of new with the children of two parents of different mass
-    swapped, or None if the draw finds none."""
-    if len(children) < 2:
+def _swap_fibers(rng, old, new, count):
+    """Codes of new with the two cells of two parents of different mass and
+    equal cell label counts swapped, or None if there are none."""
+    pairs, old_codes = count.reshape(-1, 2), oracles.label_codes(old)
+    p1 = rng.randrange(len(pairs))
+    other = (pairs == pairs[p1]).all(axis=1) & (old_codes != old_codes[p1])
+    if not other.any():
         return None
-    p1, p2 = rng.sample(sorted(children), 2)
-    if old.codes[p1] == old.codes[p2]:
-        return None
+    p2 = rng.choice(np.flatnonzero(other).tolist())
     out = new.codes.copy()
-    out[children[p1]] = new.codes[children[p2]]
-    out[children[p2]] = new.codes[children[p1]]
+    cells = [2 * p1, 2 * p1 + 1, 2 * p2, 2 * p2 + 1]
+    out[cells] = new.codes[cells[2:] + cells[:2]]
     return out
 
 
-def _recode(rng, new):
-    """Codes of new with one label given another code of the table, or None
-    if the table has one value."""
+def _recode(rng, new, count):
+    """Codes of new with one nonempty cell given another code of the table,
+    or None if the table has one value."""
     if len(new.table) < 2:
         return None
     out = new.codes.copy()
-    l = rng.randrange(len(out))
-    out[l] = rng.choice([c for c in range(len(new.table)) if c != out[l]])
+    c = rng.choice(np.flatnonzero(count).tolist())
+    out[c] = rng.choice([k for k in range(len(new.table)) if k != out[c]])
     return out
 
 
-def _double_entry(rng, new):
-    """The table of new with the nonzero value of a random label doubled,
-    or None if that value is 0."""
-    c = int(new.codes[rng.randrange(len(new.codes))])
+def _double_entry(rng, new, count):
+    """The table of new with the nonzero value of a random nonempty cell
+    doubled, or None if that value is 0."""
+    c = int(new.codes[rng.choice(np.flatnonzero(count).tolist())])
     if not new.table[c]:
         return None
     table = list(new.table)
     table[c] *= 2
     return tuple(table)
-
-
-def _split_siblings(rng, new):
-    """Codes of new with a label that shares its (fiber, target bit) cell
-    swapped with a label of another code in the same fiber: the fiber
-    keeps its mass and its (code, count) cells, but the cell holds two
-    codes. None if the draw finds none."""
-    cell, codes = new.problem.cells[new.level - 1], new.codes
-    parent = cell >> 1
-    l1 = rng.randrange(len(codes))
-    other = (parent == parent[l1]) & (codes != codes[l1])
-    if np.count_nonzero(cell == cell[l1]) < 2 or not other.any():
-        return None
-    l2 = rng.choice(np.flatnonzero(other).tolist())
-    out = codes.copy()
-    out[[l1, l2]] = codes[[l2, l1]]
-    return out
 
 
 def _raised(check, old, new):
@@ -629,13 +658,12 @@ def _raised(check, old, new):
 def test_verify_step_catches_swaps_on_corpus(corpus):
     """Every step of 40 deep instances, under threshold 1 and the default
     policy. The check and the signature oracle it replaced both accept each
-    step as run, and the check raises on every tampering the oracle raises
-    on: swaps that keep the total mass but move mass between fibers (each
-    caught as fiber mass), one re-coded label and one doubled table entry.
-    A split (fiber, target bit) cell keeps every fiber's mass, so the
-    oracle accepts it; the check does not."""
+    step as run, and both raise on every tampering: swaps of cells, or of
+    the two cells of two parents, with equal label counts, which keep the
+    total mass but move mass between fibers (each caught as fiber mass),
+    one re-coded cell and one doubled table entry."""
     rng = random.Random(26)
-    caught = dict.fromkeys(["label", "fiber", "recode", "table", "split"], 0)
+    caught = dict.fromkeys(["cell", "fiber", "recode", "table"], 0)
     deep = [i for i in corpus if i.depth >= 2 and ideal_norm(i.q) >= 100]
     for inst in deep[:40]:
         prob = build_problem(inst)
@@ -644,15 +672,14 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
             for old, new in zip(states, states[1:]):
                 assert _raised(oracles.verify_step_signatures, old, new) is None
                 assert _raised(distortion._verify_step, old, new) is None
-                children = _children(new)
+                count = _cell_counts(new)
                 for _ in range(4):
-                    table = _double_entry(rng, new)
+                    table = _double_entry(rng, new, count)
                     for kind, bad in (
-                        ("label", _swap_labels(rng, new)),
-                        ("fiber", _swap_fibers(rng, old, new, children)),
-                        ("recode", _recode(rng, new)),
+                        ("cell", _swap_cells(rng, new, count)),
+                        ("fiber", _swap_fibers(rng, old, new, count)),
+                        ("recode", _recode(rng, new, count)),
                         ("table", table),
-                        ("split", _split_siblings(rng, new)),
                     ):
                         if bad is None:
                             continue
@@ -660,54 +687,55 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
                         bad = new._replace(**{field: bad})
                         want = _raised(oracles.verify_step_signatures, old, bad)
                         got = _raised(distortion._verify_step, old, bad)
-                        assert got is not None
-                        assert (want is None) == (kind == "split")
-                        if kind in ("label", "fiber", "split"):
+                        assert got is not None and want is not None
+                        if kind in ("cell", "fiber"):
                             assert "fiber mass" in got
                         caught[kind] += 1
-    assert caught["label"] + caught["fiber"] > 400 and min(caught.values()) > 100, caught
+    assert caught["cell"] + caught["fiber"] > 400 and min(caught.values()) > 100, caught
 
 
 def test_verify_step_catches_tampered_table(six_system):
     old, new = _last_step(build_problem(six_system), [HALF, HALF])
     table = list(new.table)
-    c = int(new.codes[3])
+    c = int(new.codes[2])  # the cell {3, 5}, of mass 1/2 each
     table[c] = table[c] * 2
     with pytest.raises(SoundnessError):
         distortion._verify_step(old, new._replace(table=tuple(table)), 2)
 
 
-def _two_steps(codes1, table1, parents2, bits2, codes2, table2):
-    """(old, new) level-1 and level-2 states of a hand-built problem whose
-    level-2 labels each hold one point, len(parents2) / len(codes1) to a
-    level-1 label."""
-    n, m = len(parents2), len(codes1)
-    cells = [np.zeros(m, dtype=np.int64), 2 * np.array(parents2) + np.array(bits2)]
-    initial = np.zeros(1, dtype=np.int64)
-    prob = DistortionProblem([n, n // m, 1], cells, initial, (F(1, n),))
-    old = distortion.DistortionState(prob, 1, np.array(codes1), tuple(table1), (F(0),))
-    new = distortion.DistortionState(prob, 2, np.array(codes2), tuple(table2), (F(0), F(0)))
+def _hand_built_step(codes0, table0, parents1, bits1, codes1, table1):
+    """(old, new) level-0 and level-1 states of a hand-built problem whose
+    level-1 labels each hold one point, len(parents1) / len(codes0) to a
+    level-0 label. codes1 gives each level-1 label a code, one per cell."""
+    n, m = len(parents1), len(codes0)
+    cell = 2 * np.array(parents1) + np.array(bits1)
+    prob = DistortionProblem([n // m, 1], [cell], np.array(codes0), tuple(table0))
+    codes = np.zeros(2 * m, dtype=np.int64)
+    codes[cell] = codes1
+    old = distortion.DistortionState(prob, 0, prob.initial_codes, prob.initial_table, ())
+    new = distortion.DistortionState(prob, 1, codes, tuple(table1), (F(0),))
+    assert np.array_equal(oracles.label_codes(new), codes1)
     return old, new
 
 
 def test_verify_step_checks_every_distinct_row():
-    # each case keeps the total mass and gives every (fiber, target bit)
-    # cell one code, but moves mass between fibers. The wrong fibers' rows
-    # match a right fiber's row in all but the fiber's own code, or all but
-    # its cell point counts, so each must be checked on its own.
-    own_code = _two_steps([0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
-                          [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
+    # each case keeps the total mass, but moves mass between fibers. The
+    # wrong fibers' rows match a right fiber's row in all but the fiber's
+    # own code, or all but its cell point counts, so each must be checked
+    # on its own.
+    own_code = _hand_built_step([0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
+                                [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
     # fibers 1 and 3 take the cell codes of fibers 0 and 2, with the
     # (non-target, target) counts (1, 2) turned to (2, 1)
-    counts = _two_steps([0, 0, 1, 1], [F(1, 9), F(1, 18)],
-                        [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
-                        [False, True, True, False, False, True] * 2,
-                        [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0], [F(0), F(1, 6)])
+    counts = _hand_built_step([0, 0, 1, 1], [F(1, 9), F(1, 18)],
+                              [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+                              [False, True, True, False, False, True] * 2,
+                              [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0], [F(0), F(1, 6)])
     for old, new in (own_code, counts):
-        assert new.total_mass() == 1
+        assert oracles.total_mass(new) == 1
         for check in (distortion._verify_step, oracles.verify_step_signatures):
             with pytest.raises(SoundnessError, match="fiber mass"):
-                check(old, new, 2)
+                check(old, new, 1)
 
 
 def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):
@@ -753,8 +781,9 @@ def test_moment_bound_check(monkeypatch, near_cover):
 
 
 def test_stability_check(monkeypatch, six_system):
-    # step 2 moves mass from 3 (outside B_1) to 0 (in B_1); neither is in
-    # B_2 = {1, 4}, so only the stability of P(B_1) shows it
+    # step 2 moves mass from the cell {3, 5} (outside B_1) to the cell
+    # {0, 2} (in B_1); none is in B_2 = {1, 4}, so only the stability of
+    # P(B_1) shows it
     orig = distortion._step
 
     def bad_step(state, j, delta, fibers, checks):
@@ -762,7 +791,7 @@ def test_stability_check(monkeypatch, six_system):
         if j == 2:
             assert list(new.values) == [F(0), F(1, 3)] * 3
             codes = new.codes.copy()
-            codes[[0, 3]] = codes[[3, 0]]
+            codes[[0, 2]] = codes[[2, 0]]
             new = new._replace(codes=codes)
         return new, oracles.target_mass(new)
 
@@ -772,22 +801,23 @@ def test_stability_check(monkeypatch, six_system):
 
 
 def test_uncovered_floor_check(monkeypatch, six_system):
-    # run reads P_J(B_1), ..., P_J(B_J) and then the union's mass, each from
-    # _label_mass; the union alone gets all the mass, so every target keeps
-    # its own and only the floor can fail
-    prob, orig, calls = build_problem(six_system), distortion._label_mass, []
+    # run sums the union's mass over the level-J cells, each counted with
+    # its points in some target; that sum alone gets all the mass, so every
+    # target keeps its own and only the floor can fail
+    prob, orig, calls = build_problem(six_system), distortion._grouped_sum, []
+    union = np.logical_or.reduce(oracles.build_problem_points(six_system).targets)
+    in_union = np.bincount(prob.cells[-1][union], minlength=2 * len(prob.cells[-2]))
 
-    def union_takes_all(state, bits):
-        calls.append(bits)
-        return F(1) if len(calls) > len(prob.cells) else orig(state, bits)
+    def union_takes_all(ids, counts, values):
+        calls.append(np.array_equal(counts, in_union))
+        return F(1) if calls[-1] else orig(ids, counts, values)
 
     res = run(prob, [F(0), F(0)])
     assert res.verdict == "certified-noncover" and res.uncovered_mass == F(1, 3)
-    monkeypatch.setattr(distortion, "_label_mass", union_takes_all)
+    monkeypatch.setattr(distortion, "_grouped_sum", union_takes_all)
     with pytest.raises(SoundnessError, match="floor"):
         run(prob, [F(0), F(0)])
-    assert len(calls) == 3 and np.array_equal(calls[-1], distortion._target_hits(prob) != 0)
-    calls.clear()
+    assert calls.count(True) == 1 and calls[-1]
     assert run(prob, [F(0), F(0)], checks=False).uncovered_mass == 0
 
 

@@ -357,6 +357,38 @@ def test_build_problem_memory():
     assert prob.sizes == want.sizes == [n // ideal_norm(lv) for lv in inst.levels]
 
 
+def test_level_labels_match_hnf_reduction(corpus):
+    """level_labels gives each residue of O/Q its index mod Q_j, as the
+    oracle's HNF reduction does: on every level of the corpus, and on
+    Q = (3)(2+i)(1+i)^2 over Z[i] with the level (3)(1+i), both with w > 1."""
+    field = make_field("quadratic", -1)
+    three, two_i, one_i = (ideal_from_gens(field, [g]) for g in ((3, 0), (2, 1), (1, 1)))
+    gauss_q = ideal_mul(ideal_mul(three, two_i), ideal_mul(one_i, one_i))
+    cases = [(inst.q, lv) for inst in corpus for lv in inst.levels]
+    cases.append((gauss_q, ideal_mul(three, one_i)))
+    assert (gauss_q.w, cases[-1][1].w) == (6, 3)
+    for q, lv in cases:
+        pts = np.array(oracles.residues(q), dtype=np.int64)
+        got = kernels.level_labels(q.u, q.w, lv.u, lv.v, lv.w)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, oracles.hnf_labels(pts, lv.u, lv.v, lv.w))
+
+
+def test_level_labels_memory():
+    """Over Q (w = 1) at n = 2^22, level_labels builds its labels in place
+    in one int32 array of n entries, so it peaks below 1.25 * 4n bytes. An
+    arange row minus a shift column would hold two such arrays at once."""
+    n = 2**22
+    tracemalloc.start()
+    try:
+        labels = kernels.level_labels(n, 1, 2**11, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 4 * n, peak
+    assert np.array_equal(labels, np.arange(n) % 2**11)
+
+
 # ------------------------------------------------------------------- policy
 
 

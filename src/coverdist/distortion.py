@@ -26,16 +26,17 @@ All masses are Fractions; nothing is approximated.
 
 The measure is a codebook. A level-0 state holds `codes`, one integer per
 level-0 label, and `table`, a tuple of the distinct Fraction values. A
-step's factor depends only on the parent fiber's alpha, the target bit
-and delta, so P_j is constant on each (parent, target-bit) cell: a
-level-j state, j >= 1, holds one code per cell of cells[j-1], and every
-point of level-j label l has mass table[codes[cells[j-1][l]]]. The table
-stays small while the labels grow to |S|. Per-label work is integer numpy
-(one np.add.at count of the labels per cell, and a gather of the label
-codes of level j-1 where step j needs them); sorts run only over the
-level-(j-1) fibers, and Fraction arithmetic runs once per distinct key.
-Label-sized arrays (cells, codes) take kernels.index_dtype, int32 below
-2^31 entries; point counts and (code, alpha id) keys stay int64.
+level-(j-1) fiber has r = sizes[j-1] / sizes[j] labels, t of them in B_j,
+so alpha = t / r, and step j's factor depends only on t, the target bit
+and delta: P_j is constant on each (parent, target-bit) cell. A level-j
+state, j >= 1, holds one code per cell of cells[j-1]; every point of
+level-j label l has mass table[codes[cells[j-1][l]]]. Per-label work is
+integer numpy (one np.add.at count of the labels per cell, and a gather
+of the level-(j-1) label codes); one sort per level groups the fibers by
+(code, t), and the moments, the step's values and P_j(B_j) take Fraction
+work once per (code, t) key, weighted by the fibers sharing it. Label
+arrays (cells, codes) take kernels.index_dtype, int32 below 2^31
+entries; label counts and (code, t) keys stay int64.
 
 run is the one stepping path, and its RunResult is the certificate. Every
 level-J target fact (the final target masses, the uncovered mass and the
@@ -47,10 +48,10 @@ Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber keeps its mass. Its labels
     fall into its two cells; fibers with the same (code, cell codes, cell
-    point counts) row are checked once, each cell's table[code] * count
-    summed and compared with the parent's mass;
+    label counts) row are checked once, each cell's table[code] * count
+    summed and compared with the parent's table[code] * r;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
-  - after the run every P_J(B_j) from the level-J codes equals step j's tally;
+  - after the run every P_J(B_j) from the level-J codes equals step j's;
   - when eta < 1 the uncovered mass is at least 1 - eta.
 """
 
@@ -128,31 +129,31 @@ def _label_codes(state):
 
 
 def _fibers(state, j):
-    """Level-(j-1) fibers grouped by (code, alpha_j): (alphas, split, inter,
-    keys, group). Cell c = 2 * l + bit of label l holds split[c] level-j
-    labels; l has inter[l] target points and alpha inter[l] / sizes[j-1] in
-    alphas; keys[group[l]] = code * len(alphas) + alpha id, keys ascending
-    int64. group has the index_dtype of the 2 * len(keys) step cells.
-    """
+    """Level-(j-1) fibers grouped by (code, t): (r, split, keys, counts,
+    group). Fiber l has r labels, split[2 * l + bit] in cell 2 * l + bit, so
+    t = split[2 * l + 1] in B_j. keys[group[l]] = code * (r + 1) + t, keys
+    ascending int64 with counts[g] fibers in group g; group has the
+    index_dtype of the 2 * len(keys) step cells."""
     problem, codes = state.problem, _label_codes(state)
     split = np.zeros(2 * len(codes), dtype=np.int64)
     np.add.at(split, problem.cells[j - 1], 1)
-    inter = split[1::2] * problem.sizes[j]  # target points per parent
-    counts, ids = np.unique(inter, return_inverse=True)
-    alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
+    r = problem.sizes[j - 1] // problem.sizes[j]
     # int64 keys: an int32 code times a Python int stays int32 and would wrap
-    keys = codes.astype(np.int64) * len(alphas) + ids
-    keys, group = np.unique(keys, return_inverse=True)
-    return alphas, split, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
+    keys = codes.astype(np.int64) * (r + 1) + split[1::2]
+    keys, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return r, split, keys, counts, group.astype(kernels.index_dtype(2 * len(keys)))
 
 
 def _moments(state, fibers):
-    """(M1, M2): first and second moments of alpha_j under the state's measure."""
-    alphas, _, inter, keys, group = fibers
-    table, na = state.table, len(alphas)
-    m1 = _grouped_sum(_label_codes(state), inter, table)
-    # v*sz*alpha^2 = v*inter*alpha, grouped by distinct (code, alpha id)
-    m2 = _grouped_sum(group, inter, [table[k // na] * alphas[k % na] for k in keys.tolist()])
+    """(M1, M2): first and second moments of alpha_j, one term per (code, t) key."""
+    r, _, keys, counts, _ = fibers
+    size = state.problem.sizes[state.level + 1]
+    m1 = m2 = Fraction(0)
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        code, t = divmod(key, r + 1)
+        mass = state.table[code] * (t * size * count)  # count fibers of v * sizes[j-1] * t / r
+        m1 += mass
+        m2 += mass * Fraction(t, r)
     return m1, m2
 
 
@@ -171,48 +172,47 @@ def _step(state, j, delta, fibers, checks):
     (the level-j state, P_j(B_j))."""
     delta = _check_delta(delta)
     problem = state.problem
-    alphas, split, _, keys, group = fibers
-    na, keys = len(alphas), keys.tolist()
-    # a (parent, bit) cell's new mass depends only on its (group, bit)
-    # cell; one value per occupied group cell, interned in ascending order
-    gcell = np.repeat(group * 2, 2)
-    gcell[1::2] += 1
-    tally = np.zeros(2 * len(keys), dtype=np.int64)  # level-j labels per group cell
-    np.add.at(tally, gcell, split)
+    r, _, keys, counts, group = fibers
+    # a (parent, bit) cell's new mass depends only on its (group, bit) cell,
+    # of count * (r - t) labels for bit 0 and count * t for bit 1; one value
+    # per occupied group cell, interned in ascending order
     remap = np.zeros(2 * len(keys), dtype=group.dtype)
     interned, target = {}, Fraction(0)
-    for c in np.flatnonzero(tally).tolist():
-        code, a = divmod(keys[c // 2], na)
+    for g, (key, count) in enumerate(zip(keys.tolist(), counts.tolist())):
+        code, t = divmod(key, r + 1)
         v = state.table[code]
-        if v:
-            v = v * _factor(alphas[a], c % 2, delta)
-            if c % 2:
-                target += v * int(tally[c])
-        remap[c] = interned.setdefault(v, len(interned))
-    deltas = state.deltas + (delta,)
-    new_state = DistortionState(problem, j, remap[gcell], tuple(interned), deltas)
+        for bit, labels in enumerate((r - t, t)):
+            if labels:
+                w = v * _factor(Fraction(t, r), bit, delta) if v else v
+                target += w * (count * labels) if bit else 0
+                remap[2 * g + bit] = interned.setdefault(w, len(interned))
+    codes = remap.reshape(-1, 2)[group].ravel()  # cell 2 * l + bit: group cell 2 * g + bit
+    new_state = DistortionState(problem, j, codes, tuple(interned), state.deltas + (delta,))
     if checks:
         _verify_step(state, new_state, j)
     return new_state, target * problem.sizes[j]
 
 
 def _verify_step(old, new, j):
-    problem = old.problem
+    problem, cells = old.problem, old.problem.cells[j - 1]
     nc = len(new.table)
     code = new.codes  # one per (parent fiber, target bit) cell
     if code.min() < 0 or code.max() >= nc:
         raise SoundnessError(f"step {j}: code outside the value table")
-    count = np.zeros(len(code), dtype=np.int64)  # points per cell; an empty cell has 0
-    np.add.at(count, problem.cells[j - 1], problem.sizes[j])
-    if _grouped_sum(code, count, new.table) != 1:
+    count = np.zeros(len(code), dtype=np.int64)  # labels per cell; an empty cell has 0
+    np.add.at(count, cells, 1)
+    if _grouped_sum(code, count, new.table) * problem.sizes[j] != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
     # every level-(j-1) fiber's mass is the sum over its two cells; one row
-    # per parent, and the mass identity runs once per distinct row
+    # per parent, in the label dtype, and the mass identity runs once per
+    # distinct row
+    count = count.astype(cells.dtype)
     rows = np.stack([_label_codes(old), code[0::2], code[1::2], count[0::2], count[1::2]])
     rows = rows[:, np.lexsort(rows)]
     firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
+    r = problem.sizes[j - 1] // problem.sizes[j]
     for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
-        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * problem.sizes[j - 1]:
+        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * r:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 

@@ -15,7 +15,10 @@ DistortionProblem, with its checks, numbering labels by first point,
 verify_step_signatures is distortion's former step check, which grouped
 each fiber's labels by code rather than by target bit, step_label_keys
 is distortion's former step, which sorted one (code, alpha, target bit)
-key per level-j label, alpha and alpha_upper_bound are distortion's and
+key per level-j label, fibers_alpha_ids, moments_alpha_ids and
+step_alpha_ids are distortion's former grouping, moments and step, which
+ranked the fibers' distinct alphas and summed over level-(j-1) labels,
+alpha and alpha_upper_bound are distortion's and
 bounds' former per-point alpha_j and its majorant, class_measure sums
 point_masses over a class marked by the package's kernel, sieve,
 mod_values, kron_values, trial_division and prime_norms_up_to are the
@@ -338,6 +341,63 @@ def step_label_keys(state, j, delta, checks=True):
     if checks:
         distortion._verify_step(state, new_state, j)
     return new_state
+
+
+def fibers_alpha_ids(state, j):
+    """distortion._fibers as it was: level-(j-1) fibers grouped by (code,
+    alpha id), (alphas, split, inter, keys, group), with one np.unique over
+    the distinct inter = split[1::2] * sizes[j] for the alpha ids and
+    another over the keys code * len(alphas) + alpha id."""
+    problem, codes = state.problem, label_codes(state)
+    split = np.zeros(2 * len(codes), dtype=np.int64)
+    np.add.at(split, problem.cells[j - 1], 1)
+    inter = split[1::2] * problem.sizes[j]  # target points per parent
+    counts, ids = np.unique(inter, return_inverse=True)
+    alphas = tuple(Fraction(c, problem.sizes[j - 1]) for c in counts.tolist())
+    keys = codes.astype(np.int64) * len(alphas) + ids
+    keys, group = np.unique(keys, return_inverse=True)
+    return alphas, split, inter, keys, group.astype(kernels.index_dtype(2 * len(keys)))
+
+
+def moments_alpha_ids(state, fibers):
+    """distortion._moments as it was, on fibers_alpha_ids: M1 and M2 as
+    grouped sums over the level-(j-1) labels."""
+    alphas, _, inter, keys, group = fibers
+    table, na = state.table, len(alphas)
+    m1 = distortion._grouped_sum(label_codes(state), inter, table)
+    m2 = [table[k // na] * alphas[k % na] for k in keys.tolist()]
+    m2 = distortion._grouped_sum(group, inter, m2)
+    return m1, m2
+
+
+def step_alpha_ids(state, j, delta, fibers, checks):
+    """distortion._step as it was, on fibers_alpha_ids: the level-j labels
+    tallied per (group, bit) cell with one np.add.at over 2 * |L_{j-1}|
+    cells, one value interned per nonzero tally in ascending order, and
+    P_j(B_j) summed from the tally."""
+    delta = distortion._check_delta(delta)
+    problem = state.problem
+    alphas, split, _, keys, group = fibers
+    na, keys = len(alphas), keys.tolist()
+    gcell = np.repeat(group * 2, 2)
+    gcell[1::2] += 1
+    tally = np.zeros(2 * len(keys), dtype=np.int64)
+    np.add.at(tally, gcell, split)
+    remap = np.zeros(2 * len(keys), dtype=group.dtype)
+    interned, target = {}, Fraction(0)
+    for c in np.flatnonzero(tally).tolist():
+        code, a = divmod(keys[c // 2], na)
+        v = state.table[code]
+        if v:
+            v = v * distortion._factor(alphas[a], c % 2, delta)
+            if c % 2:
+                target += v * int(tally[c])
+        remap[c] = interned.setdefault(v, len(interned))
+    deltas = state.deltas + (delta,)
+    new_state = distortion.DistortionState(problem, j, remap[gcell], tuple(interned), deltas)
+    if checks:
+        distortion._verify_step(state, new_state, j)
+    return new_state, target * problem.sizes[j]
 
 
 def target_mass(state):

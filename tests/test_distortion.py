@@ -372,6 +372,117 @@ def test_random_chains_match_label_keys(case):
     _assert_matches_label_keys(oracles.to_labels(prob)[0], deltas)
 
 
+def _assert_matches_alpha_ids(prob, deltas):
+    # run, and run on the grouping, moments and step they replaced: the same
+    # codes (and dtypes) and table at every level, so the same M1, M2 and
+    # P_j(B_j) in every report, and the same certificate
+    res = run(prob, deltas)
+    with mock.patch.multiple(
+        distortion,
+        _fibers=oracles.fibers_alpha_ids,
+        _moments=oracles.moments_alpha_ids,
+        _step=oracles.step_alpha_ids,
+    ):
+        want = run(prob, deltas)
+    for got, ref in zip(res.states, want.states, strict=True):
+        assert got.codes.dtype == ref.codes.dtype and np.array_equal(got.codes, ref.codes)
+        assert got.table == ref.table
+    assert res[1:] == want[1:]
+
+
+def test_fibers_match_alpha_ids_on_corpus(corpus):
+    """Every level of the whole corpus under the four _policies: the (code,
+    t) grouping, moments and step equal oracles.fibers_alpha_ids,
+    moments_alpha_ids and step_alpha_ids."""
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in _policies(inst):
+            _assert_matches_alpha_ids(prob, resolve_delta_policy(inst, policy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_chains())
+def test_random_chains_match_alpha_ids(case):
+    prob, deltas = case
+    _assert_matches_alpha_ids(oracles.to_labels(prob)[0], deltas)
+
+
+def _deepest_levels(corpus):
+    """The states of the deepest corpus instance under threshold 1, with
+    its deltas."""
+    inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
+    deltas = resolve_delta_policy(inst, ("threshold", 1))
+    return run(build_problem(inst), deltas).states, deltas
+
+
+def test_fibers_sort_once_per_level(corpus, monkeypatch):
+    """_fibers calls np.unique once per level, on the (code, t) keys."""
+    states, _ = _deepest_levels(corpus)
+    unique = np.unique
+    for st in states[:-1]:
+        calls = []
+
+        def recording(ar, *args, **kwargs):
+            calls.append(np.size(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        distortion._fibers(st, st.level + 1)
+        monkeypatch.undo()
+        assert calls == [len(oracles.label_codes(st))]
+
+
+class _RecordingAdd:
+    """np.add with its .at method recording (target, index, values)."""
+
+    def __init__(self, add, calls):
+        self.add, self.calls = add, calls
+
+    def __getattr__(self, name):
+        return getattr(self.add, name)
+
+    def __call__(self, *args, **kwargs):
+        return self.add(*args, **kwargs)
+
+    def at(self, target, index, values):
+        self.calls.append((target, index, values))
+        return self.add.at(target, index, values)
+
+
+def test_moments_and_step_scatter_below_parent_labels(corpus, monkeypatch):
+    """_moments and _step (checks off) sum once per (code, t) key: no
+    np.add.at they make gets an index of |L_{j-1}| or more entries."""
+    states, deltas = _deepest_levels(corpus)
+    for st, delta in zip(states, deltas):
+        j, labels, calls = st.level + 1, len(oracles.label_codes(st)), []
+        fibers = distortion._fibers(st, j)
+        monkeypatch.setattr(np, "add", _RecordingAdd(np.add, calls))
+        distortion._moments(st, fibers)
+        distortion._step(st, j, delta, fibers, False)
+        monkeypatch.undo()
+        assert all(np.size(index) < labels for _, index, _ in calls), j
+
+
+def test_add_at_keeps_its_fast_path(corpus, monkeypatch):
+    """np.add.at is fast only when its values match the target's dtype:
+    into int32 with a Python int, or into int64 with int32 values, it takes
+    a slow path some ten times longer. Every np.add.at of build_problem and
+    certify on the corpus under the four _policies adds an array of the
+    target's dtype, or a Python int into int64."""
+    calls = []
+    monkeypatch.setattr(np, "add", _RecordingAdd(np.add, calls))
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in _policies(inst):
+            certify(prob, resolve_delta_policy(inst, policy))
+    for target, _, values in calls:
+        if isinstance(values, np.ndarray):
+            assert values.dtype == target.dtype, (target.dtype, values.dtype)
+        else:
+            assert type(values) is int and target.dtype == np.int64, (target.dtype, values)
+    assert len(calls) > 10000
+
+
 def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
     """The last step of the deepest corpus instance hands np.unique nothing
     longer than the level-(J-1) labels: it groups the parent fibers and
@@ -536,9 +647,9 @@ def test_int64_labels_match_int32(corpus, monkeypatch):
 
 
 def test_fibers_keys_pass_2_31():
-    """(code, alpha id) keys are int64 even for int32 codes: 8 parents of 6
-    one-point children each, parent l with l % 7 of them in B_2, so alpha
-    l % 7 / 6 takes 7 values, under int32 codes near 2^31 - 1 give the keys
+    """(code, t) keys are int64 even for int32 codes: 8 parents of r = 6
+    one-point children each, parent l with t = l % 7 of them in B_2, so
+    under int32 codes near 2^31 - 1 the keys code * 7 + t take the values
     of Python-int arithmetic, past 2^33. Each parent is alone in its level-1
     cell (4 level-0 labels, each with a child in B_1 and one out of it), so
     each has its own code. _fibers reads the codes, not the table."""
@@ -553,11 +664,11 @@ def test_fibers_keys_pass_2_31():
     )
     codes = np.arange(2**31 - 1, 2**31 - 1 - m, -1, dtype=np.int32)
     state = distortion.DistortionState(prob, 1, codes, (F(0),), (F(0),))
-    alphas, split, inter, keys, group = distortion._fibers(state, 2)
-    assert alphas == tuple(F(k, b) for k in range(7))
+    r, split, keys, counts, group = distortion._fibers(state, 2)
+    assert r == b and counts.tolist() == [1] * m
     assert keys.dtype == np.int64 and int(keys.max()) > 2**33
     for l in range(m):
-        assert (split[2 * l], split[2 * l + 1], inter[l]) == (b - l % 7, l % 7, l % 7)
+        assert (split[2 * l], split[2 * l + 1]) == (b - l % 7, l % 7)
         assert int(keys[group[l]]) == int(codes[l]) * 7 + l % 7
 
 
@@ -739,17 +850,15 @@ def test_verify_step_checks_every_distinct_row():
 
 
 def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):
-    """The step reads the per-cell label counts of _fibers; the check
-    counts the cells again. Counts that move one label of near_cover's one
-    fiber out of B_1 give the step alpha 1/2 in place of 3/4, and the check
-    must refuse the step."""
+    """The step reads t from the (code, t) keys of _fibers; the check
+    counts the cells again. A grouping that moves one label of near_cover's
+    one fiber out of B_1, in its keys and its split, gives the step alpha
+    1/2 in place of 3/4, and the check must refuse the step."""
     orig = distortion._fibers
 
     def one_label_out(state, j):
-        _, split, _, keys, group = orig(state, j)
-        split = split + [1, -1]
-        inter = split[1::2] * state.problem.sizes[j]
-        return (F(int(inter[0]), state.problem.sizes[j - 1]),), split, inter, keys, group
+        r, split, keys, counts, group = orig(state, j)
+        return r, split + [1, -1], keys - 1, counts, group
 
     prob = build_problem(near_cover)
     run(prob, [HALF])

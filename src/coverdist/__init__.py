@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "system": (
         "CongruenceClass", "build_problem", "covers", "multiplicity",
-        "resolve_delta_policy", "resolve_policy_for_primes", "target_mask", "validate",
+        "resolve_delta_policy", "resolve_policy_for_primes", "validate",
     ),
 }
 _MODULE = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -61,10 +61,8 @@ SQRT_BITS = 48
 
 def _m1_euler(field, s, q):
     # s/(q-1) * prod over prime norms n < q of (1 - 1/n)^-1
-    out = Fraction(s, q - 1)
-    for n in ring.prime_norms_up_to(field, q - 1).tolist():
-        out *= Fraction(n, n - 1)
-    return out
+    norms = ring.prime_norms_up_to(field, q - 1).tolist()
+    return Fraction(s * prod(norms), (q - 1) * prod(n - 1 for n in norms))
 
 
 def _check_m1_printable(field, q):

@@ -46,10 +46,11 @@ The masses are sums over the level-J cells, each weighted by its points.
 
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
-  - after every step each level-(j-1) fiber keeps its mass. Its labels
-    fall into its two cells; fibers with the same (code, cell codes, cell
-    label counts) row are checked once, each cell's table[code] * count
-    summed and compared with the parent's table[code] * r;
+  - after every step each level-(j-1) fiber holds r labels and keeps its
+    mass. Its labels fall into its two cells; fibers with the same (code,
+    cell codes, cell label counts) row are checked once, the two counts
+    summed and compared with r, and each cell's table[code] * count summed
+    and compared with the parent's table[code] * r;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) from the level-J codes equals step j's;
   - when eta < 1 the uncovered mass is at least 1 - eta.
@@ -147,6 +148,8 @@ def _fibers(state, j):
 def _moments(state, fibers):
     """(M1, M2): first and second moments of alpha_j, one term per (code, t) key."""
     r, _, keys, counts, _ = fibers
+    if keys[-1] >= len(state.table) * (r + 1):  # a key this large needs t > r
+        raise SoundnessError(f"step {state.level + 1}: a fiber holds more than {r} labels")
     size = state.problem.sizes[state.level + 1]
     m1 = m2 = Fraction(0)
     for key, count in zip(keys.tolist(), counts.tolist()):
@@ -212,6 +215,8 @@ def _verify_step(old, new, j):
     firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
     r = problem.sizes[j - 1] // problem.sizes[j]
     for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
+        if n0 + n1 != r:
+            raise SoundnessError(f"step {j}: a fiber holds {n0 + n1} labels, not {r}")
         if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * r:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 

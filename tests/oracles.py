@@ -23,9 +23,10 @@ bounds' former per-point alpha_j and its majorant, class_measure sums
 point_masses over a class marked by the package's kernel, sieve,
 mod_values, kron_values, trial_division and prime_norms_up_to are the
 numpy kernels (and the trial division on them) that the
-standard-library ones replaced, and rankin_fold, p_small_fold and
+standard-library ones replaced, rankin_fold, p_small_fold and
 eta2_tail are bounds' exact folds and tail as they were before each
-computed its norm-only or block-only values once.
+computed its norm-only or block-only values once, and m1_euler_loop is
+bounds' m1 row as it was before it took one product of the norms.
 """
 
 from dataclasses import dataclass
@@ -636,6 +637,14 @@ def p_small_fold(norms):
         g = gcd(a, b)
         num, den = round_up_pair(a // g, b // g)
     return Fraction(num, den)
+
+
+def m1_euler_loop(field, s, q):
+    """bounds._m1_euler multiplying in one factor n / (n - 1) per prime norm."""
+    out = Fraction(s, q - 1)
+    for n in ring.prime_norms_up_to(field, q - 1).tolist():
+        out *= Fraction(n, n - 1)
+    return out
 
 
 def eta2_tail(y):

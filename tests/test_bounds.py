@@ -500,6 +500,16 @@ def test_m1_numerator_has_every_prime_norm_above_half(key):
                 assert num % p == 0, (q, p)
 
 
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_m1_product_matches_the_loop(key):
+    # one exact product of the norms over one of the norms minus 1 gives
+    # the row the per-norm loop gives, for every prime norm q up to 4000
+    field = get_field(key)
+    for i, q in enumerate(sorted(set(prime_norms_up_to(field, 4000).tolist()))):
+        s = (1, 3, 7)[i % 3]
+        assert _m1_euler(field, s, q) == oracles.m1_euler_loop(field, s, q), (q, s)
+
+
 def test_m1_size_check_refuses_only_unprintable_rows():
     # at the smallest digit limit the check fires from some q on; every row
     # it refuses up to 8000 is one that frac_str refuses too. It refuses

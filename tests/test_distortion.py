@@ -466,9 +466,9 @@ def test_moments_and_step_scatter_below_parent_labels(corpus, monkeypatch):
 def test_add_at_keeps_its_fast_path(corpus, monkeypatch):
     """np.add.at is fast only when its values match the target's dtype:
     into int32 with a Python int, or into int64 with int32 values, it takes
-    a slow path some ten times longer. Every np.add.at of build_problem and
-    certify on the corpus under the four _policies adds an array of the
-    target's dtype, or a Python int into int64."""
+    a slow path some ten times longer. Every np.add.at of certify on the
+    corpus under the four _policies adds an array of the target's dtype, or
+    a Python int into int64."""
     calls = []
     monkeypatch.setattr(np, "add", _RecordingAdd(np.add, calls))
     for inst in corpus:
@@ -481,6 +481,17 @@ def test_add_at_keeps_its_fast_path(corpus, monkeypatch):
         else:
             assert type(values) is int and target.dtype == np.int64, (target.dtype, values)
     assert len(calls) > 10000
+
+
+def test_build_problem_scatters_nothing(corpus, monkeypatch):
+    """build_problem counts no children per parent: run checks each
+    fiber's size on the labels per cell its step check counts anyway. So
+    building the corpus's problems makes no np.add.at call."""
+    calls = []
+    monkeypatch.setattr(np, "add", _RecordingAdd(np.add, calls))
+    for inst in corpus:
+        build_problem(inst)
+    assert calls == []
 
 
 def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
@@ -847,6 +858,25 @@ def test_verify_step_checks_every_distinct_row():
         for check in (distortion._verify_step, oracles.verify_step_signatures):
             with pytest.raises(SoundnessError, match="fiber mass"):
                 check(old, new, 1)
+
+
+def test_run_refuses_a_fiber_of_the_wrong_size():
+    """Level-0 label 1 carries no mass, so its fiber keeps its mass and the
+    total stays 1 whatever the fiber holds: only the size check sees that
+    it holds 3 labels where r = 2. Without checks the run certifies. With
+    its 3 labels in B_1 the fiber's (code, t) key lies past the value
+    table, and _moments refuses it, checks or none."""
+    prob = DistortionProblem(
+        [2, 1], [np.array([0, 0, 2, 2, 2], dtype=np.int32)],
+        np.array([0, 1], dtype=np.int32), (F(1, 2), F(0)),
+    )
+    with pytest.raises(SoundnessError, match="step 1: a fiber holds 3 labels, not 2"):
+        run(prob, [F(0)])
+    assert run(prob, [F(0)], checks=False).verdict == "certified-noncover"
+    prob = prob._replace(cells=[np.array([0, 0, 3, 3, 3], dtype=np.int32)])
+    for checks in (True, False):
+        with pytest.raises(SoundnessError, match="step 1: a fiber holds more than 2 labels"):
+            run(prob, [F(0)], checks=checks)
 
 
 def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):

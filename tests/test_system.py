@@ -19,6 +19,7 @@ from coverdist import (
     SoundnessError,
     UnitModulus,
     build_problem,
+    certify,
     covers,
     factor_ideal,
     ideal_from_gens,
@@ -33,7 +34,6 @@ from coverdist import (
     residue_at,
     resolve_delta_policy,
     resolve_policy_for_primes,
-    target_mask,
     unit_ideal,
     validate,
 )
@@ -45,10 +45,11 @@ DATA = Path(__file__).parent / "data"
 
 
 def _point_mask(inst, j):
-    """target_mask(inst, j) over O/Q: each residue takes the bit of its
-    residue mod Q_j."""
+    """B_j over O/Q, read from the target bits of build_problem's level-j
+    cells: each residue takes the bit of its residue mod Q_j."""
     q, qj = inst.q, inst.levels[j]
-    return target_mask(inst, j)[kernels.level_labels(q.u, q.w, qj.u, qj.v, qj.w)]
+    bits = build_problem(inst).cells[j - 1] & 1
+    return bits[kernels.level_labels(q.u, q.w, qj.u, qj.v, qj.w)]
 
 
 def brute_cover_oracle(instance):
@@ -203,17 +204,13 @@ def test_covers_enumeration_cutoff(near_cover):
 
 def test_classic_targets(classic_cover):
     inst = classic_cover
-    assert [len(target_mask(inst, j)) for j in (1, 2)] == [4, 12]  # |O/Q_j|
+    assert [len(c) for c in build_problem(inst).cells] == [4, 12]  # |O/Q_j|
     b1 = np.flatnonzero(_point_mask(inst, 1)).tolist()
     b2 = np.flatnonzero(_point_mask(inst, 2)).tolist()
     # Q = (12), point i is i mod 12
     # level 1: 0 mod 2 and 1 mod 4; level 2: 0 mod 3, 5 mod 6, 7 mod 12
     assert b1 == sorted([0, 2, 4, 6, 8, 10, 1, 5, 9])
     assert b2 == sorted([0, 3, 6, 9, 5, 11, 7])
-    with pytest.raises(InputError):
-        target_mask(inst, 0)
-    with pytest.raises(InputError):
-        target_mask(inst, 3)
 
 
 def test_target_mask_oracle(corpus):
@@ -315,20 +312,24 @@ def test_build_problem_matches_point_oracle(corpus):
 
 
 def test_build_problem_refuses_a_wrong_level_map(monkeypatch, capsys, classic_cover):
+    """build_problem refuses a level map with a label out of range or
+    without a parent; run's fiber-size check refuses one that gives a
+    parent every child. The CLI exits 4 on each."""
     orig = kernels.level_labels
+    deltas = resolve_delta_policy(classic_cover, None)
     tampered = [
-        lambda labels: labels + 1,  # a label out of range
-        lambda labels: np.zeros_like(labels),  # one parent takes every child
-        lambda labels: labels[:-1],  # a level-j label without a parent
+        (lambda labels: labels + 1, "do not map O/Q_"),  # a label out of range
+        (lambda labels: np.zeros_like(labels), "a fiber holds"),  # one parent takes every child
+        (lambda labels: labels[:-1], "do not map O/Q_"),  # a level-j label without a parent
     ]
-    for tamper in tampered:
+    for tamper, message in tampered:
         monkeypatch.setattr(kernels, "level_labels", lambda *a: tamper(orig(*a)))
-        with pytest.raises(SoundnessError, match="do not map O/Q_"):
-            build_problem(classic_cover)
-    rc = main(["certify", "--input", str(DATA / "classic.json")])
-    out, err = capsys.readouterr()
-    assert rc == 4 and out == ""
-    assert json.loads(err)["error"] == "SoundnessError"
+        with pytest.raises(SoundnessError, match=message):
+            certify(build_problem(classic_cover), deltas)
+        rc = main(["certify", "--input", str(DATA / "classic.json")])
+        out, err = capsys.readouterr()
+        assert rc == 4 and out == ""
+        assert json.loads(err)["error"] == "SoundnessError", err
 
 
 def test_build_problem_memory():
@@ -429,8 +430,6 @@ def test_policy_for_primes_direct(classic_cover):
 def test_build_problem_cutoff(classic_cover):
     with pytest.raises(EnumerationTooLarge):
         build_problem(classic_cover, max_enum=5)
-    with pytest.raises(EnumerationTooLarge):
-        target_mask(classic_cover, 1, max_enum=5)
 
 
 @pytest.mark.parametrize("key", FIELD_KEYS)

@@ -32,11 +32,13 @@ and delta: P_j is constant on each (parent, target-bit) cell. A level-j
 state, j >= 1, holds one code per cell of cells[j-1]; every point of
 level-j label l has mass table[codes[cells[j-1][l]]]. Per-label work is
 integer numpy (one np.add.at count of the labels per cell, and a gather
-of the level-(j-1) label codes); one sort per level groups the fibers by
-(code, t), and the moments, the step's values and P_j(B_j) take Fraction
-work once per (code, t) key, weighted by the fibers sharing it. Label
-arrays (cells, codes) take kernels.index_dtype, int32 below 2^31
-entries; label counts and (code, t) keys stay int64.
+of the level-(j-1) label codes). The (code, t) keys code * (r + 1) + t
+lie in a dense range of at most |L_j| + |L_{j-1}| keys (see _fibers), so
+one np.bincount and the ranks of its occupied keys group the fibers, with
+no sort; the moments, the step's values and P_j(B_j) take Fraction work
+once per (code, t) key, weighted by the fibers sharing it. Label arrays
+(cells, codes) take kernels.index_dtype, int32 below 2^31 entries; label
+counts and (code, t) keys stay int64.
 
 run is the one stepping path, and its RunResult is the certificate. Every
 level-J target fact (the final target masses, the uncovered mass and the
@@ -44,13 +46,19 @@ witness) comes from one lift: B_1..B_J packed into one unsigned integer
 per level-J cell, bit j-1 for B_j, with one gather per level below J.
 The masses are sums over the level-J cells, each weighted by its points.
 
+Whatever the checks, run refuses fibers of r < 1 labels, a code outside
+the value table and a cell outside [0, 2 |L_{j-1}|) before it counts a
+level's labels, and a fiber with t > r before it groups them.
+
 Checks, on by default, each paying Fraction work once per distinct key:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber holds r labels and keeps its
-    mass. Its labels fall into its two cells; fibers with the same (code,
-    cell codes, cell label counts) row are checked once, the two counts
-    summed and compared with r, and each cell's table[code] * count summed
-    and compared with the parent's table[code] * r;
+    mass. Its labels fall into its two cells, whose label counts are
+    summed and compared with r in one vector compare. Fibers of one (code,
+    t) key share their counts, so the mass identity, each cell's
+    table[code] * count summed and compared with the parent's
+    table[code] * r, runs once for a representative of each key and once
+    for each fiber whose cell codes differ from its representative's;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) from the level-J codes equals step j's;
   - when eta < 1 the uncovered mass is at least 1 - eta.
@@ -129,27 +137,57 @@ def _label_codes(state):
     return state.codes[state.problem.cells[state.level - 1]]
 
 
+def _fiber_keys(codes, r, t):
+    """int64 keys code * (r + 1) + t: an int32 code times a Python int stays
+    int32 and would wrap."""
+    keys = codes.astype(np.int64)
+    keys *= r + 1
+    keys += t
+    return keys
+
+
 def _fibers(state, j):
     """Level-(j-1) fibers grouped by (code, t): (r, split, keys, counts,
     group). Fiber l has r labels, split[2 * l + bit] in cell 2 * l + bit, so
     t = split[2 * l + 1] in B_j. keys[group[l]] = code * (r + 1) + t, keys
     ascending int64 with counts[g] fibers in group g; group has the
-    index_dtype of the 2 * len(keys) step cells."""
-    problem, codes = state.problem, _label_codes(state)
+    index_dtype of the 2 * len(keys) step cells.
+
+    The groups are ranks in a presence table over the dense key range
+    len(table) * (r + 1), with no sort. Each table value of a state that
+    run made is interned from a nonempty cell, so len(table) <= |L_{j-1}|
+    and the range holds at most |L_j| + |L_{j-1}| keys, the order of the
+    |L_j| entries of cells[j-1]; a hand-built initial_table sizes step 1's
+    range. The refusals of the module docstring run before the range is
+    allocated, and all but t > r before the labels are counted."""
+    problem, table = state.problem, state.table
+    cells, size = problem.cells[j - 1], problem.sizes[j]
+    if not 1 <= size <= problem.sizes[j - 1]:
+        raise SoundnessError(
+            f"step {j}: level-{j} labels of {size} points do not fit in "
+            f"level-{j - 1} labels of {problem.sizes[j - 1]}"
+        )
+    if state.codes.min() < 0 or state.codes.max() >= len(table):
+        raise SoundnessError(f"step {j}: a fiber's code lies outside the value table")
+    codes = _label_codes(state)
+    if cells.min() < 0 or cells.max() >= 2 * len(codes):
+        raise SoundnessError(f"step {j}: a cell lies outside [0, {2 * len(codes)})")
+    r = problem.sizes[j - 1] // size
     split = np.zeros(2 * len(codes), dtype=np.int64)
-    np.add.at(split, problem.cells[j - 1], 1)
-    r = problem.sizes[j - 1] // problem.sizes[j]
-    # int64 keys: an int32 code times a Python int stays int32 and would wrap
-    keys = codes.astype(np.int64) * (r + 1) + split[1::2]
-    keys, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return r, split, keys, counts, group.astype(kernels.index_dtype(2 * len(keys)))
+    np.add.at(split, cells, 1)
+    if split[1::2].max() > r:
+        raise SoundnessError(f"step {j}: a fiber holds more than {r} labels")
+    keys = _fiber_keys(codes, r, split[1::2])
+    counts = np.bincount(keys, minlength=len(table) * (r + 1))
+    occupied = np.flatnonzero(counts)
+    rank = np.zeros(len(counts), dtype=kernels.index_dtype(2 * len(occupied)))
+    rank[occupied] = np.arange(len(occupied))
+    return r, split, occupied, counts[occupied], rank[keys]
 
 
 def _moments(state, fibers):
     """(M1, M2): first and second moments of alpha_j, one term per (code, t) key."""
     r, _, keys, counts, _ = fibers
-    if keys[-1] >= len(state.table) * (r + 1):  # a key this large needs t > r
-        raise SoundnessError(f"step {state.level + 1}: a fiber holds more than {r} labels")
     size = state.problem.sizes[state.level + 1]
     m1 = m2 = Fraction(0)
     for key, count in zip(keys.tolist(), counts.tolist()):
@@ -197,6 +235,9 @@ def _step(state, j, delta, fibers, checks):
 
 
 def _verify_step(old, new, j):
+    """Step j's checks of the module docstring on the new state: its codes,
+    total mass, fiber sizes and fiber masses. Its presence table spans the
+    same dense (code, t) range as _fibers'."""
     problem, cells = old.problem, old.problem.cells[j - 1]
     nc = len(new.table)
     code = new.codes  # one per (parent fiber, target bit) cell
@@ -206,18 +247,28 @@ def _verify_step(old, new, j):
     np.add.at(count, cells, 1)
     if _grouped_sum(code, count, new.table) * problem.sizes[j] != 1:
         raise SoundnessError(f"step {j}: total mass drifted")
-    # every level-(j-1) fiber's mass is the sum over its two cells; one row
-    # per parent, in the label dtype, and the mass identity runs once per
-    # distinct row
-    count = count.astype(cells.dtype)
-    rows = np.stack([_label_codes(old), code[0::2], code[1::2], count[0::2], count[1::2]])
-    rows = rows[:, np.lexsort(rows)]
-    firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
     r = problem.sizes[j - 1] // problem.sizes[j]
-    for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
-        if n0 + n1 != r:
-            raise SoundnessError(f"step {j}: a fiber holds {n0 + n1} labels, not {r}")
-        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * r:
+    n0, n1 = count[0::2], count[1::2]
+    wrong = np.flatnonzero(n0 + n1 != r)
+    if len(wrong):
+        held = n0[wrong[0]] + n1[wrong[0]]
+        raise SoundnessError(f"step {j}: a fiber holds {held} labels, not {r}")
+    # every level-(j-1) fiber's mass is the sum over its two cells. Fibers of
+    # one (old code, n1) key, in _fibers' dense range, share their counts:
+    # the mass identity runs on one representative per key and on every
+    # fiber whose cell codes differ from its representative's, so whichever
+    # fiber represents a key, every distinct row is checked
+    keys = _fiber_keys(_label_codes(old), r, n1)
+    rep = np.zeros(len(old.table) * (r + 1), dtype=kernels.index_dtype(len(keys)))
+    rep[keys] = np.arange(len(keys), dtype=rep.dtype)
+    rep = rep[keys]
+    c0, c1 = code[0::2], code[1::2]
+    check = (c0 != c0[rep]) | (c1 != c1[rep])
+    check[rep] = True
+    check = np.flatnonzero(check)  # ascending, each fiber once
+    for key, a, b in zip(keys[check].tolist(), c0[check].tolist(), c1[check].tolist()):
+        oc, t = divmod(key, r + 1)
+        if new.table[a] * (r - t) + new.table[b] * t != old.table[oc] * r:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 

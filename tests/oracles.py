@@ -18,6 +18,9 @@ is distortion's former step, which sorted one (code, alpha, target bit)
 key per level-j label, fibers_alpha_ids, moments_alpha_ids and
 step_alpha_ids are distortion's former grouping, moments and step, which
 ranked the fibers' distinct alphas and summed over level-(j-1) labels,
+fibers_unique and verify_step_lexsort are distortion's former grouping
+and step check, which found the (code, t) groups with np.unique and the
+distinct (code, cell codes, cell counts) rows with np.lexsort,
 alpha and alpha_upper_bound are distortion's and
 bounds' former per-point alpha_j and its majorant, class_measure sums
 point_masses over a class marked by the package's kernel, sieve,
@@ -399,6 +402,43 @@ def step_alpha_ids(state, j, delta, fibers, checks):
     if checks:
         distortion._verify_step(state, new_state, j)
     return new_state, target * problem.sizes[j]
+
+
+def fibers_unique(state, j):
+    """distortion._fibers as it was: the (code, t) keys of the level-(j-1)
+    fibers grouped by one np.unique, (r, split, keys, counts, group)."""
+    problem, codes = state.problem, label_codes(state)
+    split = np.zeros(2 * len(codes), dtype=np.int64)
+    np.add.at(split, problem.cells[j - 1], 1)
+    r = problem.sizes[j - 1] // problem.sizes[j]
+    keys = codes.astype(np.int64) * (r + 1) + split[1::2]
+    keys, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return r, split, keys, counts, group.astype(kernels.index_dtype(2 * len(keys)))
+
+
+def verify_step_lexsort(old, new, j):
+    """distortion._verify_step as it was: one row (old code, c0, c1, n0,
+    n1) per level-(j-1) fiber, the distinct rows found by np.lexsort, and
+    the fiber size and mass checked once per distinct row."""
+    problem, cells = old.problem, old.problem.cells[j - 1]
+    nc = len(new.table)
+    code = new.codes
+    if code.min() < 0 or code.max() >= nc:
+        raise SoundnessError(f"step {j}: code outside the value table")
+    count = np.zeros(len(code), dtype=np.int64)
+    np.add.at(count, cells, 1)
+    if distortion._grouped_sum(code, count, new.table) * problem.sizes[j] != 1:
+        raise SoundnessError(f"step {j}: total mass drifted")
+    count = count.astype(cells.dtype)
+    rows = np.stack([label_codes(old), code[0::2], code[1::2], count[0::2], count[1::2]])
+    rows = rows[:, np.lexsort(rows)]
+    firsts = np.flatnonzero(np.r_[True, (np.diff(rows) != 0).any(axis=0)])
+    r = problem.sizes[j - 1] // problem.sizes[j]
+    for oc, c0, c1, n0, n1 in rows[:, firsts].T.tolist():
+        if n0 + n1 != r:
+            raise SoundnessError(f"step {j}: a fiber holds {n0 + n1} labels, not {r}")
+        if new.table[c0] * n0 + new.table[c1] * n1 != old.table[oc] * r:
+            raise SoundnessError(f"step {j}: fiber mass not conserved")
 
 
 def target_mass(state):

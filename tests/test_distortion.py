@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -415,21 +416,36 @@ def _deepest_levels(corpus):
     return run(build_problem(inst), deltas).states, deltas
 
 
+_SORTS = ("unique", "lexsort", "sort", "argsort")
+
+
+def _record_sorts(monkeypatch, calls):
+    """Wrap numpy's sorting functions to append their names to calls."""
+    for name in _SORTS:
+
+        def recording(*args, _name=name, _sort=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+
+
 def test_fibers_sort_once_per_level(corpus, monkeypatch):
-    """_fibers calls np.unique once per level, on the (code, t) keys."""
-    states, _ = _deepest_levels(corpus)
-    unique = np.unique
-    for st in states[:-1]:
-        calls = []
-
-        def recording(ar, *args, **kwargs):
-            calls.append(np.size(ar))
-            return unique(ar, *args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", recording)
-        distortion._fibers(st, st.level + 1)
-        monkeypatch.undo()
-        assert calls == [len(oracles.label_codes(st))]
+    """The engine sorts nothing (the name is kept from when _fibers sorted
+    once per level): the fibers' (code, t) groups and the step check's
+    representatives are presence tables over dense key ranges. certify on
+    the whole corpus under the four _policies calls none of np.unique,
+    np.lexsort, np.sort and np.argsort."""
+    cases = [
+        (build_problem(inst), resolve_delta_policy(inst, policy))
+        for inst in corpus
+        for policy in _policies(inst)
+    ]
+    calls = []
+    _record_sorts(monkeypatch, calls)
+    for prob, deltas in cases:
+        certify(prob, deltas)
+    assert calls == []
 
 
 class _RecordingAdd:
@@ -495,24 +511,19 @@ def test_build_problem_scatters_nothing(corpus, monkeypatch):
 
 
 def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
-    """The last step of the deepest corpus instance hands np.unique nothing
-    longer than the level-(J-1) labels: it groups the parent fibers and
-    codes their cells, with no per-label sort."""
+    """The last step of the deepest corpus instance, checks on, groups the
+    parent fibers and codes their cells with no sort at all, and its codes
+    and table equal oracles.step_label_keys'."""
     inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
     prob = build_problem(inst)
     depth = len(prob.cells)
     deltas = resolve_delta_policy(inst, ("threshold", 1))
     old = run(prob, deltas).states[depth - 1]
-    lengths, unique = [], np.unique
-
-    def recording(ar, *args, **kwargs):
-        lengths.append(np.size(ar))
-        return unique(ar, *args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", recording)
+    calls = []
+    _record_sorts(monkeypatch, calls)
     new, _ = distortion._step(old, depth, deltas[-1], distortion._fibers(old, depth), True)
     monkeypatch.undo()
-    assert lengths and max(lengths) <= len(oracles.label_codes(old)) < len(prob.cells[-1])
+    assert calls == []
     want = oracles.step_label_keys(old, depth, deltas[-1])
     assert np.array_equal(new.codes, want.codes) and new.table == want.table
 
@@ -657,13 +668,13 @@ def test_int64_labels_match_int32(corpus, monkeypatch):
     assert _corpus_runs(corpus, np.int64) == narrow
 
 
-def test_fibers_keys_pass_2_31():
-    """(code, t) keys are int64 even for int32 codes: 8 parents of r = 6
-    one-point children each, parent l with t = l % 7 of them in B_2, so
-    under int32 codes near 2^31 - 1 the keys code * 7 + t take the values
-    of Python-int arithmetic, past 2^33. Each parent is alone in its level-1
-    cell (4 level-0 labels, each with a child in B_1 and one out of it), so
-    each has its own code. _fibers reads the codes, not the table."""
+def test_fibers_keys_pass_2_31(corpus):
+    """A code past the value table is refused before any table is made: 8
+    parents of r = 6 one-point children under int32 codes near 2^31 - 1
+    would need a presence table of some 1.5 * 10^10 keys, and with a
+    one-entry table _fibers refuses them with under 1 MB traced. On the
+    deepest corpus instance the keys are int64 and key each fiber by
+    code * (r + 1) + t, the values of Python-int arithmetic."""
     m, b = 8, 6
     parent = np.repeat(np.arange(m, dtype=np.int32), b)
     bits = np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)
@@ -675,12 +686,83 @@ def test_fibers_keys_pass_2_31():
     )
     codes = np.arange(2**31 - 1, 2**31 - 1 - m, -1, dtype=np.int32)
     state = distortion.DistortionState(prob, 1, codes, (F(0),), (F(0),))
-    r, split, keys, counts, group = distortion._fibers(state, 2)
-    assert r == b and counts.tolist() == [1] * m
-    assert keys.dtype == np.int64 and int(keys.max()) > 2**33
-    for l in range(m):
-        assert (split[2 * l], split[2 * l + 1]) == (b - l % 7, l % 7)
-        assert int(keys[group[l]]) == int(codes[l]) * 7 + l % 7
+    tracemalloc.start()
+    try:
+        with pytest.raises(SoundnessError, match="step 2: a fiber's code lies outside"):
+            distortion._fibers(state, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    states, _ = _deepest_levels(corpus)
+    for st in states[:-1]:
+        r, split, keys, counts, group = distortion._fibers(st, st.level + 1)
+        assert keys.dtype == counts.dtype == np.int64 and group.dtype == np.int32
+        codes, t = oracles.label_codes(st).tolist(), split[1::2].tolist()
+        assert keys[group].tolist() == [c * (r + 1) + x for c, x in zip(codes, t)]
+
+
+def _assert_matches_unique(prob, deltas):
+    # every level's grouping equals the np.unique one it replaced, dtypes
+    # too, and run with that grouping and the lexsort step check gives the
+    # same states and certificate. The presence tables of step j span
+    # len(table) * (r_j + 1) keys, at most |L_j| + |L_{j-1}|
+    labels = [len(prob.initial_codes)] + [len(cell) for cell in prob.cells]
+    res = run(prob, deltas)
+    for st in res.states[:-1]:
+        j = st.level + 1
+        got = distortion._fibers(st, j)
+        want = oracles.fibers_unique(st, j)
+        assert got[0] == want[0]
+        assert len(st.table) * (got[0] + 1) <= labels[j] + labels[j - 1], j
+        for x, y in zip(got[1:], want[1:], strict=True):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    with mock.patch.multiple(
+        distortion, _fibers=oracles.fibers_unique, _verify_step=oracles.verify_step_lexsort
+    ):
+        want = run(prob, deltas)
+    for got, ref in zip(res.states, want.states, strict=True):
+        assert got.codes.dtype == ref.codes.dtype and np.array_equal(got.codes, ref.codes)
+        assert got.table == ref.table
+    assert res[1:] == want[1:]
+
+
+def test_fibers_match_unique_on_corpus(corpus):
+    """Every level of the whole corpus under the four _policies: (r, split,
+    keys, counts, group) and the certificate equal those of
+    oracles.fibers_unique and verify_step_lexsort, and the presence tables
+    hold at most |L_j| + |L_{j-1}| entries."""
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in _policies(inst):
+            _assert_matches_unique(prob, resolve_delta_policy(inst, policy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_chains())
+def test_random_chains_match_unique(case):
+    prob, deltas = case
+    _assert_matches_unique(oracles.to_labels(prob)[0], deltas)
+
+
+def test_certify_depth_7_memory():
+    """certify on 0 mod p for p <= 17 (depth 7, n = 510,510) at threshold
+    1, the problem built outside the trace, peaks under tracemalloc at no
+    more than 1.1 times the bytes of the problem's cells: no step makes a
+    temporary larger than a level's labels."""
+    field = make_field("rational")
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    inst = validate(field, [((0, 0), ideal_from_gens(field, [(p, 0)])) for p in primes])
+    prob = build_problem(inst)
+    deltas = resolve_delta_policy(inst, ("threshold", 1))
+    tracemalloc.start()
+    try:
+        cert = certify(prob, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "certified-noncover"
+    assert peak <= 1.1 * sum(cell.nbytes for cell in prob.cells), peak
 
 
 # ------------------------------------------------------------ tampering
@@ -779,12 +861,14 @@ def _raised(check, old, new):
 
 def test_verify_step_catches_swaps_on_corpus(corpus):
     """Every step of 40 deep instances, under threshold 1 and the default
-    policy. The check and the signature oracle it replaced both accept each
-    step as run, and both raise on every tampering: swaps of cells, or of
-    the two cells of two parents, with equal label counts, which keep the
-    total mass but move mass between fibers (each caught as fiber mass),
-    one re-coded cell and one doubled table entry."""
+    policy. The check, and the lexsort and signature oracles it replaced,
+    each accept every step as run and raise on every tampering: swaps of
+    cells, or of the two cells of two parents, with equal label counts,
+    which keep the total mass but move mass between fibers (each caught as
+    fiber mass), one re-coded cell and one doubled table entry."""
     rng = random.Random(26)
+    checks = (distortion._verify_step, oracles.verify_step_lexsort,
+              oracles.verify_step_signatures)
     caught = dict.fromkeys(["cell", "fiber", "recode", "table"], 0)
     deep = [i for i in corpus if i.depth >= 2 and ideal_norm(i.q) >= 100]
     for inst in deep[:40]:
@@ -792,8 +876,8 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
         for policy in (("threshold", 1), None):
             states = run(prob, resolve_delta_policy(inst, policy)).states
             for old, new in zip(states, states[1:]):
-                assert _raised(oracles.verify_step_signatures, old, new) is None
-                assert _raised(distortion._verify_step, old, new) is None
+                for check in checks:
+                    assert _raised(check, old, new) is None
                 count = _cell_counts(new)
                 for _ in range(4):
                     table = _double_entry(rng, new, count)
@@ -807,11 +891,11 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
                             continue
                         field = "table" if kind == "table" else "codes"
                         bad = new._replace(**{field: bad})
-                        want = _raised(oracles.verify_step_signatures, old, bad)
-                        got = _raised(distortion._verify_step, old, bad)
-                        assert got is not None and want is not None
-                        if kind in ("cell", "fiber"):
-                            assert "fiber mass" in got
+                        for check in checks:
+                            got = _raised(check, old, bad)
+                            assert got is not None, (check, kind)
+                            if kind in ("cell", "fiber"):
+                                assert "fiber mass" in got
                         caught[kind] += 1
     assert caught["cell"] + caught["fiber"] > 400 and min(caught.values()) > 100, caught
 
@@ -853,9 +937,19 @@ def test_verify_step_checks_every_distinct_row():
                               [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
                               [False, True, True, False, False, True] * 2,
                               [0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0], [F(0), F(1, 6)])
-    for old, new in (own_code, counts):
+    # four fibers of one (old code, n1) key: two keep their mass 1/4 with
+    # cell codes (1, 1), one gains 1/8 with (2, 1) and one loses it with
+    # (0, 1), first or last, so whichever fiber represents the key, the two
+    # that differ from a right one are checked too
+    same_key = [
+        _hand_built_step([0] * 4, [F(1, 8)], [0, 0, 1, 1, 2, 2, 3, 3], [False, True] * 4,
+                         codes, [F(0), F(1, 8), F(1, 4)])
+        for codes in ([2, 1, 0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 2, 1, 0, 1])
+    ]
+    for old, new in (own_code, counts, *same_key):
         assert oracles.total_mass(new) == 1
-        for check in (distortion._verify_step, oracles.verify_step_signatures):
+        for check in (distortion._verify_step, oracles.verify_step_lexsort,
+                      oracles.verify_step_signatures):
             with pytest.raises(SoundnessError, match="fiber mass"):
                 check(old, new, 1)
 
@@ -864,8 +958,8 @@ def test_run_refuses_a_fiber_of_the_wrong_size():
     """Level-0 label 1 carries no mass, so its fiber keeps its mass and the
     total stays 1 whatever the fiber holds: only the size check sees that
     it holds 3 labels where r = 2. Without checks the run certifies. With
-    its 3 labels in B_1 the fiber's (code, t) key lies past the value
-    table, and _moments refuses it, checks or none."""
+    its 3 labels in B_1 it has t = 3 > r, and _fibers refuses it, checks
+    or none."""
     prob = DistortionProblem(
         [2, 1], [np.array([0, 0, 2, 2, 2], dtype=np.int32)],
         np.array([0, 1], dtype=np.int32), (F(1, 2), F(0)),
@@ -877,6 +971,34 @@ def test_run_refuses_a_fiber_of_the_wrong_size():
     for checks in (True, False):
         with pytest.raises(SoundnessError, match="step 1: a fiber holds more than 2 labels"):
             run(prob, [F(0)], checks=checks)
+
+
+def test_run_refuses_cells_outside_their_range():
+    """Before a level's labels are counted, run refuses a cell outside
+    [0, 2 |L_{j-1}|), fibers of r_j < 1 and a code outside the value table,
+    checks on or off. Unrefused, cell -4 wrapped to cell 0 and the run
+    certified with eta 0, cell 4 raised an IndexError, sizes [1, 2] a
+    ZeroDivisionError, and code -1 read the table's last value, so that
+    without checks the run certified."""
+    prob = DistortionProblem(
+        [2, 1], [np.array([0, 0, 2, 2], dtype=np.int32)],
+        np.array([0, 1], dtype=np.int32), (F(1, 2), F(0)),
+    )
+    assert run(prob, [F(0)]).verdict == "certified-noncover"
+    bad = [
+        (prob._replace(cells=[np.array([0, -4, 2, 2], dtype=np.int32)]),
+         r"step 1: a cell lies outside \[0, 4\)"),
+        (prob._replace(cells=[np.array([0, 4, 2, 2], dtype=np.int32)]),
+         r"step 1: a cell lies outside \[0, 4\)"),
+        (prob._replace(sizes=[1, 2]),
+         "step 1: level-1 labels of 2 points do not fit in level-0 labels of 1"),
+        (prob._replace(initial_codes=np.array([-1, 1], dtype=np.int32)),
+         "step 1: a fiber's code lies outside the value table"),
+    ]
+    for tampered, message in bad:
+        for checks in (True, False):
+            with pytest.raises(SoundnessError, match=message):
+                run(tampered, [F(0)], checks=checks)
 
 
 def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):

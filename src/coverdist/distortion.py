@@ -32,13 +32,13 @@ and delta: P_j is constant on each (parent, target-bit) cell. A level-j
 state, j >= 1, holds one code per cell of cells[j-1]; every point of
 level-j label l has mass table[codes[cells[j-1][l]]]. Per-label work is
 integer numpy (one np.add.at count of the labels per cell, and a gather
-of the level-(j-1) label codes). The (code, t) keys code * (r + 1) + t
-lie in a dense range of at most |L_j| + |L_{j-1}| keys (see _fibers), so
-one np.bincount and the ranks of its occupied keys group the fibers, with
-no sort; the moments, the step's values and P_j(B_j) take Fraction work
-once per (code, t) key, weighted by the fibers sharing it. Label arrays
+of the level-(j-1) label codes). _fibers alone keys the fibers by (code,
+t), in a dense range of at most len(table) * min(r + 1, |L_{j-1}|) keys,
+so one np.bincount and the ranks of its occupied keys group the fibers,
+with no sort; the moments, the step's values and P_j(B_j) take Fraction
+work once per (code, t) group, weighted by the fibers in it. Label arrays
 (cells, codes) take kernels.index_dtype, int32 below 2^31 entries; label
-counts and (code, t) keys stay int64.
+counts and fiber keys stay int64.
 
 run is the one stepping path, and its RunResult is the certificate. Every
 level-J target fact (the final target masses, the uncovered mass and the
@@ -46,19 +46,20 @@ witness) comes from one lift: B_1..B_J packed into one unsigned integer
 per level-J cell, bit j-1 for B_j, with one gather per level below J.
 The masses are sums over the level-J cells, each weighted by its points.
 
-Whatever the checks, run refuses fibers of r < 1 labels, a code outside
-the value table and a cell outside [0, 2 |L_{j-1}|) before it counts a
-level's labels, and a fiber with t > r before it groups them.
+Whatever the checks, run refuses an empty level, fibers of r < 1 labels,
+a code outside the value table and a cell outside [0, 2 |L_{j-1}|) before
+it counts a level's labels, and a fiber with t > r before it groups them.
 
-Checks, on by default, each paying Fraction work once per distinct key:
+Checks, on by default, each paying Fraction work once per distinct row:
   - after every step the total mass is exactly 1;
   - after every step each level-(j-1) fiber holds r labels and keeps its
     mass. Its labels fall into its two cells, whose label counts are
-    summed and compared with r in one vector compare. Fibers of one (code,
-    t) key share their counts, so the mass identity, each cell's
-    table[code] * count summed and compared with the parent's
-    table[code] * r, runs once for a representative of each key and once
-    for each fiber whose cell codes differ from its representative's;
+    summed and compared with r in one vector compare. The mass identity,
+    each cell's table[code] * count summed and compared with the parent's
+    table[code] * r, depends only on the fiber's row (old code, n1, c0,
+    c1), so it runs once for a representative of each of the step's (code,
+    t) groups and once for each fiber whose row differs from its
+    representative's;
   - after every step P_j(B_j) <= min(M1, M2/(4 delta (1-delta)));
   - after the run every P_J(B_j) from the level-J codes equals step j's;
   - when eta < 1 the uncovered mass is at least 1 - eta.
@@ -137,29 +138,21 @@ def _label_codes(state):
     return state.codes[state.problem.cells[state.level - 1]]
 
 
-def _fiber_keys(codes, r, t):
-    """int64 keys code * (r + 1) + t: an int32 code times a Python int stays
-    int32 and would wrap."""
-    keys = codes.astype(np.int64)
-    keys *= r + 1
-    keys += t
-    return keys
-
-
 def _fibers(state, j):
-    """Level-(j-1) fibers grouped by (code, t): (r, split, keys, counts,
+    """Level-(j-1) fibers grouped by (code, t): (r, split, code, t, counts,
     group). Fiber l has r labels, split[2 * l + bit] in cell 2 * l + bit, so
-    t = split[2 * l + 1] in B_j. keys[group[l]] = code * (r + 1) + t, keys
-    ascending int64 with counts[g] fibers in group g; group has the
-    index_dtype of the 2 * len(keys) step cells.
+    t = split[2 * l + 1] in B_j. Group g holds the counts[g] fibers of code
+    code[g] and t[g], groups ascending in (code, t); group has the
+    index_dtype of the 2 * len(counts) step cells.
 
-    The groups are ranks in a presence table over the dense key range
-    len(table) * (r + 1), with no sort. Each table value of a state that
-    run made is interned from a nonempty cell, so len(table) <= |L_{j-1}|
-    and the range holds at most |L_j| + |L_{j-1}| keys, the order of the
-    |L_j| entries of cells[j-1]; a hand-built initial_table sizes step 1's
-    range. The refusals of the module docstring run before the range is
-    allocated, and all but t > r before the labels are counted."""
+    A presence table over 0..r ranks the distinct t, and each fiber is keyed
+    by code * len(ts) + rank(t). The groups are the ranks of the keys
+    present in one table over that range, len(table) * len(ts) keys, with
+    no sort. len(ts) <= min(r + 1, |L_{j-1}|), and each table value of a
+    state that run made is interned from a nonempty cell, so len(table) <=
+    |L_{j-1}| and the range holds at most |L_j| + |L_{j-1}| keys, 1 on a
+    one-fiber level; a hand-built initial_table sizes step 1's range. The
+    refusals of the module docstring run before the range is allocated."""
     problem, table = state.problem, state.table
     cells, size = problem.cells[j - 1], problem.sizes[j]
     if not 1 <= size <= problem.sizes[j - 1]:
@@ -167,6 +160,8 @@ def _fibers(state, j):
             f"step {j}: level-{j} labels of {size} points do not fit in "
             f"level-{j - 1} labels of {problem.sizes[j - 1]}"
         )
+    if not len(state.codes) or not len(cells):
+        raise SoundnessError(f"step {j}: level {j - 1} or {j} has no labels")
     if state.codes.min() < 0 or state.codes.max() >= len(table):
         raise SoundnessError(f"step {j}: a fiber's code lies outside the value table")
     codes = _label_codes(state)
@@ -177,21 +172,25 @@ def _fibers(state, j):
     np.add.at(split, cells, 1)
     if split[1::2].max() > r:
         raise SoundnessError(f"step {j}: a fiber holds more than {r} labels")
-    keys = _fiber_keys(codes, r, split[1::2])
-    counts = np.bincount(keys, minlength=len(table) * (r + 1))
+    present = np.zeros(r + 1, dtype=bool)
+    present[split[1::2]] = True
+    ts = np.flatnonzero(present)  # the distinct t, ascending
+    keys = np.searchsorted(ts, split[1::2])  # rank(t), int64
+    keys += np.multiply(codes, len(ts), dtype=np.int64)  # int32 codes would wrap
+    counts = np.bincount(keys, minlength=len(table) * len(ts))
     occupied = np.flatnonzero(counts)
     rank = np.zeros(len(counts), dtype=kernels.index_dtype(2 * len(occupied)))
     rank[occupied] = np.arange(len(occupied))
-    return r, split, occupied, counts[occupied], rank[keys]
+    code, t = np.divmod(occupied, len(ts))
+    return r, split, code, ts[t], counts[occupied], rank[keys]
 
 
 def _moments(state, fibers):
-    """(M1, M2): first and second moments of alpha_j, one term per (code, t) key."""
-    r, _, keys, counts, _ = fibers
+    """(M1, M2): first and second moments of alpha_j, one term per (code, t) group."""
+    r, _, codes, ts, counts, _ = fibers
     size = state.problem.sizes[state.level + 1]
     m1 = m2 = Fraction(0)
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        code, t = divmod(key, r + 1)
+    for code, t, count in zip(codes.tolist(), ts.tolist(), counts.tolist()):
         mass = state.table[code] * (t * size * count)  # count fibers of v * sizes[j-1] * t / r
         m1 += mass
         m2 += mass * Fraction(t, r)
@@ -213,14 +212,13 @@ def _step(state, j, delta, fibers, checks):
     (the level-j state, P_j(B_j))."""
     delta = _check_delta(delta)
     problem = state.problem
-    r, _, keys, counts, group = fibers
+    r, _, codes, ts, counts, group = fibers
     # a (parent, bit) cell's new mass depends only on its (group, bit) cell,
     # of count * (r - t) labels for bit 0 and count * t for bit 1; one value
     # per occupied group cell, interned in ascending order
-    remap = np.zeros(2 * len(keys), dtype=group.dtype)
+    remap = np.zeros(2 * len(counts), dtype=group.dtype)
     interned, target = {}, Fraction(0)
-    for g, (key, count) in enumerate(zip(keys.tolist(), counts.tolist())):
-        code, t = divmod(key, r + 1)
+    for g, (code, t, count) in enumerate(zip(codes.tolist(), ts.tolist(), counts.tolist())):
         v = state.table[code]
         for bit, labels in enumerate((r - t, t)):
             if labels:
@@ -230,14 +228,15 @@ def _step(state, j, delta, fibers, checks):
     codes = remap.reshape(-1, 2)[group].ravel()  # cell 2 * l + bit: group cell 2 * g + bit
     new_state = DistortionState(problem, j, codes, tuple(interned), state.deltas + (delta,))
     if checks:
-        _verify_step(state, new_state, j)
+        _verify_step(state, new_state, j, group)
     return new_state, target * problem.sizes[j]
 
 
-def _verify_step(old, new, j):
+def _verify_step(old, new, j, group):
     """Step j's checks of the module docstring on the new state: its codes,
-    total mass, fiber sizes and fiber masses. Its presence table spans the
-    same dense (code, t) range as _fibers'."""
+    total mass, fiber sizes and fiber masses. group gives each level-(j-1)
+    fiber a group in [0, |L_{j-1}|), _fibers' or any other: the check is
+    sound whatever it is."""
     problem, cells = old.problem, old.problem.cells[j - 1]
     nc = len(new.table)
     code = new.codes  # one per (parent fiber, target bit) cell
@@ -253,21 +252,20 @@ def _verify_step(old, new, j):
     if len(wrong):
         held = n0[wrong[0]] + n1[wrong[0]]
         raise SoundnessError(f"step {j}: a fiber holds {held} labels, not {r}")
-    # every level-(j-1) fiber's mass is the sum over its two cells. Fibers of
-    # one (old code, n1) key, in _fibers' dense range, share their counts:
-    # the mass identity runs on one representative per key and on every
-    # fiber whose cell codes differ from its representative's, so whichever
-    # fiber represents a key, every distinct row is checked
-    keys = _fiber_keys(_label_codes(old), r, n1)
-    rep = np.zeros(len(old.table) * (r + 1), dtype=kernels.index_dtype(len(keys)))
-    rep[keys] = np.arange(len(keys), dtype=rep.dtype)
-    rep = rep[keys]
-    c0, c1 = code[0::2], code[1::2]
-    check = (c0 != c0[rep]) | (c1 != c1[rep])
+    # every level-(j-1) fiber's mass is the sum over its two cells, a function
+    # of its row (old code, n1, c0, c1). The mass identity runs on one
+    # representative per group and on every fiber whose row differs from its
+    # representative's, so whatever the grouping, every distinct row is checked
+    rep = np.zeros(len(group), dtype=kernels.index_dtype(len(group)))
+    rep[group] = np.arange(len(group), dtype=rep.dtype)
+    rep = rep[group]
+    rows = (_label_codes(old), n1, code[0::2], code[1::2])
+    check = np.zeros(len(group), dtype=bool)
+    for row in rows:
+        check |= row != row[rep]
     check[rep] = True
     check = np.flatnonzero(check)  # ascending, each fiber once
-    for key, a, b in zip(keys[check].tolist(), c0[check].tolist(), c1[check].tolist()):
-        oc, t = divmod(key, r + 1)
+    for oc, t, a, b in zip(*(row[check].tolist() for row in rows)):
         if new.table[a] * (r - t) + new.table[b] * t != old.table[oc] * r:
             raise SoundnessError(f"step {j}: fiber mass not conserved")
 

@@ -21,6 +21,10 @@ ranked the fibers' distinct alphas and summed over level-(j-1) labels,
 fibers_unique and verify_step_lexsort are distortion's former grouping
 and step check, which found the (code, t) groups with np.unique and the
 distinct (code, cell codes, cell counts) rows with np.lexsort,
+fibers_dense and verify_step_dense are the grouping and step check that
+replaced those, which keyed each fiber by code * (r + 1) + t and each
+took its own presence table over that dense range (each step check here
+takes the step's grouping and ignores it),
 alpha and alpha_upper_bound are distortion's and
 bounds' former per-point alpha_j and its majorant, class_measure sums
 point_masses over a class marked by the package's kernel, sieve,
@@ -258,7 +262,7 @@ def total_mass(state):
     return sum((table[c] for c in label_codes(state).tolist()), Fraction(0)) * sizes[state.level]
 
 
-def verify_step_signatures(old, new, j):
+def verify_step_signatures(old, new, j, group=None):
     """distortion._verify_step as it was: fiber mass checked on (parent
     fiber, child code) cells, one Fraction sum per distinct parent
     signature, each signature refined by one sort per cell rank, from the
@@ -342,8 +346,8 @@ def step_label_keys(state, j, delta, checks=True):
     codes[problem.cells[j - 1]] = np.asarray(remap, dtype=np.int64)[inv]
     deltas = state.deltas + (delta,)
     new_state = distortion.DistortionState(problem, j, codes, tuple(interned), deltas)
-    if checks:
-        distortion._verify_step(state, new_state, j)
+    if checks:  # the alpha ids group the fibers, as any grouping may
+        distortion._verify_step(state, new_state, j, ids)
     return new_state
 
 
@@ -400,23 +404,84 @@ def step_alpha_ids(state, j, delta, fibers, checks):
     deltas = state.deltas + (delta,)
     new_state = distortion.DistortionState(problem, j, remap[gcell], tuple(interned), deltas)
     if checks:
-        distortion._verify_step(state, new_state, j)
+        distortion._verify_step(state, new_state, j, group)
     return new_state, target * problem.sizes[j]
 
 
 def fibers_unique(state, j):
-    """distortion._fibers as it was: the (code, t) keys of the level-(j-1)
-    fibers grouped by one np.unique, (r, split, keys, counts, group)."""
+    """distortion._fibers as it was: the (code, t) keys code * (r + 1) + t
+    of the level-(j-1) fibers grouped by one np.unique, the keys decoded to
+    (r, split, code, t, counts, group)."""
     problem, codes = state.problem, label_codes(state)
     split = np.zeros(2 * len(codes), dtype=np.int64)
     np.add.at(split, problem.cells[j - 1], 1)
     r = problem.sizes[j - 1] // problem.sizes[j]
     keys = codes.astype(np.int64) * (r + 1) + split[1::2]
     keys, group, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return r, split, keys, counts, group.astype(kernels.index_dtype(2 * len(keys)))
+    code, t = np.divmod(keys, r + 1)
+    return r, split, code, t, counts, group.astype(kernels.index_dtype(2 * len(keys)))
 
 
-def verify_step_lexsort(old, new, j):
+def _dense_keys(codes, r, t):
+    """int64 keys code * (r + 1) + t: an int32 code times a Python int stays
+    int32 and would wrap."""
+    keys = codes.astype(np.int64)
+    keys *= r + 1
+    keys += t
+    return keys
+
+
+def fibers_dense(state, j):
+    """distortion._fibers as it was: the groups are ranks in a presence
+    table over the dense key range len(table) * (r + 1) of the keys code *
+    (r + 1) + t, decoded to (r, split, code, t, counts, group)."""
+    problem, codes = state.problem, label_codes(state)
+    split = np.zeros(2 * len(codes), dtype=np.int64)
+    np.add.at(split, problem.cells[j - 1], 1)
+    r = problem.sizes[j - 1] // problem.sizes[j]
+    keys = _dense_keys(codes, r, split[1::2])
+    counts = np.bincount(keys, minlength=len(state.table) * (r + 1))
+    occupied = np.flatnonzero(counts)
+    rank = np.zeros(len(counts), dtype=kernels.index_dtype(2 * len(occupied)))
+    rank[occupied] = np.arange(len(occupied))
+    code, t = np.divmod(occupied, r + 1)
+    return r, split, code, t, counts[occupied], rank[keys]
+
+
+def verify_step_dense(old, new, j, group=None):
+    """distortion._verify_step as it was: each fiber keyed by (old code, n1)
+    in fibers_dense's range, one representative per key picked in its own
+    presence table over that range, and the mass identity run on each
+    representative and on every fiber whose cell codes differ from it."""
+    problem, cells = old.problem, old.problem.cells[j - 1]
+    code = new.codes
+    if code.min() < 0 or code.max() >= len(new.table):
+        raise SoundnessError(f"step {j}: code outside the value table")
+    count = np.zeros(len(code), dtype=np.int64)
+    np.add.at(count, cells, 1)
+    if distortion._grouped_sum(code, count, new.table) * problem.sizes[j] != 1:
+        raise SoundnessError(f"step {j}: total mass drifted")
+    r = problem.sizes[j - 1] // problem.sizes[j]
+    n0, n1 = count[0::2], count[1::2]
+    wrong = np.flatnonzero(n0 + n1 != r)
+    if len(wrong):
+        held = n0[wrong[0]] + n1[wrong[0]]
+        raise SoundnessError(f"step {j}: a fiber holds {held} labels, not {r}")
+    keys = _dense_keys(label_codes(old), r, n1)
+    rep = np.zeros(len(old.table) * (r + 1), dtype=kernels.index_dtype(len(keys)))
+    rep[keys] = np.arange(len(keys), dtype=rep.dtype)
+    rep = rep[keys]
+    c0, c1 = code[0::2], code[1::2]
+    check = (c0 != c0[rep]) | (c1 != c1[rep])
+    check[rep] = True
+    check = np.flatnonzero(check)
+    for key, a, b in zip(keys[check].tolist(), c0[check].tolist(), c1[check].tolist()):
+        oc, t = divmod(key, r + 1)
+        if new.table[a] * (r - t) + new.table[b] * t != old.table[oc] * r:
+            raise SoundnessError(f"step {j}: fiber mass not conserved")
+
+
+def verify_step_lexsort(old, new, j, group=None):
     """distortion._verify_step as it was: one row (old code, c0, c1, n0,
     n1) per level-(j-1) fiber, the distinct rows found by np.lexsort, and
     the fiber size and mass checked once per distinct row."""

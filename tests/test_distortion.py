@@ -530,20 +530,29 @@ def test_step_sorts_only_parent_fibers(corpus, monkeypatch):
 
 def test_run_groups_each_level_once(corpus, monkeypatch):
     """run groups the level-(j-1) fibers once per level and hands the one
-    grouping to both the moments and the step."""
+    grouping to both the moments and the step, and the step hands the same
+    group array to its check."""
     inst = max(corpus, key=lambda i: (i.depth, ideal_norm(i.q)))
     prob = build_problem(inst)
     deltas = resolve_delta_policy(inst, ("threshold", 1))
     want = run(prob, deltas)
-    calls, fibers = [], distortion._fibers
+    calls, checked = [], []
+    fibers, verify_step = distortion._fibers, distortion._verify_step
 
     def counting(state, j):
-        calls.append(j)
-        return fibers(state, j)
+        calls.append((j, fibers(state, j)))
+        return calls[-1][1]
+
+    def recording(old, new, j, group):
+        checked.append((j, group))
+        return verify_step(old, new, j, group)
 
     monkeypatch.setattr(distortion, "_fibers", counting)
+    monkeypatch.setattr(distortion, "_verify_step", recording)
     got = run(prob, deltas)
-    assert calls == list(range(1, inst.depth + 1))
+    assert [j for j, _ in calls] == list(range(1, inst.depth + 1))
+    assert [j for j, _ in checked] == [j for j, _ in calls]
+    assert all(g is f[-1] for (_, g), (_, f) in zip(checked, calls))
     assert got.reports == want.reports
 
 
@@ -668,13 +677,15 @@ def test_int64_labels_match_int32(corpus, monkeypatch):
     assert _corpus_runs(corpus, np.int64) == narrow
 
 
-def test_fibers_keys_pass_2_31(corpus):
+def test_fibers_keys_pass_2_31(corpus, monkeypatch):
     """A code past the value table is refused before any table is made: 8
     parents of r = 6 one-point children under int32 codes near 2^31 - 1
     would need a presence table of some 1.5 * 10^10 keys, and with a
-    one-entry table _fibers refuses them with under 1 MB traced. On the
-    deepest corpus instance the keys are int64 and key each fiber by
-    code * (r + 1) + t, the values of Python-int arithmetic."""
+    one-entry table _fibers refuses them with under 1 MB traced. On every level of
+    the deepest corpus instance the keys _fibers counts are int64 and key
+    each fiber by code * len(ts) + rank(t), ts the distinct t ascending,
+    the values of Python-int arithmetic; each group's code and t are the
+    code and t of its fibers."""
     m, b = 8, 6
     parent = np.repeat(np.arange(m, dtype=np.int32), b)
     bits = np.arange(m * b) % b < np.repeat(np.arange(m) % 7, b)
@@ -695,31 +706,42 @@ def test_fibers_keys_pass_2_31(corpus):
         tracemalloc.stop()
     assert peak < 2**20
     states, _ = _deepest_levels(corpus)
+    counted, bincount = [], np.bincount
+
+    def recording(keys, minlength):
+        counted.append(keys)
+        return bincount(keys, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
     for st in states[:-1]:
-        r, split, keys, counts, group = distortion._fibers(st, st.level + 1)
-        assert keys.dtype == counts.dtype == np.int64 and group.dtype == np.int32
-        codes, t = oracles.label_codes(st).tolist(), split[1::2].tolist()
-        assert keys[group].tolist() == [c * (r + 1) + x for c, x in zip(codes, t)]
+        counted.clear()
+        _, split, code, t, counts, group = distortion._fibers(st, st.level + 1)
+        assert code.dtype == t.dtype == counts.dtype == np.int64 and group.dtype == np.int32
+        codes, tl = oracles.label_codes(st).tolist(), split[1::2].tolist()
+        ts = sorted(set(tl))
+        assert len(counted) == 1 and counted[0].dtype == np.int64
+        assert counted[0].tolist() == [c * len(ts) + ts.index(x) for c, x in zip(codes, tl)]
+        assert code[group].tolist() == codes and t[group].tolist() == tl
 
 
-def _assert_matches_unique(prob, deltas):
-    # every level's grouping equals the np.unique one it replaced, dtypes
-    # too, and run with that grouping and the lexsort step check gives the
-    # same states and certificate. The presence tables of step j span
-    # len(table) * (r_j + 1) keys, at most |L_j| + |L_{j-1}|
+def _assert_matches_grouping(prob, deltas, fibers, verify_step):
+    # every level's (r, split, code, t, counts, group) equals the given
+    # former grouping's, dtypes too, and run with it and the given former
+    # step check gives the same states and certificate. The key range of
+    # step j spans len(table) * len(ts) keys, at most len(table) * (r_j + 1),
+    # the range it replaced, and at most |L_j| + |L_{j-1}|
     labels = [len(prob.initial_codes)] + [len(cell) for cell in prob.cells]
     res = run(prob, deltas)
     for st in res.states[:-1]:
         j = st.level + 1
         got = distortion._fibers(st, j)
-        want = oracles.fibers_unique(st, j)
+        want = fibers(st, j)
         assert got[0] == want[0]
-        assert len(st.table) * (got[0] + 1) <= labels[j] + labels[j - 1], j
+        span = len(st.table) * len(set(got[3].tolist()))
+        assert span <= len(st.table) * (got[0] + 1) and span <= labels[j] + labels[j - 1], j
         for x, y in zip(got[1:], want[1:], strict=True):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-    with mock.patch.multiple(
-        distortion, _fibers=oracles.fibers_unique, _verify_step=oracles.verify_step_lexsort
-    ):
+    with mock.patch.multiple(distortion, _fibers=fibers, _verify_step=verify_step):
         want = run(prob, deltas)
     for got, ref in zip(res.states, want.states, strict=True):
         assert got.codes.dtype == ref.codes.dtype and np.array_equal(got.codes, ref.codes)
@@ -727,11 +749,19 @@ def _assert_matches_unique(prob, deltas):
     assert res[1:] == want[1:]
 
 
+def _assert_matches_unique(prob, deltas):
+    _assert_matches_grouping(prob, deltas, oracles.fibers_unique, oracles.verify_step_lexsort)
+
+
+def _assert_matches_dense(prob, deltas):
+    _assert_matches_grouping(prob, deltas, oracles.fibers_dense, oracles.verify_step_dense)
+
+
 def test_fibers_match_unique_on_corpus(corpus):
     """Every level of the whole corpus under the four _policies: (r, split,
-    keys, counts, group) and the certificate equal those of
-    oracles.fibers_unique and verify_step_lexsort, and the presence tables
-    hold at most |L_j| + |L_{j-1}| entries."""
+    code, t, counts, group) and the certificate equal those of
+    oracles.fibers_unique and verify_step_lexsort, and the key ranges hold
+    at most |L_j| + |L_{j-1}| keys."""
     for inst in corpus:
         prob = build_problem(inst)
         for policy in _policies(inst):
@@ -745,14 +775,30 @@ def test_random_chains_match_unique(case):
     _assert_matches_unique(oracles.to_labels(prob)[0], deltas)
 
 
-def test_certify_depth_7_memory():
-    """certify on 0 mod p for p <= 17 (depth 7, n = 510,510) at threshold
-    1, the problem built outside the trace, peaks under tracemalloc at no
-    more than 1.1 times the bytes of the problem's cells: no step makes a
-    temporary larger than a level's labels."""
+def test_fibers_match_dense_on_corpus(corpus):
+    """Every level of the whole corpus under the four _policies: (r, split,
+    code, t, counts, group) and the certificate equal those of
+    oracles.fibers_dense and verify_step_dense, whose key ranges spanned
+    len(table) * (r_j + 1) keys."""
+    for inst in corpus:
+        prob = build_problem(inst)
+        for policy in _policies(inst):
+            _assert_matches_dense(prob, resolve_delta_policy(inst, policy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_chains())
+def test_random_chains_match_dense(case):
+    prob, deltas = case
+    _assert_matches_dense(oracles.to_labels(prob)[0], deltas)
+
+
+def _assert_certify_peak(moduli):
+    """certify on the classes 0 mod m for m in moduli at threshold 1, the
+    problem built outside the trace, peaks under tracemalloc at no more
+    than 1.1 times the bytes of the problem's cells. Returns the problem."""
     field = make_field("rational")
-    primes = (2, 3, 5, 7, 11, 13, 17)
-    inst = validate(field, [((0, 0), ideal_from_gens(field, [(p, 0)])) for p in primes])
+    inst = validate(field, [((0, 0), ideal_from_gens(field, [(m, 0)])) for m in moduli])
     prob = build_problem(inst)
     deltas = resolve_delta_policy(inst, ("threshold", 1))
     tracemalloc.start()
@@ -763,34 +809,66 @@ def test_certify_depth_7_memory():
         tracemalloc.stop()
     assert cert.verdict == "certified-noncover"
     assert peak <= 1.1 * sum(cell.nbytes for cell in prob.cells), peak
+    return prob
+
+
+def test_certify_depth_7_memory():
+    """certify on 0 mod p for p <= 17 (depth 7, n = 510,510) stays within
+    _assert_certify_peak: no step makes a temporary larger than a level's
+    labels."""
+    _assert_certify_peak((2, 3, 5, 7, 11, 13, 17))
+
+
+def test_certify_one_fiber_memory():
+    """certify on 0 mod 2^20, one level-0 fiber of 2^20 labels, stays
+    within _assert_certify_peak: the fibers' key range is sized by the
+    fibers, not by r = 2^20."""
+    prob = _assert_certify_peak((2**20,))
+    assert len(prob.initial_codes) == 1 and len(prob.cells[-1]) == 2**20
 
 
 # ------------------------------------------------------------ tampering
 
 
+def _group(old, j):
+    """The grouping _fibers gives the level-(j-1) fibers of old."""
+    return distortion._fibers(old, j)[-1]
+
+
+def _groupings(old, j, rng):
+    """Five groupings of old's level-(j-1) fibers, each in [0, |L_{j-1}|):
+    _fibers' own, all zeros, arange, _fibers' own reversed and random."""
+    own = _group(old, j)
+    m = len(own)
+    return [own, np.zeros(m, dtype=own.dtype), np.arange(m), own[::-1].copy(),
+            np.array([rng.randrange(m) for _ in range(m)])]
+
+
 def _last_step(prob, deltas):
     states = run(prob, deltas).states
-    distortion._verify_step(states[-2], states[-1], len(states) - 1)
-    return states[-2], states[-1]
+    old, new = states[-2], states[-1]
+    distortion._verify_step(old, new, new.level, _group(old, new.level))
+    return old, new
 
 
 def test_verify_step_catches_tampered_codes(six_system):
     # level 2 codes the cells (even, out of B_2) = {0, 2}, (even, in B_2) =
     # {4}, (odd, out of B_2) = {3, 5} and (odd, in B_2) = {1}
     old, new = _last_step(build_problem(six_system), [HALF, HALF])
+    group = _group(old, 2)
     assert list(new.values) == [F(0), F(0), F(0), HALF, F(0), HALF]
     codes = new.codes.copy()
     codes[0] = codes[2]  # one cell takes another cell's code
     with pytest.raises(SoundnessError, match="total mass"):
-        distortion._verify_step(old, new._replace(codes=codes), 2)
+        distortion._verify_step(old, new._replace(codes=codes), 2, group)
     codes = new.codes.copy()
     codes[[0, 2]] = codes[[2, 0]]  # total mass kept, fibers 0 mod 2 and 1 mod 2 not
     with pytest.raises(SoundnessError, match="fiber mass"):
-        distortion._verify_step(old, new._replace(codes=codes), 2)
+        distortion._verify_step(old, new._replace(codes=codes), 2, group)
     codes = new.codes.copy()
     codes[0] = len(new.table)
     with pytest.raises(SoundnessError, match="outside the value table"):
-        distortion._verify_step(old, new._replace(codes=codes), 2)
+        distortion._verify_step(old, new._replace(codes=codes), 2, group)
 
 
 def _cell_counts(new):
@@ -850,10 +928,11 @@ def _double_entry(rng, new, count):
     return tuple(table)
 
 
-def _raised(check, old, new):
-    """The message of the SoundnessError check raises on the step, or None."""
+def _raised(check, old, new, group):
+    """The message of the SoundnessError check raises on the step under the
+    given grouping, or None."""
     try:
-        check(old, new, new.level)
+        check(old, new, new.level, group)
     except SoundnessError as e:
         return str(e)
     return None
@@ -861,14 +940,15 @@ def _raised(check, old, new):
 
 def test_verify_step_catches_swaps_on_corpus(corpus):
     """Every step of 40 deep instances, under threshold 1 and the default
-    policy. The check, and the lexsort and signature oracles it replaced,
-    each accept every step as run and raise on every tampering: swaps of
-    cells, or of the two cells of two parents, with equal label counts,
-    which keep the total mass but move mass between fibers (each caught as
-    fiber mass), one re-coded cell and one doubled table entry."""
+    policy. The check under each of the five _groupings, and the dense,
+    lexsort and signature oracles it replaced, each accept every step as run
+    and raise on every tampering: swaps of cells, or of the two cells of two
+    parents, with equal label counts, which keep the total mass but move
+    mass between fibers (each caught as fiber mass), one re-coded cell and
+    one doubled table entry."""
     rng = random.Random(26)
-    checks = (distortion._verify_step, oracles.verify_step_lexsort,
-              oracles.verify_step_signatures)
+    oracle_checks = (oracles.verify_step_dense, oracles.verify_step_lexsort,
+                     oracles.verify_step_signatures)
     caught = dict.fromkeys(["cell", "fiber", "recode", "table"], 0)
     deep = [i for i in corpus if i.depth >= 2 and ideal_norm(i.q) >= 100]
     for inst in deep[:40]:
@@ -876,8 +956,10 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
         for policy in (("threshold", 1), None):
             states = run(prob, resolve_delta_policy(inst, policy)).states
             for old, new in zip(states, states[1:]):
-                for check in checks:
-                    assert _raised(check, old, new) is None
+                checks = [(distortion._verify_step, g) for g in _groupings(old, new.level, rng)]
+                checks += [(check, None) for check in oracle_checks]
+                for check, group in checks:
+                    assert _raised(check, old, new, group) is None
                 count = _cell_counts(new)
                 for _ in range(4):
                     table = _double_entry(rng, new, count)
@@ -891,8 +973,8 @@ def test_verify_step_catches_swaps_on_corpus(corpus):
                             continue
                         field = "table" if kind == "table" else "codes"
                         bad = new._replace(**{field: bad})
-                        for check in checks:
-                            got = _raised(check, old, bad)
+                        for check, group in checks:
+                            got = _raised(check, old, bad, group)
                             assert got is not None, (check, kind)
                             if kind in ("cell", "fiber"):
                                 assert "fiber mass" in got
@@ -906,7 +988,7 @@ def test_verify_step_catches_tampered_table(six_system):
     c = int(new.codes[2])  # the cell {3, 5}, of mass 1/2 each
     table[c] = table[c] * 2
     with pytest.raises(SoundnessError):
-        distortion._verify_step(old, new._replace(table=tuple(table)), 2)
+        distortion._verify_step(old, new._replace(table=tuple(table)), 2, _group(old, 2))
 
 
 def _hand_built_step(codes0, table0, parents1, bits1, codes1, table1):
@@ -926,11 +1008,25 @@ def _hand_built_step(codes0, table0, parents1, bits1, codes1, table1):
 
 def test_verify_step_checks_every_distinct_row():
     # each case keeps the total mass, but moves mass between fibers. The
-    # wrong fibers' rows match a right fiber's row in all but the fiber's
-    # own code, or all but its cell point counts, so each must be checked
-    # on its own.
-    own_code = _hand_built_step([0, 1, 2], [F(1, 3), F(1, 6), F(1, 2)],
-                                [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
+    # wrong fibers' rows (old code, n1, c0, c1) match a right fiber's row in
+    # all but one entry, so each must be checked on its own, under each of
+    # the five _groupings. Under one group for all, the fiber that
+    # represents it is first or last, so each case where a right fiber can
+    # represent the wrong ones comes with the right fiber first and last.
+    own_code = [
+        _hand_built_step(codes0, [F(1, 3), F(1, 6), F(1, 2)],
+                         [0, 1, 2], [False] * 3, [0, 0, 0], [F(1, 3)])
+        for codes0 in ([0, 1, 2], [1, 2, 0])
+    ]
+    # three fibers of r = 4 with cell codes (0, 1): 2 labels in B_1 keep the
+    # mass 1/3, 3 gain 1/6 and 1 loses it
+    own_n1 = [
+        _hand_built_step([0] * 3, [F(1, 12)], [0] * 4 + [1] * 4 + [2] * 4,
+                         [b for n1 in order for b in [False] * (4 - n1) + [True] * n1],
+                         [b for n1 in order for b in [0] * (4 - n1) + [1] * n1],
+                         [F(0), F(1, 6)])
+        for order in ([2, 3, 1], [3, 1, 2])
+    ]
     # fibers 1 and 3 take the cell codes of fibers 0 and 2, with the
     # (non-target, target) counts (1, 2) turned to (2, 1)
     counts = _hand_built_step([0, 0, 1, 1], [F(1, 9), F(1, 18)],
@@ -944,14 +1040,18 @@ def test_verify_step_checks_every_distinct_row():
     same_key = [
         _hand_built_step([0] * 4, [F(1, 8)], [0, 0, 1, 1, 2, 2, 3, 3], [False, True] * 4,
                          codes, [F(0), F(1, 8), F(1, 4)])
-        for codes in ([2, 1, 0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 2, 1, 0, 1])
+        for codes in ([2, 1, 0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 2, 1, 0, 1],
+                      [1, 2, 1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 2, 1, 0])
     ]
-    for old, new in (own_code, counts, *same_key):
+    rng = random.Random(31)
+    for old, new in (*own_code, *own_n1, counts, *same_key):
         assert oracles.total_mass(new) == 1
-        for check in (distortion._verify_step, oracles.verify_step_lexsort,
-                      oracles.verify_step_signatures):
+        checks = [(distortion._verify_step, g) for g in _groupings(old, 1, rng)]
+        checks += [(check, None) for check in (oracles.verify_step_dense,
+                   oracles.verify_step_lexsort, oracles.verify_step_signatures)]
+        for check, group in checks:
             with pytest.raises(SoundnessError, match="fiber mass"):
-                check(old, new, 1)
+                check(old, new, 1, group)
 
 
 def test_run_refuses_a_fiber_of_the_wrong_size():
@@ -975,11 +1075,13 @@ def test_run_refuses_a_fiber_of_the_wrong_size():
 
 def test_run_refuses_cells_outside_their_range():
     """Before a level's labels are counted, run refuses a cell outside
-    [0, 2 |L_{j-1}|), fibers of r_j < 1 and a code outside the value table,
-    checks on or off. Unrefused, cell -4 wrapped to cell 0 and the run
-    certified with eta 0, cell 4 raised an IndexError, sizes [1, 2] a
-    ZeroDivisionError, and code -1 read the table's last value, so that
-    without checks the run certified."""
+    [0, 2 |L_{j-1}|), fibers of r_j < 1, a code outside the value table and
+    a level with no labels, checks on or off. Unrefused, cell -4 wrapped to
+    cell 0 and the run certified with eta 0, cell 4 raised an IndexError,
+    sizes [1, 2] a ZeroDivisionError, code -1 read the table's last value,
+    so that without checks the run certified, and an empty level raised
+    the ValueError of a min over no codes or cells."""
+    empty = np.array([], dtype=np.int32)
     prob = DistortionProblem(
         [2, 1], [np.array([0, 0, 2, 2], dtype=np.int32)],
         np.array([0, 1], dtype=np.int32), (F(1, 2), F(0)),
@@ -994,6 +1096,9 @@ def test_run_refuses_cells_outside_their_range():
          "step 1: level-1 labels of 2 points do not fit in level-0 labels of 1"),
         (prob._replace(initial_codes=np.array([-1, 1], dtype=np.int32)),
          "step 1: a fiber's code lies outside the value table"),
+        (DistortionProblem([2, 1], [empty], empty, (F(1, 2),)),
+         "step 1: level 0 or 1 has no labels"),
+        (prob._replace(cells=[empty]), "step 1: level 0 or 1 has no labels"),
     ]
     for tampered, message in bad:
         for checks in (True, False):
@@ -1002,15 +1107,15 @@ def test_run_refuses_cells_outside_their_range():
 
 
 def test_verify_step_counts_its_own_cells(monkeypatch, near_cover):
-    """The step reads t from the (code, t) keys of _fibers; the check
-    counts the cells again. A grouping that moves one label of near_cover's
-    one fiber out of B_1, in its keys and its split, gives the step alpha
-    1/2 in place of 3/4, and the check must refuse the step."""
+    """The step reads t from the groups of _fibers; the check counts the
+    cells again. A grouping that moves one label of near_cover's one fiber
+    out of B_1, in its t and its split, gives the step alpha 1/2 in place
+    of 3/4, and the check must refuse the step."""
     orig = distortion._fibers
 
     def one_label_out(state, j):
-        r, split, keys, counts, group = orig(state, j)
-        return r, split + [1, -1], keys - 1, counts, group
+        r, split, code, t, counts, group = orig(state, j)
+        return r, split + [1, -1], code, t - 1, counts, group
 
     prob = build_problem(near_cover)
     run(prob, [HALF])
